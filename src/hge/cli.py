@@ -32,7 +32,7 @@ from .frame_model import (
     write_csv_stream,
 )
 from .mlprep import build_dataset, rows_to_csv
-from .stage_detector import Stage2Detector, Verdict, events_to_text
+from .stage_detector import Verdict, detect_stage2, events_to_text
 from .synth import generate, parse_script_text
 
 EXIT_OK = 0
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config")
     p.set_defaults(func=_cmd_mlprep)
 
-    p = sub.add_parser("validate", help="check that both CSV files parse")
+    p = sub.add_parser("validate", help="check that both CSV files parse and merge")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.set_defaults(func=_cmd_validate)
@@ -149,18 +149,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load_config(args)
-    stream = _parse_pair(args)
-    detector = Stage2Detector(config)
-    for frame in stream.frames:
-        detector.step(frame)
-    detector.finish()
-    report = detector.report()
+    report = detect_stage2(_parse_pair(args), config)
     text = report.to_text()
     sys.stdout.write(text)
     if args.report:
         _write(args.report, text)
     if args.events:
-        _write(args.events, events_to_text(detector.events))
+        _write(args.events, events_to_text(report.events))
     return EXIT_OK if report.verdict == Verdict.COMPLETED else EXIT_NOT_COMPLETED
 
 
@@ -236,16 +231,7 @@ def _cmd_mlprep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    for side in ("left", "right"):
-        path = getattr(args, side)
-        try:
-            text = _read(path)
-        except OSError as exc:
-            raise _CliError(str(exc)) from None
-        try:
-            parse_hand_csv(text, Handedness.LEFT if side == "left" else Handedness.RIGHT)
-        except EngineError as exc:
-            raise _CliError(f"{path}: {exc}") from None
+    _parse_pair(args)
     print("ok")
     return EXIT_OK
 

@@ -57,9 +57,6 @@ class EngineConfig:
     stage_max_s: float = 7.0
     stage_max_slack_s: float = 0.5         # covers the occlusion-before-rub lead-in
 
-    # frame merging
-    merge_window_ms: float = 5.0
-
     def validate(self) -> "EngineConfig":
         for name, (lo, hi) in _VALID_RANGES.items():
             v = getattr(self, name)
@@ -106,7 +103,6 @@ _VALID_RANGES = {
     "stage_min_s": (0.1, 60.0),
     "stage_max_s": (0.1, 60.0),
     "stage_max_slack_s": (0.0, 5.0),
-    "merge_window_ms": (0.0, 50.0),
 }
 
 _FIELD_NAMES = {f.name for f in fields(EngineConfig)}

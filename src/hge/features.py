@@ -16,9 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import GrabOutOfRange, InsufficientWindow, NonUnitNormal, TooFewSamples
-from .frame_model import FrameStream, Handedness
-
-UNIT_TOLERANCE = 1e-3
+from .frame_model import NORMAL_TOLERANCE, FrameStream, Handedness
 
 
 class PalmOrientation(str, Enum):
@@ -127,8 +125,8 @@ STAGE3_SIGNATURE = StageSignature(
 def _require_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, float)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_TOLERANCE:
-        raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {UNIT_TOLERANCE}")
+    if abs(norm - 1.0) > NORMAL_TOLERANCE:
+        raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {NORMAL_TOLERANCE}")
     return v
 
 

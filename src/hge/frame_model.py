@@ -8,6 +8,7 @@ origin at the sensor center, millimeters and mm/s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -198,9 +199,12 @@ def merge_hand_streams(left, right, window_ms: float = MERGE_WINDOW_MS) -> Frame
 
 def _parse_float(cell: str, line: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise MalformedRow(line, column, f"cannot parse {cell!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line, column, f"non-finite value {cell!r}")
+    return value
 
 
 def parse_hand_csv(text: str, handedness: Handedness):
@@ -285,7 +289,8 @@ def write_csv_stream(stream: FrameStream):
     """Serialize a stream back to (left_text, right_text) per-hand CSVs.
 
     Floats are written in shortest round-trip form, so parse(write(s))
-    reproduces every scalar exactly.
+    reproduces every scalar exactly except the palm normals, which ingest
+    renormalises: they can move by a few ulp.
     """
     out = {Handedness.LEFT: [CSV_HEADER], Handedness.RIGHT: [CSV_HEADER]}
     for frame in stream.frames:

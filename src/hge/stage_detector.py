@@ -14,6 +14,7 @@ oscillation, complete the stage.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -23,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, inter_palm_distance, palm_opposition
-from .frame_model import Frame, FrameStream, Handedness
+from .frame_model import Frame, FrameStream, HandObservation, Handedness
 
 
 class Phase(str, Enum):
@@ -43,10 +44,16 @@ WORKING_PHASES = (
     Phase.CONTACT_OCCLUDED,
     Phase.RUBBING,
 )
+CONTACT_PHASES = (Phase.CONTACT_OCCLUDED, Phase.RUBBING)
+TERMINAL_PHASES = (Phase.COMPLETED, Phase.FAILED)
+_ENTRY_NAMES = frozenset(p.value for p in WORKING_PHASES)
 
 
 class AlertKind(str, Enum):
     PALMS_NOT_FACING = "PalmsNotFacing"
+
+
+_ALERT_NAMES = frozenset(k.value for k in AlertKind)
 
 
 class Verdict(str, Enum):
@@ -68,12 +75,30 @@ class Event:
 
 @dataclass
 class DetectorState:
+    """Everything a detection run remembers between frames."""
+
     phase: Phase = Phase.AWAITING_TWO_HANDS
     phase_entry_time: int = 0
-    last_inter_palm_distance: Optional[float] = None
-    accumulated_rotation: float = 0.0      # degrees of net velocity-direction sweep
-    rub_start_time: Optional[int] = None
-    alert_log: list = field(default_factory=list)
+    last_ts: Optional[int] = None
+    prev_hand_count: int = 0
+    seen_hand: bool = False
+    zero_since: Optional[int] = None       # start of the current run of handless frames
+    # AwaitingTwoHands
+    facing_since: Optional[int] = None
+    not_facing_since: Optional[int] = None
+    alert_armed: bool = True
+    # two-hand frames before contact
+    dist_window: deque = field(default_factory=deque)   # (ts, distance), approach_window_s long
+    # ContactOccluded and Rubbing: the surviving hand
+    contact_ts: Optional[int] = None
+    surviving: Optional[Handedness] = None
+    vel_samples: list = field(default_factory=list)
+    net_sweep_deg: float = 0.0             # net velocity-direction sweep
+    pos_window: deque = field(default_factory=deque)    # (ts, palm position), rub_freq_window_s long
+    rub_evals: int = 0
+    rub_ok: int = 0
+    rub_armed: bool = False
+    rub_none_streak: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,6 +107,7 @@ class StageReport:
     phase_timeline: tuple            # (phase, start_ms, end_ms) entries
     stage_duration_s: Optional[float]
     alerts: tuple                    # (timestamp_ms, AlertKind) entries
+    events: tuple                    # every Event of the run, in order
 
     def to_text(self) -> str:
         lines = [f"verdict {self.verdict.value}"]
@@ -94,6 +120,14 @@ class StageReport:
         return "\n".join(lines) + "\n"
 
 
+def _push(window: deque, ts: int, value, span_s: float):
+    """Append (ts, value) and drop the samples older than span_s before ts."""
+    window.append((ts, value))
+    horizon = ts - span_s * 1000.0
+    while window[0][0] < horizon:
+        window.popleft()
+
+
 class Stage2Detector:
     """Sequential detector; feed frames in timestamp order via step()."""
 
@@ -101,61 +135,11 @@ class Stage2Detector:
         self.config = config
         self.state = DetectorState()
         self.events: list[Event] = []
-        self._entries: list = []            # (phase, entry_ts)
-        self._first_ts: Optional[int] = None
-        self._last_ts: Optional[int] = None
-        self._terminal = False
-        self._completed_ts: Optional[int] = None
-        self._finished = False
-
-        self._seen_hand = False
-        self._zero_since: Optional[int] = None
-        self._prev_hand_count = 0
-
-        self._facing_since: Optional[int] = None
-        self._not_facing_since: Optional[int] = None
-        self._alert_armed = True
-
-        self._dist_buf: list = []           # (ts, distance) over two-hand frames
-        self._last_two_hand: Optional[tuple] = None
-
-        self._contact_ts: Optional[int] = None
-        self._surviving: Optional[Handedness] = None
-        self._vel_samples: list = []
-        self._net_sweep_deg = 0.0
-
-        self._pos_buf: list = []            # (ts, palm position) of the surviving hand
-        self._rub_evals = 0
-        self._rub_ok = 0
-        self._rub_armed = False
-        self._rub_none_streak = 0
-
-    # -- event plumbing ---------------------------------------------------
-
-    def _emit(self, ts: int, name: str, detail: str = "") -> Event:
-        ev = Event(ts, name, detail)
-        self.events.append(ev)
-        return ev
 
     def _enter(self, phase: Phase, ts: int, detail: str = ""):
         self.state.phase = phase
         self.state.phase_entry_time = ts
-        self._entries.append((phase, ts))
-        self._emit(ts, phase.value, detail)
-
-    def _fail(self, ts: int, reason: str):
-        self._terminal = True
-        self.state.phase = Phase.FAILED
-        self.state.phase_entry_time = ts
-        self._emit(ts, Phase.FAILED.value, reason)
-
-    def _complete(self, ts: int):
-        self._terminal = True
-        self._completed_ts = ts
-        self.state.phase = Phase.COMPLETED
-        self.state.phase_entry_time = ts
-        duration = (ts - self._contact_ts) / 1000.0
-        self._emit(ts, Phase.COMPLETED.value, f"stage_duration_s={duration:.3f}")
+        self.events.append(Event(ts, phase.value, detail))
 
     # -- per-phase helpers ------------------------------------------------
 
@@ -164,217 +148,210 @@ class Stage2Detector:
         if left is None or right is None:
             return None
         d = inter_palm_distance(left.palm_position, right.palm_position)
-        self.state.last_inter_palm_distance = d
-        self._last_two_hand = (frame.timestamp, d)
-        self._dist_buf.append((frame.timestamp, d))
-        horizon = frame.timestamp - self.config.approach_window_s * 1000.0
-        while self._dist_buf and self._dist_buf[0][0] < horizon:
-            self._dist_buf.pop(0)
+        _push(self.state.dist_window, frame.timestamp, d, self.config.approach_window_s)
         return palm_opposition(left.palm_normal, right.palm_normal, self.config)
 
     def _approach_slope(self) -> Optional[float]:
-        if len(self._dist_buf) < 5:
+        window = self.state.dist_window
+        if len(window) < 5:
             return None
-        ts = np.array([t for t, _ in self._dist_buf], float) / 1000.0
+        ts = np.array([t for t, _ in window], float) / 1000.0
         if ts[-1] - ts[0] < 0.9 * self.config.approach_window_s:
             return None
-        dist = np.array([d for _, d in self._dist_buf], float)
+        dist = np.array([d for _, d in window], float)
         return float(np.polyfit(ts, dist, 1)[0])
 
-    def _update_sweep(self, frame: Frame):
+    def _update_sweep(self, obs: HandObservation):
         """Net sweep of the surviving hand's velocity direction in its dominant plane.
 
         The plane and the whole angle history are recomputed from every
         post-contact velocity sample, so early non-rotational samples (the
         approach tail) cannot lock in a bad plane estimate.
         """
-        obs = frame.hand(self._surviving) if self._surviving else None
-        if obs is None:
-            return
         v = np.asarray(obs.palm_velocity, float)
         if float(np.linalg.norm(v)) < self.config.sweep_min_speed_mm_s:
             return
-        self._vel_samples.append(v)
-        if len(self._vel_samples) < 10:
+        samples = self.state.vel_samples
+        samples.append(v)
+        if len(samples) < 10:
             return
-        sample = np.asarray(self._vel_samples)
+        sample = np.asarray(samples)
         _, evecs = np.linalg.eigh(sample.T @ sample)
         angles = np.degrees(np.arctan2(sample @ evecs[:, 1], sample @ evecs[:, 2]))
         deltas = np.diff(angles)
         deltas = (deltas + 180.0) % 360.0 - 180.0
         # direction reversals show as near-180 jumps; only smooth rotation counts
         smooth = np.abs(deltas) <= self.config.sweep_max_step_deg
-        self._net_sweep_deg = float(deltas[smooth].sum())
-        self.state.accumulated_rotation = abs(self._net_sweep_deg)
+        self.state.net_sweep_deg = float(deltas[smooth].sum())
 
     def _rub_frequency(self) -> Optional[float]:
         cfg = self.config
-        if not self._pos_buf:
+        window = self.state.pos_window
+        if len(window) < 2:
             return None
-        horizon = self._pos_buf[-1][0] - cfg.rub_freq_window_s * 1000.0
-        recent = [(t, p) for t, p in self._pos_buf if t >= horizon]
-        if len(recent) < 2:
-            return None
-        span_s = (recent[-1][0] - recent[0][0]) / 1000.0
+        span_s = (window[-1][0] - window[0][0]) / 1000.0
         # wait for a full-length window; short windows miscount crossings
         if span_s < 0.95 * cfg.rub_freq_window_s:
             return None
         try:
             return estimate_frequency(
-                np.asarray([p for _, p in recent]), [t for t, _ in recent], cfg
+                np.asarray([p for _, p in window]), [t for t, _ in window], cfg
             )
         except TooFewSamples:
             return None
 
+    def _score_rub(self, ts: int):
+        """Score the rub frequency over the position window that just gained a sample."""
+        cfg, s = self.config, self.state
+        freq = self._rub_frequency()
+        if freq is not None:
+            s.rub_none_streak = 0
+            s.rub_evals += 1
+            lo = cfg.rub_freq_min_hz - cfg.rub_freq_tolerance_hz
+            hi = cfg.rub_freq_max_hz + cfg.rub_freq_tolerance_hz
+            if lo <= freq <= hi:
+                s.rub_ok += 1
+                s.rub_armed = True
+        elif s.rub_armed:
+            s.rub_none_streak += 1
+            if s.rub_none_streak >= 3:
+                self._evaluate_completion(ts, "oscillation_stopped")
+
+    def _stage_elapsed_s(self) -> float:
+        """Time from contact to the surviving hand's last sample, where the rub ended."""
+        return (self.state.pos_window[-1][0] - self.state.contact_ts) / 1000.0
+
     def _evaluate_completion(self, ts: int, why: str):
-        cfg = self.config
-        elapsed = (ts - self._contact_ts) / 1000.0
-        ok_fraction = self._rub_ok / self._rub_evals if self._rub_evals else 0.0
-        sustained = self._rub_evals > 0 and ok_fraction >= cfg.rub_sustain_fraction
+        cfg, s = self.config, self.state
+        elapsed = self._stage_elapsed_s()
+        ok_fraction = s.rub_ok / s.rub_evals if s.rub_evals else 0.0
+        sustained = s.rub_evals > 0 and ok_fraction >= cfg.rub_sustain_fraction
         in_window = cfg.stage_min_s <= elapsed <= cfg.stage_max_s + cfg.stage_max_slack_s
         if sustained and in_window:
-            self._complete(ts)
+            self._enter(Phase.COMPLETED, ts, f"stage_duration_s={elapsed:.3f}")
         else:
-            self._fail(ts, f"{why}_elapsed={elapsed:.2f}s_ok={ok_fraction:.2f}")
+            self._enter(Phase.FAILED, ts, f"{why}_elapsed={elapsed:.2f}s_ok={ok_fraction:.2f}")
 
     # -- main state machine -----------------------------------------------
 
     def step(self, frame: Frame) -> list:
         """Advance the detector by one frame; returns the events it produced."""
-        if self._last_ts is not None and frame.timestamp <= self._last_ts:
-            raise OutOfOrderFrame(
-                f"timestamp {frame.timestamp} not after previous {self._last_ts}"
-            )
-        if self._first_ts is None:
-            self._first_ts = frame.timestamp
-            if not self._terminal:
-                self._enter(Phase.AWAITING_TWO_HANDS, frame.timestamp)
-        self._last_ts = frame.timestamp
-        if self._terminal:
+        s, cfg, ts = self.state, self.config, frame.timestamp
+        if s.last_ts is not None and ts <= s.last_ts:
+            raise OutOfOrderFrame(f"timestamp {ts} not after previous {s.last_ts}")
+        if s.last_ts is None:
+            self._enter(Phase.AWAITING_TWO_HANDS, ts)
+        s.last_ts = ts
+        if s.phase in TERMINAL_PHASES:
             return []
 
         produced = len(self.events)
-        ts = frame.timestamp
-        cfg = self.config
         hc = frame.hand_count
         if hc:
-            self._seen_hand = True
+            s.seen_hand = True
 
-        phase = self.state.phase
-        if phase in (Phase.AWAITING_TWO_HANDS, Phase.PALMS_FACING, Phase.APPROACHING):
-            if hc == 0 and self._seen_hand:
-                if self._zero_since is None:
-                    self._zero_since = ts
-                elif (ts - self._zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
-                    self._fail(ts, "hands_lost")
-                    self._prev_hand_count = hc
-                    return self.events[produced:]
+        if s.phase not in CONTACT_PHASES:
+            if hc == 0 and s.seen_hand:
+                if s.zero_since is None:
+                    s.zero_since = ts
+                elif (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
+                    self._enter(Phase.FAILED, ts, "hands_lost")
             else:
-                self._zero_since = None
+                s.zero_since = None
 
-        if phase == Phase.AWAITING_TWO_HANDS:
+        if s.phase == Phase.AWAITING_TWO_HANDS:
             opposition = self._update_two_hand_tracking(frame) if hc == 2 else None
             if opposition is None:
-                self._facing_since = None
-                self._not_facing_since = None
-                self._alert_armed = True
+                s.facing_since = None
+                s.not_facing_since = None
+                s.alert_armed = True
             elif opposition.facing:
-                self._not_facing_since = None
-                self._alert_armed = True
-                if self._facing_since is None:
-                    self._facing_since = ts
-                elif (ts - self._facing_since) / 1000.0 >= cfg.facing_dwell_s:
+                s.not_facing_since = None
+                s.alert_armed = True
+                if s.facing_since is None:
+                    s.facing_since = ts
+                elif (ts - s.facing_since) / 1000.0 >= cfg.facing_dwell_s:
                     self._enter(Phase.PALMS_FACING, ts, f"facing_held={cfg.facing_dwell_s:.2f}s")
             else:
-                self._facing_since = None
-                if self._not_facing_since is None:
-                    self._not_facing_since = ts
-                elif self._alert_armed and (ts - self._not_facing_since) / 1000.0 >= cfg.not_facing_alert_s:
-                    self.state.alert_log.append((ts, AlertKind.PALMS_NOT_FACING))
-                    self._emit(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing")
-                    self._alert_armed = False
+                s.facing_since = None
+                if s.not_facing_since is None:
+                    s.not_facing_since = ts
+                elif s.alert_armed and (ts - s.not_facing_since) / 1000.0 >= cfg.not_facing_alert_s:
+                    self.events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
+                    s.alert_armed = False
 
-        elif phase == Phase.PALMS_FACING:
+        elif s.phase == Phase.PALMS_FACING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
                 slope = self._approach_slope()
                 if slope is not None and slope <= cfg.approach_slope_mm_s:
                     self._enter(Phase.APPROACHING, ts, f"slope_mm_s={slope:.1f}")
 
-        elif phase == Phase.APPROACHING:
+        elif s.phase == Phase.APPROACHING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
-            elif hc == 1 and self._prev_hand_count == 2 and self._last_two_hand is not None:
-                last_d = self._last_two_hand[1]
+            elif hc == 1 and s.prev_hand_count == 2 and s.dist_window:
+                last_d = s.dist_window[-1][1]
                 if last_d < cfg.contact_distance_mm + cfg.contact_margin_mm:
-                    self._surviving = frame.hands[0].handedness
-                    self._contact_ts = ts
+                    s.surviving = frame.hands[0].handedness
+                    s.contact_ts = ts
                     self._enter(Phase.CONTACT_OCCLUDED, ts, f"distance_mm={last_d:.1f}")
-                    self._collect_contact_frame(frame)
-                    self._update_sweep(frame)
 
-        elif phase == Phase.CONTACT_OCCLUDED:
-            self._collect_contact_frame(frame)
-            self._update_sweep(frame)
-            if self.state.accumulated_rotation >= cfg.rotation_sweep_deg:
-                self.state.rub_start_time = ts
-                self._enter(Phase.RUBBING, ts, f"sweep_deg={self.state.accumulated_rotation:.0f}")
-
-        elif phase == Phase.RUBBING:
-            self._collect_contact_frame(frame)
-            if hc == 2:
-                self._evaluate_completion(ts, "hands_reappeared")
-            else:
-                freq = self._rub_frequency()
-                if freq is not None:
-                    self._rub_none_streak = 0
-                    self._rub_evals += 1
-                    lo = cfg.rub_freq_min_hz - cfg.rub_freq_tolerance_hz
-                    hi = cfg.rub_freq_max_hz + cfg.rub_freq_tolerance_hz
-                    if lo <= freq <= hi:
-                        self._rub_ok += 1
-                        self._rub_armed = True
-                elif self._rub_armed:
-                    self._rub_none_streak += 1
-                    if self._rub_none_streak >= 3:
-                        self._evaluate_completion(ts, "oscillation_stopped")
-
-        self._prev_hand_count = hc
+        if s.phase in CONTACT_PHASES:
+            self._step_contact(frame)
+        s.prev_hand_count = hc
         return self.events[produced:]
 
-    def _collect_contact_frame(self, frame: Frame):
-        obs = frame.hand(self._surviving) if self._surviving else None
+    def _step_contact(self, frame: Frame):
+        """ContactOccluded and Rubbing: track the surviving hand and bound the stage in time.
+
+        The stage is timed to the surviving hand's last sample, so a rub that
+        ends with the hands leaving is judged by when it ended, not by when the
+        timeout noticed.
+        """
+        s, cfg, ts = self.state, self.config, frame.timestamp
+        obs = frame.hand(s.surviving)
         if obs is not None:
-            self._pos_buf.append((frame.timestamp, np.asarray(obs.palm_position, float)))
+            _push(s.pos_window, ts, np.asarray(obs.palm_position, float), cfg.rub_freq_window_s)
+        if (ts - s.pos_window[-1][0]) / 1000.0 > cfg.lost_hands_timeout_s:
+            self._evaluate_completion(ts, "hands_lost")
+        elif self._stage_elapsed_s() > cfg.stage_max_s + cfg.stage_max_slack_s:
+            self._evaluate_completion(ts, "stage_too_long")
+        elif s.phase == Phase.CONTACT_OCCLUDED:
+            if obs is not None:
+                self._update_sweep(obs)
+            if abs(s.net_sweep_deg) >= cfg.rotation_sweep_deg:
+                self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(s.net_sweep_deg):.0f}")
+        elif frame.hand_count == 2:
+            self._evaluate_completion(ts, "hands_reappeared")
+        elif obs is not None:
+            self._score_rub(ts)
 
     def finish(self) -> list:
         """Signal end of stream; evaluates the final phase. Idempotent."""
-        if self._finished:
-            return []
-        self._finished = True
-        if self._terminal or self._last_ts is None:
+        s = self.state
+        if s.phase in TERMINAL_PHASES or s.last_ts is None:
             return []
         produced = len(self.events)
-        if self.state.phase == Phase.RUBBING:
-            self._evaluate_completion(self._last_ts, "stream_ended")
+        if s.phase == Phase.RUBBING:
+            self._evaluate_completion(s.last_ts, "stream_ended")
         else:
-            self._fail(self._last_ts, f"stream_ended_in_{self.state.phase.value}")
+            self._enter(Phase.FAILED, s.last_ts, f"stream_ended_in_{s.phase.value}")
         return self.events[produced:]
 
     def report(self) -> StageReport:
         self.finish()
-        end_ts = self._completed_ts if self._completed_ts is not None else self._last_ts
-        timeline = []
-        for k, (phase, start) in enumerate(self._entries):
-            stop = self._entries[k + 1][1] if k + 1 < len(self._entries) else end_ts
-            timeline.append((phase, start, stop))
-        completed = self._completed_ts is not None
-        duration = (self._completed_ts - self._contact_ts) / 1000.0 if completed else None
+        s = self.state
+        completed = s.phase == Phase.COMPLETED
+        alerts = [(ev.timestamp_ms, AlertKind(ev.name)) for ev in self.events if ev.name in _ALERT_NAMES]
+        entries = [(Phase(ev.name), ev.timestamp_ms) for ev in self.events if ev.name in _ENTRY_NAMES]
+        stops = [start for _, start in entries[1:]] + [s.phase_entry_time if completed else s.last_ts]
         return StageReport(
             verdict=Verdict.COMPLETED if completed else Verdict.NOT_COMPLETED,
-            phase_timeline=tuple(timeline),
-            stage_duration_s=duration,
-            alerts=tuple(self.state.alert_log),
+            phase_timeline=tuple((phase, start, stop) for (phase, start), stop in zip(entries, stops)),
+            stage_duration_s=self._stage_elapsed_s() if completed else None,
+            alerts=tuple(alerts),
+            events=tuple(self.events),
         )
 
 

@@ -70,6 +70,22 @@ class TestSynthAndDetect:
         assert first == second == 0
         assert out_first == out_second
 
+    @pytest.mark.parametrize("column,value", [
+        ("palm_x", "nan"), ("normal_y", "nan"), ("vel_z", "inf"), ("thumb_x", "-inf"),
+    ])
+    def test_detect_rejects_non_finite_value(self, canonical_pair, tmp_path, capsys, column, value):
+        lp, rp = canonical_pair
+        broken = tmp_path / "broken.csv"
+        lines = open(lp).read().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(cells)
+        broken.write_text("\n".join(lines) + "\n")
+        code = run(["detect", "--left", str(broken), "--right", rp])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "broken.csv" in err and "line 4" in err and column in err
+
 
 class TestValidate:
     def test_ok(self, canonical_pair):
@@ -103,6 +119,13 @@ class TestUsageAndConfig:
         cfg.write_text("not_a_key 5\n")
         assert run(["detect", "--left", lp, "--right", rp, "--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_merge_window_key_is_unknown(self, canonical_pair, tmp_path, capsys):
+        lp, rp = canonical_pair
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("merge_window_ms 5\n")
+        assert run(["detect", "--left", lp, "--right", rp, "--config", str(cfg)]) == 2
+        assert "unknown key 'merge_window_ms'" in capsys.readouterr().err
 
     def test_config_overrides_apply(self, canonical_pair, tmp_path):
         lp, rp = canonical_pair

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from hge import (
+    DEFAULT_CONFIG,
     AlertKind,
     Frame,
     FrameStream,
@@ -31,7 +34,7 @@ class TestTransitions:
         for frame in facing_frames(40):            # 0.4 s of facing hands
             det.step(frame)
         assert det.state.phase == Phase.PALMS_FACING
-        entry = [ts for p, ts in det._entries if p == Phase.PALMS_FACING]
+        entry = [ev.timestamp_ms for ev in det.events if ev.name == Phase.PALMS_FACING.value]
         assert entry == [300]                       # 0.3 s dwell at 100 fps
 
     def test_not_facing_two_seconds_alerts_and_remains(self):
@@ -39,8 +42,9 @@ class TestTransitions:
         for frame in facing_frames(220, opposed=False):
             det.step(frame)
         assert det.state.phase == Phase.AWAITING_TWO_HANDS
-        assert [kind for _, kind in det.state.alert_log] == [AlertKind.PALMS_NOT_FACING]
-        ts = det.state.alert_log[0][0]
+        alerts = det.report().alerts
+        assert [kind for _, kind in alerts] == [AlertKind.PALMS_NOT_FACING]
+        ts = alerts[0][0]
         assert ts == 2000
 
     def test_approach_slope_enters_approaching(self):
@@ -58,7 +62,7 @@ class TestTransitions:
         for frame in frames:
             det.step(frame)
         assert det.state.phase == Phase.APPROACHING
-        assert det.state.last_inter_palm_distance == pytest.approx(26.0, abs=0.1)
+        assert det.state.dist_window[-1][1] == pytest.approx(26.0, abs=0.1)
         det.step(Frame(1750, (make_hand(Handedness.RIGHT, palm=(12.5, 200, 0), normal=(-1, 0, 0)),)))
         assert det.state.phase == Phase.CONTACT_OCCLUDED
 
@@ -99,6 +103,54 @@ class TestTransitions:
         for t in range(0, 2000, 10):
             det.step(Frame(t, ()))
         assert det.state.phase == Phase.AWAITING_TWO_HANDS
+
+
+class TestBoundedVerdict:
+    @pytest.mark.parametrize("rub_s,cut_s,phase,verdict", [
+        (4.0, 4.07, Phase.RUBBING, Phase.COMPLETED),          # walk away after a 4 s rub
+        (4.0, 0.3, Phase.CONTACT_OCCLUDED, Phase.FAILED),
+        (4.0, 1.6, Phase.RUBBING, Phase.FAILED),              # rubbed for less than stage_min_s
+        (8.0, 6.8, Phase.RUBBING, Phase.COMPLETED),           # ended inside stage_max_s + slack
+    ])
+    def test_hands_lost_after_contact_ends_the_run(self, rub_s, cut_s, phase, verdict):
+        stream = canonical_stream(rub_duration_s=rub_s, noise_sigma=1.0, seed=2)
+        contact = next(ev.timestamp_ms for ev in detect_stage2(stream).events
+                       if ev.name == Phase.CONTACT_OCCLUDED.value)
+        frames = [f for f in stream.frames if f.timestamp < contact + cut_s * 1000]
+        last = frames[-1].timestamp
+        frames += [Frame(t, ()) for t in range(last + 10, last + 20000, 10)]
+        det = Stage2Detector()
+        for frame in frames:
+            det.step(frame)
+        assert det.events[-2].name == phase.value
+        # decided on the first frame more than lost_hands_timeout_s after the surviving
+        # hand's last sample, but timed to that sample
+        end, rubbed_s = det.events[-1], (last - contact) / 1000.0
+        assert (end.timestamp_ms, end.name) == (last + 1010, verdict.value)
+        if verdict == Phase.COMPLETED:
+            assert end.detail == f"stage_duration_s={rubbed_s:.3f}"
+            assert det.report().stage_duration_s == pytest.approx(rubbed_s)
+        else:
+            assert end.detail.startswith(f"hands_lost_elapsed={rubbed_s:.2f}s")
+
+    def test_over_long_rub_fails_on_time(self):
+        det = Stage2Detector()
+        for frame in canonical_stream(rub_duration_s=30.0, noise_sigma=1.0).frames:
+            det.step(frame)
+        contact = next(ev.timestamp_ms for ev in det.events if ev.name == Phase.CONTACT_OCCLUDED.value)
+        end = det.events[-1]
+        assert end.name == Phase.FAILED.value and end.detail.startswith("stage_too_long")
+        assert 0 < end.timestamp_ms - (contact + 7500) <= 10
+
+    def test_windows_stay_bounded_over_a_long_rub(self):
+        config = replace(DEFAULT_CONFIG, stage_max_s=60.0)
+        det = Stage2Detector(config)
+        fps = 100.0
+        for frame in canonical_stream(rub_duration_s=30.0, noise_sigma=1.0, fps=fps).frames:
+            det.step(frame)
+            assert len(det.state.pos_window) <= config.rub_freq_window_s * fps + 1
+            assert len(det.state.dist_window) <= config.approach_window_s * fps + 1
+        assert Phase.RUBBING.value in [ev.name for ev in det.events]
 
 
 class TestDetectStage2:
