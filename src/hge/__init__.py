@@ -16,6 +16,7 @@ from .errors import (
     InsufficientWindow,
     InvalidScript,
     MalformedRow,
+    NonFiniteValue,
     NonMonotonicTimestamp,
     NonUnitNormal,
     OutOfOrderFrame,

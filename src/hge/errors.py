@@ -13,6 +13,14 @@ class NonUnitNormal(EngineError):
     """A palm normal deviates from unit length by more than the tolerance."""
 
 
+class NonFiniteValue(EngineError):
+    """An in-memory observation holds NaN or infinity; carries the field name."""
+
+    def __init__(self, field: str):
+        self.field = field
+        super().__init__(f"{field} holds a non-finite value")
+
+
 class GrabOutOfRange(EngineError):
     """Grab strength outside [0, 1]."""
 

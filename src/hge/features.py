@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import GrabOutOfRange, InsufficientWindow, NonUnitNormal, TooFewSamples
-from .frame_model import NORMAL_TOLERANCE, FrameStream, Handedness
+from .frame_model import NORMAL_TOLERANCE, FrameStream, Handedness, row_dots, row_norms
 
 
 class PalmOrientation(str, Enum):
@@ -105,8 +105,8 @@ STAGE2_SIGNATURE = StageSignature(
     palm_shape=PalmShape.FLAT,
     spread=FingerSpread.CLOSED,
     trajectories=frozenset({TrajectoryKind.LINEAR, TrajectoryKind.CIRCULAR}),
-    frequency_range_hz=(0.8, 3.6),
-    duration_range_s=(2.0, 7.0),
+    frequency_range_hz=(DEFAULT_CONFIG.rub_freq_min_hz, DEFAULT_CONFIG.rub_freq_max_hz),
+    duration_range_s=(DEFAULT_CONFIG.stage_min_s, DEFAULT_CONFIG.stage_max_s),
     discriminative=frozenset({"orientation", "spread"}),
 )
 
@@ -273,12 +273,79 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     return (len(crossings) - 1) / (2.0 * (crossings[-1] - crossings[0]))
 
 
-def _majority_spread(votes) -> FingerSpread:
-    known = [v for v in votes if v != FingerSpread.UNKNOWN]
-    if not known:
+class _HandSamples(NamedTuple):
+    """One hand's samples over a window, one row per frame that holds it."""
+
+    timestamps: np.ndarray     # (m,) ms
+    positions: np.ndarray      # (m, 3) palm positions
+    normals: np.ndarray        # (m, 3) palm normals
+    grabs: np.ndarray          # (m,)
+    gaps: np.ndarray           # (m,) finger_spread's minimum adjacent gap, NaN without a tracked pair
+    gap_pairs: np.ndarray      # (m,) tracked adjacent pairs behind each gap
+
+
+_UNTRACKED = np.full(3, np.nan)
+
+
+def _hand_samples(observations, timestamps) -> _HandSamples:
+    vectors = [_UNTRACKED]      # keeps the concatenation defined for a hand never seen
+    for o in observations:
+        vectors.append(o.palm_position)
+        vectors.append(o.palm_normal)
+        vectors.extend(o.fingertips)
+    tracked = np.array([t is not None for o in observations for t in o.fingertips], bool).reshape(-1, 5)
+    if not tracked.all():
+        vectors = [_UNTRACKED if v is None else v for v in vectors]
+    block = np.concatenate(vectors, dtype=float)[3:].reshape(-1, 7, 3)
+    tips = block[:, 2:]
+    adjacent = tracked[:, 1:] & tracked[:, :-1]
+    gaps = np.where(adjacent, row_norms(tips[:, 1:] - tips[:, :-1]), np.inf).min(axis=1)
+    gap_pairs = adjacent.sum(axis=1)
+    gaps[gap_pairs == 0] = np.nan
+    return _HandSamples(
+        timestamps=np.array(timestamps, float),
+        positions=block[:, 0],
+        normals=block[:, 1],
+        grabs=np.array([o.grab_strength for o in observations], float),
+        gaps=gaps,
+        gap_pairs=gap_pairs,
+    )
+
+
+def _window_hands(frames):
+    """Each hand's samples, and for every two-hand frame the rows of its left and right hand."""
+    seen = {h: ([], []) for h in Handedness}
+    pairs = []
+    for f in frames:
+        rows = {}
+        for obs in f.hands:
+            observations, stamps = seen[obs.handedness]
+            rows.setdefault(obs.handedness, len(observations))
+            observations.append(obs)
+            stamps.append(f.timestamp)
+        if len(rows) == 2:
+            pairs.append((rows[Handedness.LEFT], rows[Handedness.RIGHT]))
+    return {h: _hand_samples(*seen[h]) for h in Handedness}, np.array(pairs, int).reshape(-1, 2)
+
+
+def _require_unit_rows(left: np.ndarray, right: np.ndarray):
+    """palm_opposition's unit check over paired normals, first offending frame first."""
+    off = [np.abs(row_norms(v) - 1.0) > NORMAL_TOLERANCE for v in (left, right)]
+    either = off[0] | off[1]
+    if either.any():
+        i = int(np.argmax(either))
+        name, v = ("normal_left", left) if off[0][i] else ("normal_right", right)
+        _require_unit(v[i], name)
+
+
+def _majority_spread(hand: _HandSamples, config: EngineConfig) -> FingerSpread:
+    """Majority of the per-frame finger_spread verdicts that are not Unknown."""
+    known = hand.gap_pairs >= 2
+    opens = int((hand.gaps[known] >= config.open_spread_min_mm).sum())
+    closed = int(known.sum()) - opens
+    if not opens + closed:
         return FingerSpread.UNKNOWN
-    opens = sum(1 for v in known if v == FingerSpread.OPEN)
-    return FingerSpread.OPEN if opens >= len(known) - opens else FingerSpread.CLOSED
+    return FingerSpread.OPEN if opens >= closed else FingerSpread.CLOSED
 
 
 def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_CONFIG) -> FeatureVector:
@@ -300,34 +367,24 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     if with_hand / len(frames) < 0.8:
         raise InsufficientWindow("a hand is visible in fewer than 80% of frames")
 
-    facing_votes = 0
-    stacked_votes = 0
-    distances = []
-    two_hand = 0
-    cos_limit = math.cos(math.radians(config.stacked_angle_max_deg))
-
-    per_hand = {h: {"grab": [], "spread": [], "pos": [], "ts": []} for h in Handedness}
-    for f in frames:
-        left, right = f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)
-        for obs in f.hands:
-            rec = per_hand[obs.handedness]
-            rec["grab"].append(obs.grab_strength)
-            rec["spread"].append(finger_spread(obs.fingertips, config)[1])
-            rec["pos"].append(obs.palm_position)
-            rec["ts"].append(f.timestamp)
-        if left is None or right is None:
-            continue
-        two_hand += 1
-        opposition = palm_opposition(left.palm_normal, right.palm_normal, config)
-        distances.append(inter_palm_distance(left.palm_position, right.palm_position))
-        if opposition.facing:
-            facing_votes += 1
-        elif opposition.resultant_magnitude > config.stacked_resultant_min:
-            shared = (left.palm_normal + right.palm_normal) / opposition.resultant_magnitude
-            disp = right.palm_position - left.palm_position
-            norm = float(np.linalg.norm(disp))
-            if norm > 1e-9 and abs(float(disp @ shared)) / norm >= cos_limit:
-                stacked_votes += 1
+    hands, pairs = _window_hands(frames)
+    two_hand = len(pairs)
+    facing_votes = stacked_votes = 0
+    if two_hand:
+        left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
+        left_normals, right_normals = left.normals[pairs[:, 0]], right.normals[pairs[:, 1]]
+        _require_unit_rows(left_normals, right_normals)
+        disp = right.positions[pairs[:, 1]] - left.positions[pairs[:, 0]]
+        distances = row_norms(disp)
+        summed = left_normals + right_normals
+        magnitude = row_norms(summed)
+        facing = magnitude < config.facing_resultant_max
+        facing_votes = int(facing.sum())
+        # stacked: near-parallel normals with the palms displaced along them
+        near_parallel = ~facing & (magnitude > config.stacked_resultant_min) & (distances > 1e-9)
+        shared = summed[near_parallel] / magnitude[near_parallel, None]
+        along = np.abs(row_dots(disp[near_parallel], shared)) / distances[near_parallel]
+        stacked_votes = int((along >= math.cos(math.radians(config.stacked_angle_max_deg))).sum())
 
     if two_hand and facing_votes / two_hand >= config.orientation_vote_fraction:
         orientation = PalmOrientation.FACING_EACH_OTHER
@@ -336,22 +393,18 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     else:
         orientation = PalmOrientation.OTHER
 
-    shapes = {}
-    spreads = {}
-    for h in Handedness:
-        rec = per_hand[h]
-        shapes[h] = classify_palm_shape(float(np.mean(rec["grab"])), config) if rec["grab"] else None
-        spreads[h] = _majority_spread(rec["spread"])
+    shapes = {h: classify_palm_shape(float(np.mean(hands[h].grabs)), config) if len(hands[h].grabs) else None
+              for h in Handedness}
+    spreads = {h: _majority_spread(hands[h], config) for h in Handedness}
 
     def path_length(h):
-        pos = per_hand[h]["pos"]
+        pos = hands[h].positions
         if len(pos) < 2:
             return 0.0
-        return float(np.linalg.norm(np.diff(np.asarray(pos), axis=0), axis=1).sum())
+        return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
 
     mover = max(Handedness, key=lambda h: (path_length(h), h == Handedness.RIGHT))
-    positions = np.asarray(per_hand[mover]["pos"], float) if per_hand[mover]["pos"] else np.empty((0, 3))
-    stamps = np.asarray(per_hand[mover]["ts"], float)
+    positions, stamps = hands[mover].positions, hands[mover].timestamps
 
     trajectory = TrajectoryKind.INDETERMINATE
     if len(positions) >= 10:
@@ -379,7 +432,7 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
         finger_spread_right=spreads[Handedness.RIGHT],
         trajectory=trajectory,
         movement_frequency_hz=frequency,
-        inter_palm_distance_mm=float(np.mean(distances)) if distances else None,
+        inter_palm_distance_mm=float(np.mean(distances)) if two_hand else None,
         window_span_s=span_s,
     )
 

@@ -9,8 +9,11 @@ origin at the sensor center, millimeters and mm/s.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +23,7 @@ from .errors import (
     GrabOutOfRange,
     HeaderMismatch,
     MalformedRow,
+    NonFiniteValue,
     NonMonotonicTimestamp,
     NonUnitNormal,
 )
@@ -91,20 +95,47 @@ class FrameStream:
         return (self.frames[-1].timestamp - self.frames[0].timestamp) / 1000.0
 
     def slice_ms(self, start_ms: int, end_ms: int) -> "FrameStream":
-        """Frames with start_ms <= timestamp < end_ms; fps label preserved."""
-        picked = [f for f in self.frames if start_ms <= f.timestamp < end_ms]
-        return FrameStream(picked, self.nominal_fps)
+        """Frames with start_ms <= timestamp < end_ms; fps label preserved.
+
+        Bisects the frames, which must be in time order, as merge_hand_streams
+        and the synthesiser produce them.
+        """
+        lo = bisect_left(self.frames, start_ms, key=_timestamp)
+        hi = bisect_left(self.frames, end_ms, lo=lo, key=_timestamp)
+        return FrameStream(self.frames[lo:hi], self.nominal_fps)
+
+
+_timestamp = attrgetter("timestamp")
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (..., 3) array.
+
+    Each row goes through the same dot product as np.linalg.norm of one
+    vector, so the result matches it bit for bit.
+    """
+    return np.sqrt(row_dots(v, v))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows of two (..., 3) arrays, as `a[i] @ b[i]` computes it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def validate_observation(obs: HandObservation) -> HandObservation:
     """Check one observation's invariants; renormalizes a near-unit palm normal."""
+    tips = tuple(obs.fingertips)
+    for field, value in (("palm_position", obs.palm_position), ("palm_normal", obs.palm_normal),
+                         ("palm_velocity", obs.palm_velocity), ("grab_strength", obs.grab_strength),
+                         ("fingertips", [t for t in tips if t is not None])):
+        if not np.isfinite(np.asarray(value, float)).all():
+            raise NonFiniteValue(field)
     if not 0.0 <= float(obs.grab_strength) <= 1.0:
         raise GrabOutOfRange(f"grab_strength {obs.grab_strength} outside [0, 1]")
     normal = np.asarray(obs.palm_normal, float)
     norm = float(np.linalg.norm(normal))
     if abs(norm - 1.0) > NORMAL_TOLERANCE:
         raise NonUnitNormal(f"|palm_normal| = {norm:.6f} deviates more than {NORMAL_TOLERANCE}")
-    tips = tuple(obs.fingertips)
     if len(tips) != 5:
         raise ValueError(f"expected 5 fingertip slots thumb..pinky, got {len(tips)}")
     return HandObservation(
@@ -207,59 +238,119 @@ def _parse_float(cell: str, line: int, column: str) -> float:
     return value
 
 
+_FLOAT_COLUMNS = len(CSV_COLUMNS) - 1     # columns of the (n, 25) value block
+_GRAB = CSV_COLUMNS.index("grab_strength") - 1
+_TIPS = CSV_COLUMNS.index("thumb_x") - 1
+
+
+def _careful_cells(cells, line: int):
+    """The float cells of a row that `float` alone cannot read, checked one at a time.
+
+    A fingertip triple left blank is untracked and reads as NaN; any other
+    cell that is blank, unreadable or non-finite raises MalformedRow.
+    """
+    values = [_parse_float(cells[k], line, CSV_COLUMNS[k]) for k in range(1, _TIPS + 1)]
+    for k in range(_TIPS + 1, len(CSV_COLUMNS), 3):
+        blank = [c.strip() == "" for c in cells[k:k + 3]]
+        if all(blank):
+            values += [math.nan] * 3
+        elif any(blank):
+            raise MalformedRow(line, CSV_COLUMNS[k + blank.index(True)],
+                               "fingertip coordinates must be all present or all empty")
+        else:
+            values += [_parse_float(cells[k + a], line, CSV_COLUMNS[k + a]) for a in range(3)]
+    return values
+
+
+def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
+    """Raise MalformedRow for the first row whose values break an invariant.
+
+    Within a row the checks run in column order, then grab range, then the
+    normal's length, as a row-by-row parse would meet them. Returns the
+    palm normals' norms.
+    """
+    nonfinite = ~np.isfinite(block)
+    nonfinite[careful] = False     # careful rows are checked; their NaNs are untracked fingertips
+    grab = block[:, _GRAB]
+    bad_grab = ~((grab >= 0.0) & (grab <= 1.0))
+    norms = row_norms(block[:, 3:6])
+    bad_normal = np.abs(norms - 1.0) > NORMAL_TOLERANCE
+    bad = nonfinite.any(axis=1) | bad_grab | bad_normal
+    if not bad.any():
+        return norms
+    i = int(np.argmax(bad))
+    line = linenos[i]
+    if nonfinite[i].any():
+        k = int(np.argmax(nonfinite[i])) + 1
+        cell = lines[line - 1].split(",")[k]
+        raise MalformedRow(line, CSV_COLUMNS[k], f"non-finite value {cell!r}")
+    if bad_grab[i]:
+        raise MalformedRow(line, "grab_strength", f"grab_strength {float(grab[i])} outside [0, 1]")
+    raise MalformedRow(line, "normal_x",
+                       f"|palm_normal| = {norms[i]:.6f} deviates more than {NORMAL_TOLERANCE}")
+
+
 def parse_hand_csv(text: str, handedness: Handedness):
-    """Parse one per-hand CSV into validated (timestamp, observation) records."""
+    """Parse one per-hand CSV into validated (timestamp, observation) records.
+
+    Each line is split once and its float cells go into one (n, 25) block,
+    over which the value checks run as array operations. A file with several
+    faults reports the one on the earliest line. Observations hold row views
+    of the block, with palm normals renormalised in place.
+    """
+    handedness = Handedness(handedness)
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, got {got!r}")
 
+    stamps, linenos, careful = [], [], []
+    values = array("d")
+    fault = None
+    try:
+        for lineno, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            cells = raw.split(",")
+            if len(cells) != len(CSV_COLUMNS):
+                raise MalformedRow(lineno, "column_count", f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
+            try:
+                ts = int(cells[0])
+            except ValueError:
+                raise MalformedRow(lineno, "timestamp_ms", f"cannot parse {cells[0]!r}") from None
+            if ts < 0:
+                raise MalformedRow(lineno, "timestamp_ms", "negative timestamp")
+            if stamps and ts <= stamps[-1]:
+                raise NonMonotonicTimestamp(line=lineno)
+            try:
+                values.extend(map(float, cells[1:]))
+            except ValueError:
+                del values[len(stamps) * _FLOAT_COLUMNS:]
+                values.extend(_careful_cells(cells, lineno))
+                careful.append(len(stamps))
+            stamps.append(ts)
+            linenos.append(lineno)
+    except (MalformedRow, NonMonotonicTimestamp) as exc:
+        fault = exc     # raised after the rows above it are checked, so the earliest line wins
+
+    block = np.frombuffer(values, dtype=float).reshape(-1, _FLOAT_COLUMNS)
+    norms = _check_block(block, careful, linenos, lines)
+    if fault is not None:
+        raise fault
+    block[:, 3:6] /= norms[:, None]
+
+    positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
+    grabs = block[:, _GRAB].tolist()
+    tips = list(block[:, _TIPS:].reshape(-1, 3))
+    tracked = ~np.isnan(block[:, _TIPS::3])
+    partial = set(np.flatnonzero(~tracked.all(axis=1)).tolist())
     records = []
-    prev_ts = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise MalformedRow(lineno, "column_count", f"expected {len(CSV_COLUMNS)} cells, got {len(cells)}")
-        try:
-            ts = int(cells[0])
-        except ValueError:
-            raise MalformedRow(lineno, "timestamp_ms", f"cannot parse {cells[0]!r}") from None
-        if ts < 0:
-            raise MalformedRow(lineno, "timestamp_ms", "negative timestamp")
-        if prev_ts is not None and ts <= prev_ts:
-            raise NonMonotonicTimestamp(line=lineno)
-        prev_ts = ts
-
-        values = [_parse_float(cells[k], lineno, CSV_COLUMNS[k]) for k in range(1, 11)]
-        tips = []
-        for fi, finger in enumerate(FINGER_NAMES):
-            triple = cells[11 + 3 * fi: 14 + 3 * fi]
-            blank = [c.strip() == "" for c in triple]
-            if all(blank):
-                tips.append(None)
-            elif any(blank):
-                col = CSV_COLUMNS[11 + 3 * fi + blank.index(True)]
-                raise MalformedRow(lineno, col, "fingertip coordinates must be all present or all empty")
-            else:
-                tips.append(np.array([_parse_float(triple[a], lineno, CSV_COLUMNS[11 + 3 * fi + a]) for a in range(3)]))
-
-        obs = HandObservation(
-            handedness=handedness,
-            palm_position=np.array(values[0:3]),
-            palm_normal=np.array(values[3:6]),
-            palm_velocity=np.array(values[6:9]),
-            grab_strength=values[9],
-            fingertips=tuple(tips),
-        )
-        try:
-            obs = validate_observation(obs)
-        except GrabOutOfRange as exc:
-            raise MalformedRow(lineno, "grab_strength", str(exc)) from None
-        except NonUnitNormal as exc:
-            raise MalformedRow(lineno, "normal_x", str(exc)) from None
-        records.append((ts, obs))
+    for i, ts in enumerate(stamps):
+        fingertips = tuple(tips[5 * i:5 * i + 5])
+        if i in partial:
+            fingertips = tuple(t if ok else None for t, ok in zip(fingertips, tracked[i]))
+        records.append((ts, HandObservation(handedness, positions[i], normals[i], velocities[i],
+                                            grabs[i], fingertips)))
     return records
 
 

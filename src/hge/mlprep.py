@@ -13,12 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import InsufficientWindow
-from .features import (
-    PalmOrientation,
-    TrajectoryKind,
-    extract_feature_vector,
-    finger_spread,
-)
+from .features import PalmOrientation, TrajectoryKind, _window_hands, extract_feature_vector
 from .frame_model import Handedness
 
 DATASET_HEADER = "sample_no,curv_l,curv_r,ftd_l,ftd_r,orient,traj,freq_hz,ipd_mm,label"
@@ -50,8 +45,8 @@ class DatasetRow:
     gesture_class: str
 
 
-def _aggregate(values, how: str) -> Optional[float]:
-    if not values:
+def _aggregate(values: np.ndarray, how: str) -> Optional[float]:
+    if not len(values):
         return None
     return float(np.median(values) if how == "median" else np.mean(values))
 
@@ -74,21 +69,15 @@ def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONF
         except InsufficientWindow as exc:
             raise InsufficientWindow(f"window {index}: {exc}") from None
 
-        grabs = {h: [] for h in Handedness}
-        gaps = {h: [] for h in Handedness}
-        for frame in window.frames:
-            for obs in frame.hands:
-                grabs[obs.handedness].append(obs.grab_strength)
-                gap, _ = finger_spread(obs.fingertips, config)
-                if gap is not None:
-                    gaps[obs.handedness].append(gap)
+        hands, _ = _window_hands(window.frames)
+        left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
 
         rows.append(DatasetRow(
             sample_no=index + 1,
-            hand_curvature_left=_aggregate(grabs[Handedness.LEFT], aggregate),
-            hand_curvature_right=_aggregate(grabs[Handedness.RIGHT], aggregate),
-            fingertip_distance_left=_aggregate(gaps[Handedness.LEFT], aggregate),
-            fingertip_distance_right=_aggregate(gaps[Handedness.RIGHT], aggregate),
+            hand_curvature_left=_aggregate(left.grabs, aggregate),
+            hand_curvature_right=_aggregate(right.grabs, aggregate),
+            fingertip_distance_left=_aggregate(left.gaps[left.gap_pairs > 0], aggregate),
+            fingertip_distance_right=_aggregate(right.gaps[right.gap_pairs > 0], aggregate),
             orientation_code=ORIENTATION_CODES[vector.palm_orientation],
             trajectory_code=TRAJECTORY_CODES[vector.trajectory],
             frequency_hz=vector.movement_frequency_hz,

@@ -36,7 +36,7 @@ from hge import (
 from hge.synth import OcclusionModel
 from dataclasses import replace
 
-from helpers import chord_oracle, make_hand, random_rotation, random_unit
+from helpers import chord_oracle, facing_frames, make_hand, random_rotation, random_unit
 
 
 class TestPalmOpposition:
@@ -286,6 +286,36 @@ class TestExtractFeatureVector:
         with pytest.raises(InsufficientWindow):
             extract_feature_vector(FrameStream(frames, 100.0))
 
+    def test_observations_with_one_tracked_pair_do_not_vote_on_spread(self):
+        wide_pair = (np.array([0.0, 200.0, 80.0]), np.array([30.0, 200.0, 80.0]), None, None, None)
+        frames = [Frame(t, (make_hand(Handedness.RIGHT, tips=wide_pair) if t % 30 else
+                            make_hand(Handedness.RIGHT, tip_spacing=10.0),))
+                  for t in range(0, 1500, 10)]
+        v = extract_feature_vector(FrameStream(frames, 100.0))
+        assert v.finger_spread_right == FingerSpread.CLOSED
+        assert v.finger_spread_left == FingerSpread.UNKNOWN
+
+    def test_spread_tie_goes_to_open(self):
+        frames = [Frame(t, (make_hand(Handedness.RIGHT, tip_spacing=25.0 if t % 20 else 10.0),))
+                  for t in range(0, 1500, 10)]
+        assert extract_feature_vector(FrameStream(frames, 100.0)).finger_spread_right == FingerSpread.OPEN
+
+    def test_normals_at_right_angles_do_not_vote_stacked(self):
+        # |A+B| = sqrt(2) is neither facing nor near-parallel, whatever the displacement
+        shared = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        frames = [Frame(t, (make_hand(Handedness.LEFT, palm=(0.0, 200.0, 0.0), normal=(0.0, 1.0, 0.0)),
+                            make_hand(Handedness.RIGHT, palm=np.array([0.0, 200.0, 0.0]) + 60.0 * shared,
+                                      normal=(1.0, 0.0, 0.0))))
+                  for t in range(0, 1500, 10)]
+        assert extract_feature_vector(FrameStream(frames, 100.0)).palm_orientation == PalmOrientation.OTHER
+
+    def test_non_unit_normal_in_a_two_hand_frame_rejected(self):
+        frames = facing_frames(150)
+        left, right = frames[40].hands
+        frames[40] = Frame(frames[40].timestamp, (left, replace(right, palm_normal=np.array([-1.01, 0.0, 0.0]))))
+        with pytest.raises(NonUnitNormal, match="normal_right"):
+            extract_feature_vector(FrameStream(frames, 100.0))
+
     def test_sparse_hands_rejected(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT),) if t % 50 == 0 else ())
                   for t in range(0, 2000, 10)]
@@ -307,6 +337,13 @@ def vector(**overrides):
     )
     base.update(overrides)
     return FeatureVector(**base)
+
+
+def test_stage2_bands_come_from_the_config():
+    assert STAGE2_SIGNATURE.frequency_range_hz == (DEFAULT_CONFIG.rub_freq_min_hz, DEFAULT_CONFIG.rub_freq_max_hz)
+    assert STAGE2_SIGNATURE.duration_range_s == (DEFAULT_CONFIG.stage_min_s, DEFAULT_CONFIG.stage_max_s)
+    assert STAGE2_SIGNATURE.frequency_range_hz == (0.8, 3.6)
+    assert STAGE2_SIGNATURE.duration_range_s == (2.0, 7.0)
 
 
 class TestMatchSignature:

@@ -8,7 +8,9 @@ from hge import (
     GrabOutOfRange,
     Handedness,
     HeaderMismatch,
+    FrameStream,
     MalformedRow,
+    NonFiniteValue,
     NonMonotonicTimestamp,
     NonUnitNormal,
     generate,
@@ -60,6 +62,20 @@ class TestValidateFrame:
         frame = Frame(0, (make_hand(Handedness.LEFT, grab=1.2),))
         with pytest.raises(GrabOutOfRange):
             validate_frame(frame)
+
+    @pytest.mark.parametrize("field, hand", [
+        ("palm_position", dict(palm=(np.nan, 200.0, 0.0))),
+        ("palm_normal", dict(normal=(np.nan, 0.0, 0.0))),
+        ("palm_velocity", dict(velocity=(0.0, np.inf, 0.0))),
+        ("grab_strength", dict(grab=np.nan)),
+        ("fingertips", dict(tips=(None, np.array([1.0, 2.0, -np.inf]), None, None, None))),
+    ])
+    def test_non_finite_field_rejected(self, field, hand):
+        frame = Frame(0, (make_hand(Handedness.LEFT, **hand),))
+        with pytest.raises(NonFiniteValue) as err:
+            validate_frame(frame)
+        assert err.value.field == field
+        assert field in str(err.value)
 
 
 class TestMerge:
@@ -161,21 +177,61 @@ class TestCsv:
             parse_hand_csv(self.rows([0], grab=1.5), Handedness.LEFT)
         assert err.value.column == "grab_strength"
 
+    def with_cell(self, text, line, column, value):
+        lines = text.splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("early, column", [
+        ((10, "1.5"), "grab_strength"),
+        ((4, "0.5"), "normal_x"),
+        ((1, "inf"), "palm_x"),
+    ])
+    def test_earlier_value_fault_wins_over_later_row_fault(self, early, column):
+        text = self.with_cell(self.rows(range(0, 100, 10)), 5, *early)
+        lines = text.splitlines()
+        lines[8] += ",7"    # line 9 gets a 27th cell
+        with pytest.raises(MalformedRow) as err:
+            parse_hand_csv("\n".join(lines) + "\n", Handedness.LEFT)
+        assert (err.value.line, err.value.column) == (5, column)
+
+    def test_earlier_row_fault_wins_over_later_value_fault(self):
+        text = self.with_cell(self.rows(range(0, 100, 10)), 9, 10, "1.5")
+        text = self.with_cell(text, 5, 0, "x")
+        with pytest.raises(MalformedRow) as err:
+            parse_hand_csv(text, Handedness.LEFT)
+        assert (err.value.line, err.value.column) == (5, "timestamp_ms")
+
+    def test_later_timestamp_fault_does_not_hide_value_fault(self):
+        text = self.with_cell(self.rows(range(0, 100, 10)), 5, 6, "nan")
+        text = self.with_cell(text, 7, 0, "0")
+        with pytest.raises(MalformedRow) as err:
+            parse_hand_csv(text, Handedness.LEFT)
+        assert (err.value.line, err.value.column) == (5, "normal_z")
+
+    def test_untracked_fingertips_parse_as_none_beside_tracked_rows(self):
+        text = self.with_cell(self.rows([0, 10, 20]), 3, 14, "")
+        text = self.with_cell(text, 3, 15, " ")
+        text = self.with_cell(text, 3, 16, "")
+        records = parse_hand_csv(text, Handedness.LEFT)
+        assert [t is None for t in records[1][1].fingertips] == [False, True, False, False, False]
+        assert all(t is not None for _, obs in (records[0], records[2]) for t in obs.fingertips)
+        np.testing.assert_array_equal(records[1][1].fingertips[2], [1.0, 2.0, 3.0])
+
     def test_empty_stream_writes_header_only(self):
-        from hge import FrameStream
         left, right = write_csv_stream(FrameStream([], 100.0))
         assert left == CSV_HEADER + "\n"
         assert right == CSV_HEADER + "\n"
 
     def test_single_hand_frame_lands_in_one_file(self):
-        from hge import FrameStream
         frame = Frame(5, (make_hand(Handedness.RIGHT),))
         left, right = write_csv_stream(FrameStream([frame], 100.0))
         assert left == CSV_HEADER + "\n"
         assert right.count("\n") == 2 and right.startswith(CSV_HEADER)
 
     def test_missing_fingertips_round_trip(self):
-        from hge import FrameStream
         tips = (np.array([1.0, 2.0, 3.0]), None, np.array([4.0, 5.0, 6.0]), None, None)
         frame = Frame(0, (make_hand(Handedness.LEFT, tips=tips),))
         left, right = write_csv_stream(FrameStream([frame], 100.0))
@@ -206,6 +262,18 @@ class TestCsv:
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.max(np.abs(a[mask] - b[mask])) <= 1e-6
             assert back.nominal_fps == pytest.approx(stream.nominal_fps, abs=1e-6)
+
+
+def test_slice_ms_matches_a_scan_of_every_frame():
+    stream, _ = generate(make_canonical_script(rub_duration_s=2.0, seed=3))
+    first, last = stream.frames[0].timestamp, stream.frames[-1].timestamp
+    rng = np.random.default_rng(11)
+    bounds = [(first, last), (first - 50, first), (last, last + 1), (last + 1, last + 99), (500, 400)]
+    bounds += [tuple(int(b) for b in rng.integers(first - 20, last + 20, size=2)) for _ in range(200)]
+    for start, end in bounds:
+        got = stream.slice_ms(start, end)
+        assert got.frames == [f for f in stream.frames if start <= f.timestamp < end]
+        assert got.nominal_fps == stream.nominal_fps
 
 
 def test_estimate_fps_clamps_to_device_range():

@@ -1,0 +1,138 @@
+"""Property-based tests for CSV ingest (Hypothesis)."""
+
+import math
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hge import (
+    CSV_HEADER,
+    EngineError,
+    FrameStream,
+    Handedness,
+    HandObservation,
+    MalformedRow,
+    generate,
+    make_canonical_script,
+    parse_csv_stream,
+    parse_hand_csv,
+    write_csv_stream,
+)
+from hge.frame_model import CSV_COLUMNS
+
+# fixed example sequence: the suite gives the same verdict on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# characters that split a line or a row, so a cell can never hold them
+_SEPARATORS = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@lru_cache(maxsize=None)
+def _stream(seed: int, noise_sigma: float, rub_frequency_hz: float) -> FrameStream:
+    stream, _ = generate(make_canonical_script(rub_duration_s=2.0, rub_frequency_hz=rub_frequency_hz,
+                                              noise_sigma=noise_sigma, seed=seed))
+    return stream
+
+
+def _untrack(stream: FrameStream, picks) -> FrameStream:
+    """Copy of the stream with the picked (frame, hand, finger) tips set to untracked."""
+    frames = list(stream.frames)
+    for k, hand, finger in picks:
+        frame = frames[k % len(frames)]
+        hands = list(frame.hands)
+        obs = hands[hand % len(hands)]
+        tips = list(obs.fingertips)
+        tips[finger] = None
+        hands[hand % len(hands)] = replace(obs, fingertips=tuple(tips))
+        frames[k % len(frames)] = replace(frame, hands=tuple(hands))
+    return FrameStream(frames, stream.nominal_fps)
+
+
+def _within_ulps(a, b, ulps: int) -> bool:
+    return bool(np.all(np.abs(a - b) <= ulps * np.spacing(np.abs(a))))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), noise_sigma=st.sampled_from([0.0, 0.5, 1.5]),
+       rub_frequency_hz=st.sampled_from([0.8, 2.0, 3.6]),
+       picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1), st.integers(0, 4)), max_size=20))
+def test_round_trip_returns_every_scalar(seed, noise_sigma, rub_frequency_hz, picks):
+    stream = _untrack(_stream(seed % 8, noise_sigma, rub_frequency_hz), picks)
+    back = parse_csv_stream(*write_csv_stream(stream))
+    assert [f.timestamp for f in back.frames] == [f.timestamp for f in stream.frames]
+    for before, after in zip(stream.frames, back.frames):
+        assert [o.handedness for o in after.hands] == [o.handedness for o in before.hands]
+        for a, b in zip(before.hands, after.hands):
+            assert np.array_equal(a.palm_position, b.palm_position)
+            assert np.array_equal(a.palm_velocity, b.palm_velocity)
+            assert a.grab_strength == b.grab_strength
+            assert [t is None for t in a.fingertips] == [t is None for t in b.fingertips]
+            assert all(np.array_equal(s, t) for s, t in zip(a.fingertips, b.fingertips) if s is not None)
+            # ingest renormalises the normal: exactly a / |a|, a few ulp from a
+            assert np.array_equal(b.palm_normal, a.palm_normal / np.linalg.norm(a.palm_normal))
+            assert _within_ulps(a.palm_normal, b.palm_normal, 4)
+
+
+_CELLS = st.sampled_from(["", " ", "0", "10", "-3", "0.5", "1.0", "2.0", "1e400", "nan", "inf",
+                          "-inf", "abc", "1_0", " 7 ", "0x1"])
+
+
+@st.composite
+def _csv_like(draw):
+    """Text with the right header and rows of plausible and broken cells."""
+    rows = draw(st.lists(st.lists(_CELLS, min_size=24, max_size=28), max_size=6))
+    body = [",".join(cells) for cells in rows]
+    return "\n".join([CSV_HEADER] + body) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@PROPERTY
+@given(text=st.one_of(st.text(), _csv_like(), st.text().map(lambda t: CSV_HEADER + "\n" + t)))
+def test_arbitrary_text_raises_only_engine_errors(text):
+    try:
+        records = parse_hand_csv(text, Handedness.RIGHT)
+    except EngineError:
+        return
+    for ts, obs in records:
+        assert isinstance(ts, int) and isinstance(obs, HandObservation)
+        assert np.isfinite(obs.palm_position).all() and np.isfinite(obs.palm_normal).all()
+        assert 0.0 <= obs.grab_strength <= 1.0
+
+
+@lru_cache(maxsize=None)
+def _valid_left_text() -> str:
+    left, _ = write_csv_stream(FrameStream(_stream(0, 1.0, 2.0).frames[:40], 100.0))
+    return left
+
+
+def _is_fault(cell: str, column: int) -> bool:
+    """Whether the cell alone makes its row unreadable in this column."""
+    try:
+        value = int(cell) if column == 0 else float(cell)
+    except ValueError:
+        return True
+    return column > 0 and not math.isfinite(value)
+
+
+_JUNK = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "1e999", "", " ", "abc", "1.2.3", "--1"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_SEPARATORS), max_size=8),
+)
+
+
+@PROPERTY
+@given(line=st.integers(2, 41), column=st.integers(0, len(CSV_COLUMNS) - 1), cell=_JUNK)
+def test_one_bad_cell_is_reported_at_its_line_and_column(line, column, cell):
+    if not _is_fault(cell, column):
+        return
+    lines = _valid_left_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = cell
+    lines[line - 1] = ",".join(cells)
+    with pytest.raises(MalformedRow) as err:
+        parse_hand_csv("\n".join(lines) + "\n", Handedness.LEFT)
+    assert (err.value.line, err.value.column) == (line, CSV_COLUMNS[column])

@@ -1,14 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hge import (
+    FingerSpread,
     Frame,
     FrameStream,
     Handedness,
     InsufficientWindow,
     build_dataset,
+    extract_feature_vector,
+    finger_spread,
     generate,
+    inter_palm_distance,
     make_canonical_script,
+    make_stage3_script,
     rows_to_csv,
 )
 from hge.mlprep import DATASET_HEADER
@@ -96,6 +103,63 @@ class TestBuildDataset:
         assert row.hand_curvature_left is None
         csv_text = rows_to_csv([row])
         assert csv_text.splitlines()[1].split(",")[1] == ""
+
+
+def synthetic_windows():
+    """3 s windows over a canonical rub and a stage-3 session, with some tips untracked."""
+    rub, _ = generate(make_canonical_script(noise_sigma=1.5, seed=12))
+    stage3, _ = generate(make_stage3_script(seed=13))
+    windows = [s.slice_ms(t, t + 3000) for s in (rub, stage3)
+               for t in range(0, s.frames[-1].timestamp - 2000, 500)]
+    frames = list(windows[1].frames)
+    for k in range(0, len(frames), 7):
+        obs = frames[k].hands[0]
+        tips = (None, obs.fingertips[1], None) + tuple(obs.fingertips[3:]) if k % 2 else (None,) * 5
+        frames[k] = Frame(frames[k].timestamp, (replace(obs, fingertips=tips),) + frames[k].hands[1:])
+    windows[1] = FrameStream(frames, windows[1].nominal_fps)
+    return windows
+
+
+class TestAgainstScalarFeatures:
+    """The window arrays give what the per-observation functions give."""
+
+    def test_dataset_aggregates_match_finger_spread_and_grab(self):
+        windows = synthetic_windows()
+        rows = build_dataset([(w, "x") for w in windows])
+        for window, row in zip(windows, rows):
+            for hand, curv, ftd in ((Handedness.LEFT, row.hand_curvature_left, row.fingertip_distance_left),
+                                    (Handedness.RIGHT, row.hand_curvature_right, row.fingertip_distance_right)):
+                observations = [o for f in window.frames for o in f.hands if o.handedness == hand]
+                gaps = [finger_spread(o.fingertips)[0] for o in observations]
+                gaps = [g for g in gaps if g is not None]
+                if not observations:
+                    assert curv is None and ftd is None
+                    continue
+                assert curv == pytest.approx(np.mean([o.grab_strength for o in observations]), rel=1e-12)
+                assert ftd == pytest.approx(np.mean(gaps), rel=1e-12)
+
+    def test_spread_is_the_majority_of_finger_spread_verdicts(self):
+        for window in synthetic_windows():
+            vector = extract_feature_vector(window)
+            for hand, got in ((Handedness.LEFT, vector.finger_spread_left),
+                              (Handedness.RIGHT, vector.finger_spread_right)):
+                votes = [finger_spread(o.fingertips)[1] for f in window.frames for o in f.hands
+                         if o.handedness == hand]
+                opens, closed = votes.count(FingerSpread.OPEN), votes.count(FingerSpread.CLOSED)
+                expected = (FingerSpread.UNKNOWN if not opens + closed
+                            else FingerSpread.OPEN if opens >= closed else FingerSpread.CLOSED)
+                assert got == expected
+
+    def test_inter_palm_distance_is_the_mean_over_two_hand_frames(self):
+        for window in synthetic_windows():
+            pairs = [(f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)) for f in window.frames]
+            distances = [inter_palm_distance(l.palm_position, r.palm_position)
+                         for l, r in pairs if l is not None and r is not None]
+            got = extract_feature_vector(window).inter_palm_distance_mm
+            if distances:
+                assert got == pytest.approx(np.mean(distances), rel=1e-12)
+            else:
+                assert got is None
 
 
 class TestCsvShape:
