@@ -6,7 +6,7 @@ finite-state machine, generates labeled synthetic streams for testing,
 and exports feature datasets for classifier training.
 """
 
-from .config import DEFAULT_CONFIG, EngineConfig, load_config, parse_config_text
+from .config import DEFAULT_CONFIG, EngineConfig, parse_config_text
 from .errors import (
     ConfigError,
     DuplicateHandedness,
@@ -71,7 +71,6 @@ from .stage_detector import (
 from .synth import (
     GestureScript,
     OcclusionModel,
-    PerturbationKind,
     PhaseKind,
     PhaseSpec,
     PrimitiveKind,
@@ -83,7 +82,6 @@ from .synth import (
     make_canonical_script,
     make_stage3_script,
     parse_script_text,
-    perturb,
     random_plane_basis,
     remove_phase_frames,
     suppress_occlusion,

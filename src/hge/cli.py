@@ -21,13 +21,12 @@ import io
 import os
 import sys
 
-from .config import DEFAULT_CONFIG, EngineConfig, load_config
+from .config import DEFAULT_CONFIG, EngineConfig, parse_config_text
 from .errors import EngineError, InsufficientWindow
 from .features import extract_feature_vector
 from .frame_model import (
     Handedness,
     merge_hand_streams,
-    parse_csv_stream,
     parse_hand_csv,
     write_csv_stream,
 )
@@ -88,8 +87,20 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's UTF-8 text, newlines translated as text mode reads them."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except ValueError as exc:   # a NUL byte in a path read from a manifest
+        raise EngineError(f"{path!r}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise EngineError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:    # a two-character replace scans slowly even when nothing matches
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write(path: str, text: str):
@@ -101,44 +112,34 @@ def _load_config(args) -> EngineConfig:
     path = getattr(args, "config", None) or os.environ.get("HGE_CONFIG")
     if not path:
         return DEFAULT_CONFIG
+    text = _read(path)
     try:
-        return load_config(path)
+        return parse_config_text(text)
     except EngineError as exc:
-        raise _CliError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise _CliError(str(exc)) from None
+        raise EngineError(f"{path}: {exc}") from None
 
 
-class _CliError(Exception):
-    """Anything that should abort with exit code 2."""
-
-
-def _parse_pair(args):
-    records = {}
-    for side, handedness in (("left", Handedness.LEFT), ("right", Handedness.RIGHT)):
-        path = getattr(args, side)
+def _parse_pair(left_path: str, right_path: str):
+    records = []
+    for path, handedness in ((left_path, Handedness.LEFT), (right_path, Handedness.RIGHT)):
+        text = _read(path)
         try:
-            text = _read(path)
-        except OSError as exc:
-            raise _CliError(str(exc)) from None
-        try:
-            records[side] = parse_hand_csv(text, handedness)
+            records.append(parse_hand_csv(text, handedness))
         except EngineError as exc:
             # the parser reports line numbers; prefix the offending file
-            raise _CliError(f"{path}: {exc}") from None
+            raise EngineError(f"{path}: {exc}") from None
     try:
-        return merge_hand_streams(records["left"], records["right"])
+        return merge_hand_streams(*records)
     except EngineError as exc:
-        raise _CliError(f"{args.left} + {args.right}: {exc}") from None
+        raise EngineError(f"{left_path} + {right_path}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
+    text = _read(args.script)
     try:
-        script = parse_script_text(_read(args.script))
-    except OSError as exc:
-        raise _CliError(str(exc)) from None
+        script = parse_script_text(text)
     except EngineError as exc:
-        raise _CliError(f"{args.script}: {exc}") from None
+        raise EngineError(f"{args.script}: {exc}") from None
     stream, _ = generate(script)
     left_text, right_text = write_csv_stream(stream)
     _write(args.out_left, left_text)
@@ -149,7 +150,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load_config(args)
-    report = detect_stage2(_parse_pair(args), config)
+    report = detect_stage2(_parse_pair(args.left, args.right), config)
     text = report.to_text()
     sys.stdout.write(text)
     if args.report:
@@ -161,9 +162,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_features(args) -> int:
     config = _load_config(args)
-    stream = _parse_pair(args)
+    stream = _parse_pair(args.left, args.right)
     if args.window_ms <= 0:
-        raise _CliError("--window-ms must be positive")
+        raise EngineError("--window-ms must be positive")
     if not stream.frames:
         return EXIT_OK
     start = stream.frames[0].timestamp
@@ -194,44 +195,38 @@ def _cmd_features(args) -> int:
 
 def _cmd_mlprep(args) -> int:
     config = _load_config(args)
-    try:
-        manifest_text = _read(args.manifest)
-    except OSError as exc:
-        raise _CliError(str(exc)) from None
+    reader = csv.DictReader(io.StringIO(_read(args.manifest)))
+    required = ("left_file", "right_file", "start_ms", "end_ms", "label")
+    if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+        raise EngineError(f"{args.manifest}: manifest header must contain {sorted(required)}")
     base = os.path.dirname(os.path.abspath(args.manifest))
+    streams = {}
     windows = []
-    reader = csv.DictReader(io.StringIO(manifest_text))
-    required = {"left_file", "right_file", "start_ms", "end_ms", "label"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise _CliError(f"{args.manifest}: manifest header must contain {sorted(required)}")
-    cache = {}
-    for rowno, row in enumerate(reader, start=2):
-        key = (row["left_file"], row["right_file"])
-        if key not in cache:
-            try:
-                left = _read(os.path.join(base, row["left_file"]))
-                right = _read(os.path.join(base, row["right_file"]))
-                cache[key] = parse_csv_stream(left, right)
-            except OSError as exc:
-                raise _CliError(str(exc)) from None
-            except EngineError as exc:
-                raise _CliError(f"{row['left_file']}/{row['right_file']}: {exc}") from None
+    for row in reader:
+        where = f"{args.manifest}: line {reader.line_num}"
+        if any(row[key] is None for key in required):
+            raise EngineError(f"{where}: expected a cell for each of {list(required)}")
         try:
             start, end = int(row["start_ms"]), int(row["end_ms"])
         except ValueError:
-            raise _CliError(f"{args.manifest}: line {rowno}: start_ms/end_ms must be integers") from None
-        windows.append((cache[key].slice_ms(start, end), row["label"]))
+            raise EngineError(f"{where}: start_ms/end_ms must be integers") from None
+        if not row["label"]:
+            raise EngineError(f"{where}: empty label")
+        pair = (row["left_file"], row["right_file"])
+        if pair not in streams:
+            streams[pair] = _parse_pair(*(os.path.join(base, name) for name in pair))
+        windows.append((streams[pair].slice_ms(start, end), row["label"]))
     try:
         rows = build_dataset(windows, config)
     except EngineError as exc:
-        raise _CliError(f"{args.manifest}: {exc}") from None
+        raise EngineError(f"{args.manifest}: {exc}") from None
     _write(args.out, rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    _parse_pair(args)
+    _parse_pair(args.left, args.right)
     print("ok")
     return EXIT_OK
 
@@ -244,9 +239,6 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

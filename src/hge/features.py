@@ -57,7 +57,13 @@ class OppositionResult:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Windowed feature summary. Shape is None for a hand never observed."""
+    """Windowed feature summary. Shape is None for a hand never observed.
+
+    Curvature is a hand's mean grab strength, which its shape classifies;
+    fingertip distance is the mean of finger_spread's minimum adjacent gap
+    over its observations with a tracked adjacent pair. Each is None when
+    the hand is absent or, for the distance, has no such observation.
+    """
 
     palm_orientation: PalmOrientation
     palm_shape_left: Optional[PalmShape]
@@ -68,6 +74,10 @@ class FeatureVector:
     movement_frequency_hz: Optional[float]
     inter_palm_distance_mm: Optional[float]
     window_span_s: float
+    hand_curvature_left: Optional[float] = None
+    hand_curvature_right: Optional[float] = None
+    fingertip_distance_left: Optional[float] = None
+    fingertip_distance_right: Optional[float] = None
 
     def __post_init__(self):
         if self.window_span_s <= 0:
@@ -338,6 +348,10 @@ def _require_unit_rows(left: np.ndarray, right: np.ndarray):
         _require_unit(v[i], name)
 
 
+def _mean(values: np.ndarray) -> Optional[float]:
+    return float(np.mean(values)) if len(values) else None
+
+
 def _majority_spread(hand: _HandSamples, config: EngineConfig) -> FingerSpread:
     """Majority of the per-frame finger_spread verdicts that are not Unknown."""
     known = hand.gap_pairs >= 2
@@ -393,8 +407,9 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     else:
         orientation = PalmOrientation.OTHER
 
-    shapes = {h: classify_palm_shape(float(np.mean(hands[h].grabs)), config) if len(hands[h].grabs) else None
-              for h in Handedness}
+    curvatures = {h: _mean(hands[h].grabs) for h in Handedness}
+    shapes = {h: None if c is None else classify_palm_shape(c, config) for h, c in curvatures.items()}
+    fingertip_distances = {h: _mean(hands[h].gaps[hands[h].gap_pairs > 0]) for h in Handedness}
     spreads = {h: _majority_spread(hands[h], config) for h in Handedness}
 
     def path_length(h):
@@ -434,6 +449,10 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
         movement_frequency_hz=frequency,
         inter_palm_distance_mm=float(np.mean(distances)) if two_hand else None,
         window_span_s=span_s,
+        hand_curvature_left=curvatures[Handedness.LEFT],
+        hand_curvature_right=curvatures[Handedness.RIGHT],
+        fingertip_distance_left=fingertip_distances[Handedness.LEFT],
+        fingertip_distance_right=fingertip_distances[Handedness.RIGHT],
     )
 
 

@@ -88,12 +88,6 @@ class FrameStream:
     frames: list
     nominal_fps: float = 100.0
 
-    @property
-    def duration_s(self) -> float:
-        if len(self.frames) < 2:
-            return 0.0
-        return (self.frames[-1].timestamp - self.frames[0].timestamp) / 1000.0
-
     def slice_ms(self, start_ms: int, end_ms: int) -> "FrameStream":
         """Frames with start_ms <= timestamp < end_ms; fps label preserved.
 
@@ -175,14 +169,15 @@ def estimate_nominal_fps(timestamps_ms: Sequence[int]) -> float:
     return min(max(fps, NOMINAL_FPS_MIN), NOMINAL_FPS_MAX)
 
 
-def merge_hand_streams(left, right, window_ms: float = MERGE_WINDOW_MS) -> FrameStream:
+def merge_hand_streams(left, right) -> FrameStream:
     """Align per-hand (timestamp, observation) records into two-hand frames.
 
-    Records whose timestamps differ by at most window_ms merge into one frame
-    stamped with the left record's time. Each left record takes the right
-    record with the same timestamp when one exists, otherwise the earliest
-    unused right inside the window; for sorted inputs this pairs the maximum
-    possible number of records. Unmatched records become single-hand frames.
+    Records whose timestamps differ by at most MERGE_WINDOW_MS merge into one
+    frame stamped with the left record's time. Each left record takes the
+    right record with the same timestamp when one exists, otherwise the
+    earliest unused right inside the window; for sorted inputs this pairs the
+    maximum possible number of records. Unmatched records become single-hand
+    frames.
     """
     for name, records in (("left", left), ("right", right)):
         for k in range(1, len(records)):
@@ -193,12 +188,12 @@ def merge_hand_streams(left, right, window_ms: float = MERGE_WINDOW_MS) -> Frame
     partner = [None] * len(left)
     lo = 0
     for i, (tl, _) in enumerate(left):
-        while lo < len(right) and right[lo][0] < tl - window_ms:
+        while lo < len(right) and right[lo][0] < tl - MERGE_WINDOW_MS:
             lo += 1
         exact = None
         smallest = None
         j = lo
-        while j < len(right) and right[j][0] <= tl + window_ms:
+        while j < len(right) and right[j][0] <= tl + MERGE_WINDOW_MS:
             if not used[j]:
                 if right[j][0] == tl:
                     exact = j
@@ -354,11 +349,11 @@ def parse_hand_csv(text: str, handedness: Handedness):
     return records
 
 
-def parse_csv_stream(left_text: str, right_text: str, window_ms: float = MERGE_WINDOW_MS) -> FrameStream:
+def parse_csv_stream(left_text: str, right_text: str) -> FrameStream:
     """Parse the left/right per-hand CSV texts and merge them into one stream."""
     left = parse_hand_csv(left_text, Handedness.LEFT)
     right = parse_hand_csv(right_text, Handedness.RIGHT)
-    return merge_hand_streams(left, right, window_ms=window_ms)
+    return merge_hand_streams(left, right)
 
 
 def _fmt(x: float) -> str:

@@ -1,7 +1,8 @@
 """Labeled two-hand feature datasets for classifier training elsewhere.
 
-One row per labeled window: per-hand curvature and fingertip spacing plus
-the windowed orientation/trajectory codes, frequency, and palm distance.
+One row per labeled window, read off the window's FeatureVector: per-hand
+curvature and fingertip spacing plus the orientation/trajectory codes,
+frequency, and palm distance.
 """
 
 from __future__ import annotations
@@ -9,12 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import InsufficientWindow
-from .features import PalmOrientation, TrajectoryKind, _window_hands, extract_feature_vector
-from .frame_model import Handedness
+from .features import PalmOrientation, TrajectoryKind, extract_feature_vector
 
 DATASET_HEADER = "sample_no,curv_l,curv_r,ftd_l,ftd_r,orient,traj,freq_hz,ipd_mm,label"
 
@@ -45,21 +43,12 @@ class DatasetRow:
     gesture_class: str
 
 
-def _aggregate(values: np.ndarray, how: str) -> Optional[float]:
-    if not len(values):
-        return None
-    return float(np.median(values) if how == "median" else np.mean(values))
-
-
-def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONFIG,
-                  aggregate: str = "mean"):
+def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONFIG):
     """Turn (FrameStream window, label) pairs into dataset rows.
 
-    Numeric per-frame values are reduced with the chosen aggregate (mean by
-    default, median available). Rows keep the input order, numbered from 1.
+    Per-frame values are the window means that extract_feature_vector
+    reports. Rows keep the input order, numbered from 1.
     """
-    if aggregate not in ("mean", "median"):
-        raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     rows = []
     for index, (window, label) in enumerate(labeled_windows):
         if not label:
@@ -68,16 +57,12 @@ def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONF
             vector = extract_feature_vector(window, config)
         except InsufficientWindow as exc:
             raise InsufficientWindow(f"window {index}: {exc}") from None
-
-        hands, _ = _window_hands(window.frames)
-        left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
-
         rows.append(DatasetRow(
             sample_no=index + 1,
-            hand_curvature_left=_aggregate(left.grabs, aggregate),
-            hand_curvature_right=_aggregate(right.grabs, aggregate),
-            fingertip_distance_left=_aggregate(left.gaps[left.gap_pairs > 0], aggregate),
-            fingertip_distance_right=_aggregate(right.gaps[right.gap_pairs > 0], aggregate),
+            hand_curvature_left=vector.hand_curvature_left,
+            hand_curvature_right=vector.hand_curvature_right,
+            fingertip_distance_left=vector.fingertip_distance_left,
+            fingertip_distance_right=vector.fingertip_distance_right,
             orientation_code=ORIENTATION_CODES[vector.palm_orientation],
             trajectory_code=TRAJECTORY_CODES[vector.trajectory],
             frequency_hz=vector.movement_frequency_hz,

@@ -87,6 +87,8 @@ def _validate_script(script: GestureScript):
         raise InvalidScript(f"fps {script.fps} outside [50, 200]")
     if script.noise_sigma < 0:
         raise InvalidScript("noise_sigma must be non-negative")
+    if script.seed < 0:
+        raise InvalidScript("seed must be non-negative")
     for spec in script.phases:
         if spec.duration_s <= 0:
             raise InvalidScript(f"{spec.kind.value} duration must be positive")
@@ -316,28 +318,6 @@ def random_plane_basis(rng):
 
 # -- perturbations ----------------------------------------------------------
 
-class PerturbationKind(str, Enum):
-    ADD_NOISE = "add_noise"
-    REMOVE_PHASE_FRAMES = "remove_phase_frames"
-    SUPPRESS_OCCLUSION = "suppress_occlusion"
-    DROP_FRAMES = "drop_frames"
-
-
-def perturb(stream: FrameStream, kind: PerturbationKind, *, sigma: float = 0.0,
-            phase=None, labels=None, rate: float = 0.0, seed: int = 0) -> FrameStream:
-    """Apply one named perturbation; see the individual functions below."""
-    kind = PerturbationKind(kind)
-    if kind == PerturbationKind.ADD_NOISE:
-        return add_noise(stream, sigma, seed=seed)
-    if kind == PerturbationKind.REMOVE_PHASE_FRAMES:
-        if labels is None or phase is None:
-            raise ValueError("remove_phase_frames needs labels and a phase")
-        return remove_phase_frames(stream, labels, phase)[0]
-    if kind == PerturbationKind.SUPPRESS_OCCLUSION:
-        return suppress_occlusion(stream)
-    return drop_frames(stream, rate, seed=seed)
-
-
 def add_noise(stream: FrameStream, sigma: float, seed: int = 0) -> FrameStream:
     """Gaussian noise on palm and fingertip positions only."""
     if sigma < 0:
@@ -410,11 +390,22 @@ def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
 # -- script text format -------------------------------------------------------
 
 _SCRIPT_KEYS = {"fps", "seed", "noise_sigma", "occlusion", "surviving_hand"}
+_SCRIPT_FLOAT_KEYS = {"fps", "noise_sigma"}
 _PHASE_FLOAT_KEYS = {
     "duration_s", "separation_mm", "start_separation_mm", "end_separation_mm",
     "approach_speed_mm_s", "rub_frequency_hz", "rub_radius_mm",
     "oscillation_frequency_hz", "oscillation_amplitude_mm",
 }
+
+
+def _script_float(key: str, value: str, lineno: int) -> float:
+    try:
+        x = float(value)
+    except ValueError:
+        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not numeric") from None
+    if not math.isfinite(x):
+        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not finite")
+    return x
 
 
 def parse_script_text(text: str) -> GestureScript:
@@ -450,14 +441,14 @@ def parse_script_text(text: str) -> GestureScript:
                     raise InvalidScript(f"line {lineno}: expected k=v, got {token!r}")
                 k, v = token.split("=", 1)
                 if k in _PHASE_FLOAT_KEYS:
-                    try:
-                        kwargs[k] = float(v)
-                    except ValueError:
-                        raise InvalidScript(f"line {lineno}: {k} value {v!r} is not numeric") from None
+                    kwargs[k] = _script_float(k, v, lineno)
                 elif k == "opposed_normals":
                     kwargs[k] = v.lower() in ("1", "true", "yes")
                 elif k == "primitive_kind":
-                    kwargs[k] = PrimitiveKind(v)
+                    try:
+                        kwargs[k] = PrimitiveKind(v)
+                    except ValueError:
+                        raise InvalidScript(f"line {lineno}: unknown primitive kind {v!r}") from None
                 else:
                     raise InvalidScript(f"line {lineno}: unknown phase key {k!r}")
             if "duration_s" not in kwargs:
@@ -466,15 +457,15 @@ def parse_script_text(text: str) -> GestureScript:
         elif key in _SCRIPT_KEYS:
             if len(parts) != 2:
                 raise InvalidScript(f"line {lineno}: expected '{key} value'")
-            fields[key] = parts[1]
+            fields[key] = _script_float(key, parts[1], lineno) if key in _SCRIPT_FLOAT_KEYS else parts[1]
         else:
             raise InvalidScript(f"line {lineno}: unknown key {key!r}")
 
     try:
         script = GestureScript(
             phases=tuple(phases),
-            fps=float(fields.get("fps", 100.0)),
-            noise_sigma=float(fields.get("noise_sigma", 0.0)),
+            fps=fields.get("fps", 100.0),
+            noise_sigma=fields.get("noise_sigma", 0.0),
             occlusion_model=OcclusionModel(fields.get("occlusion", "drop_on_contact")),
             surviving_hand=Handedness(fields.get("surviving_hand", "right").capitalize()),
             seed=int(fields.get("seed", 0)),

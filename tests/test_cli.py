@@ -1,9 +1,15 @@
 import os
+import tempfile
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hge import generate, make_ablation_stream, make_canonical_script, write_csv_stream
+from hge import CSV_HEADER, generate, make_ablation_stream, make_canonical_script, write_csv_stream
 from hge.cli import run
+
+from test_ingest_properties import PROPERTY, _csv_like
 
 CANONICAL_SCRIPT = """\
 fps 100
@@ -87,6 +93,59 @@ class TestSynthAndDetect:
         assert "broken.csv" in err and "line 4" in err and column in err
 
 
+MANIFEST_HEAD = "left_file,right_file,start_ms,end_ms,label\n"
+
+# file name -> bytes, argv, fragments the one error line must hold
+BAD_INPUTS = {
+    "csv_not_utf8": ({"bad.csv": CSV_HEADER.encode() + b"\n0,\xff\n"},
+                     ["validate", "--left", "bad.csv", "--right", "right.csv"], ["bad.csv", "line 2", "UTF-8"]),
+    "config_not_utf8": ({"cfg.txt": b"stage_min_s 2\n\xfe\n"},
+                        ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                        ["cfg.txt", "line 2", "UTF-8"]),
+    "primitive_kind": ({"s.script": b"fps 100\nphase primitive duration_s=1 primitive_kind=bogus\n"},
+                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                       ["s.script", "line 2", "bogus"]),
+    "duration_nan": ({"s.script": b"phase idle duration_s=nan\n"},
+                     ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                     ["s.script", "line 1", "duration_s", "not finite"]),
+    "duration_inf": ({"s.script": b"phase idle duration_s=inf\n"},
+                     ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                     ["s.script", "line 1", "duration_s", "not finite"]),
+    "separation_nan": ({"s.script": b"phase approach duration_s=1 start_separation_mm=nan\n"},
+                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                       ["s.script", "line 1", "start_separation_mm", "not finite"]),
+    "noise_sigma_nan": ({"s.script": b"noise_sigma nan\nphase idle duration_s=1\n"},
+                        ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                        ["s.script", "line 1", "noise_sigma", "not finite"]),
+    "fps_inf": ({"s.script": b"phase idle duration_s=1\nfps inf\n"},
+                ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                ["s.script", "line 2", "fps", "not finite"]),
+    "negative_seed": ({"s.script": b"seed -1\nphase idle duration_s=1\n"},
+                      ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                      ["s.script", "seed"]),
+    "mlprep_empty_label": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0,1500,x\n"
+                                      "left.csv,right.csv,0,1500,\n").encode()},
+                           ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 3", "label"]),
+    "mlprep_short_row": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0\n").encode()},
+                         ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 2"]),
+    "mlprep_nul_in_path": ({"m.csv": (MANIFEST_HEAD + "left\x00.csv,right.csv,0,1500,x\n").encode()},
+                           ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["left\\x00.csv", "null"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(canonical_pair, tmp_path, monkeypatch, capsys, case):
+    files, argv, fragments = BAD_INPUTS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
 class TestValidate:
     def test_ok(self, canonical_pair):
         lp, rp = canonical_pair
@@ -102,6 +161,12 @@ class TestValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "broken.csv" in err
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(MANIFEST_HEAD + f"broken.csv,{os.path.basename(rp)},0,1500,x\n")
+        code = run(["mlprep", "--manifest", str(manifest), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and str(broken) in err
 
     def test_missing_file_exits_two(self, canonical_pair, capsys):
         lp, _ = canonical_pair
@@ -175,3 +240,91 @@ class TestMlprepCommand:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("nope\n1\n")
         assert run(["mlprep", "--manifest", str(manifest), "--out", str(tmp_path / "d.csv")]) == 2
+
+
+# -- any input at all ends in an exit code, never a traceback -----------------
+
+_START_MS = st.sampled_from(["0", "1500", "-5", "x", "", "1e3"])
+_END_MS = st.sampled_from(["1500", "3000", "0", "x", ""])
+_MANIFEST_ROW = st.builds(
+    lambda cells, n: ",".join(cells[:n]),
+    st.tuples(st.sampled_from(["left.csv", "right.csv", "", "missing.csv", "left\x00.csv"]),
+              st.sampled_from(["right.csv", "left.csv", ""]), _START_MS, _END_MS,
+              st.sampled_from(["x", "", "a b"])),
+    st.sampled_from([5, 6, 3]))
+_MANIFEST = st.builds(lambda head, rows: "\n".join([head] + rows) + "\n",
+                      st.sampled_from([MANIFEST_HEAD.strip(), "left_file,right_file", ""]),
+                      st.lists(_MANIFEST_ROW, min_size=1, max_size=4))
+_CONFIG = st.lists(st.sampled_from(["stage_min_s 3", "stage_min_s nan", "stage_max_s 1", "bogus 1",
+                                    "stage_min_s", "# note", "facing_dwell_s 1e400", "rub_freq_min_hz 0x1"]),
+                   max_size=3).map("\n".join)
+# durations stay small: generate renders round(total_s * fps) frames whatever the total
+_SCRIPT_HEAD = st.lists(st.sampled_from(["fps 200", "seed 3", "noise_sigma 1", "occlusion none",
+                                         "surviving_hand left", "# note"]), max_size=2)
+_SCRIPT_PHASES = st.lists(st.sampled_from([
+    "phase rub_circular duration_s=1.5", "phase facing_hold duration_s=0.5 separation_mm=20",
+    "phase approach duration_s=1 start_separation_mm=150", "phase idle duration_s=0.5",
+    "phase stage3_linear duration_s=1", "phase primitive duration_s=0.5 primitive_kind=circle",
+    "phase approach duration_s=1 approach_speed_mm_s=100 opposed_normals=no"]), min_size=1, max_size=3)
+_BROKEN_SCRIPT_LINE = st.sampled_from([
+    "phase idle duration_s=0", "phase idle duration_s=-1", "phase idle duration_s=nan",
+    "phase idle duration_s=inf", "phase idle duration_s=x", "phase idle duration_s=1e400",
+    "phase bogus duration_s=1", "phase primitive duration_s=1", "phase primitive duration_s=1 primitive_kind=bogus",
+    "phase idle duration_s=1 bogus=1", "phase idle duration_s=1 noequals",
+    "phase rub_circular duration_s=1 rub_radius_mm=-1", "phase approach duration_s=1 start_separation_mm=-5",
+    "phase approach duration_s=1 end_separation_mm=200", "phase facing_hold duration_s=1 separation_mm=nan",
+    "phase", "phase idle", "fps 0", "fps nan", "fps abc", "fps", "seed -1", "seed x", "noise_sigma -1",
+    "noise_sigma inf", "occlusion bogus", "surviving_hand up"])
+_SCRIPT = st.builds(lambda head, phases, broken: "\n".join(head + phases + broken),
+                    _SCRIPT_HEAD, _SCRIPT_PHASES, st.lists(_BROKEN_SCRIPT_LINE, max_size=1))
+
+
+@lru_cache(maxsize=None)
+def _valid_pair():
+    stream, _ = generate(make_canonical_script(rub_duration_s=0.5))
+    return tuple(text.encode() for text in write_csv_stream(stream))
+
+
+def _content(text_strategy):
+    """File bytes: mostly the strategy's text, else any text or any bytes."""
+    choices = (text_strategy.map(str.encode), st.text().map(str.encode), st.binary(max_size=64))
+    return st.sampled_from([0, 0, 0, 1, 2]).flatmap(choices.__getitem__)
+
+
+_CLI_PROPERTY = settings(PROPERTY, max_examples=150)
+
+
+@pytest.mark.parametrize("command", ["synth", "detect", "features", "mlprep", "validate"])
+@_CLI_PROPERTY
+@given(data=st.data())
+def test_hge_never_raises(command, data):
+    if data.draw(st.booleans()):
+        left, right = _valid_pair()
+    else:
+        left, right = data.draw(_content(_csv_like())), data.draw(_content(_csv_like()))
+    files = {"left.csv": left, "right.csv": right, "cfg.txt": data.draw(_content(_CONFIG))}
+    config = ["--config", "cfg.txt"] if data.draw(st.booleans()) else []
+    pair = ["--left", "left.csv", "--right", "right.csv"]
+    if command == "synth":
+        files["s.script"] = data.draw(_content(_SCRIPT))
+        argv = ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"]
+    elif command == "detect":
+        argv = ["detect"] + pair + config + ["--events", "e.txt", "--report", "r.txt"]
+    elif command == "features":
+        window = data.draw(st.sampled_from(["1500", "100", "1", "0", "-5"]))
+        argv = ["features"] + pair + ["--window-ms", window] + config
+    elif command == "mlprep":
+        files["m.csv"] = data.draw(_content(_MANIFEST))
+        argv = ["mlprep", "--manifest", "m.csv", "--out", "d.csv"] + config
+    else:
+        argv = ["validate"] + pair
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, content in files.items():
+            with open(os.path.join(workdir, name), "wb") as fh:
+                fh.write(content)
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            assert run(argv) in (0, 1, 2, 3)
+        finally:
+            os.chdir(cwd)

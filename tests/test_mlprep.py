@@ -86,17 +86,6 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset([(static_two_hand_window(), "")])
 
-    def test_median_aggregate(self):
-        frames = []
-        grabs = [0.1, 0.1, 0.1, 0.9]
-        for i in range(120):
-            frames.append(Frame(i * 10, (make_hand(Handedness.RIGHT, grab=grabs[i % 4]),)))
-        window = FrameStream(frames, 100.0)
-        mean_row = build_dataset([(window, "x")], aggregate="mean")[0]
-        median_row = build_dataset([(window, "x")], aggregate="median")[0]
-        assert mean_row.hand_curvature_right == pytest.approx(0.3)
-        assert median_row.hand_curvature_right == pytest.approx(0.1)
-
     def test_missing_hand_gives_empty_cells(self):
         frames = [Frame(i * 10, (make_hand(Handedness.RIGHT),)) for i in range(120)]
         row = build_dataset([(FrameStream(frames, 100.0), "x")])[0]
@@ -127,8 +116,13 @@ class TestAgainstScalarFeatures:
         windows = synthetic_windows()
         rows = build_dataset([(w, "x") for w in windows])
         for window, row in zip(windows, rows):
-            for hand, curv, ftd in ((Handedness.LEFT, row.hand_curvature_left, row.fingertip_distance_left),
-                                    (Handedness.RIGHT, row.hand_curvature_right, row.fingertip_distance_right)):
+            vector = extract_feature_vector(window)
+            for hand, curv, ftd, v_curv, v_ftd in (
+                    (Handedness.LEFT, row.hand_curvature_left, row.fingertip_distance_left,
+                     vector.hand_curvature_left, vector.fingertip_distance_left),
+                    (Handedness.RIGHT, row.hand_curvature_right, row.fingertip_distance_right,
+                     vector.hand_curvature_right, vector.fingertip_distance_right)):
+                assert (curv, ftd) == (v_curv, v_ftd)
                 observations = [o for f in window.frames for o in f.hands if o.handedness == hand]
                 gaps = [finger_spread(o.fingertips)[0] for o in observations]
                 gaps = [g for g in gaps if g is not None]

@@ -157,20 +157,6 @@ class TestPerturbations:
         stream, _ = generate(make_canonical_script(seed=2))
         assert detect_stage2(drop_frames(stream, 0.05, seed=3)).verdict == Verdict.COMPLETED
 
-    def test_perturb_dispatcher_matches_named_functions(self):
-        from hge import PerturbationKind, perturb
-        stream, labels = generate(make_canonical_script())
-        a = perturb(stream, PerturbationKind.ADD_NOISE, sigma=1.0, seed=4)
-        b = add_noise(stream, 1.0, seed=4)
-        assert np.array_equal(stream_scalars(a), stream_scalars(b), equal_nan=True)
-        cut = perturb(stream, PerturbationKind.REMOVE_PHASE_FRAMES,
-                      phase=PhaseKind.APPROACH, labels=labels)
-        assert len(cut.frames) == len(stream.frames) - labels.count("approach")
-        full = perturb(stream, "suppress_occlusion")
-        assert all(f.hand_count == 2 for f in full.frames)
-        fewer = perturb(stream, PerturbationKind.DROP_FRAMES, rate=0.05, seed=5)
-        assert len(fewer.frames) < len(stream.frames)
-
 
 class TestPrimitives:
     def test_circle_classifies_circular(self):
