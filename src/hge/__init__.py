@@ -74,7 +74,6 @@ from .synth import (
     PhaseKind,
     PhaseSpec,
     PrimitiveKind,
-    add_noise,
     drop_frames,
     generate,
     generate_primitive,
@@ -84,7 +83,6 @@ from .synth import (
     parse_script_text,
     random_plane_basis,
     remove_phase_frames,
-    suppress_occlusion,
 )
 
 __version__ = "0.1.0"

@@ -165,14 +165,15 @@ def _cmd_features(args) -> int:
     stream = _parse_pair(args.left, args.right)
     if args.window_ms <= 0:
         raise EngineError("--window-ms must be positive")
-    if not stream.frames:
-        return EXIT_OK
-    start = stream.frames[0].timestamp
-    last = stream.frames[-1].timestamp
-    index = 0
-    while start <= last:
+    frames = stream.frames
+    i = 0
+    while i < len(frames):
+        # windows lie on a grid from the first frame; a window holding no frame is skipped
+        index = (frames[i].timestamp - frames[0].timestamp) // args.window_ms
+        start = frames[0].timestamp + index * args.window_ms
         end = start + args.window_ms
         window = stream.slice_ms(start, end)
+        i += len(window.frames)
         try:
             v = extract_feature_vector(window, config)
             freq = "none" if v.movement_frequency_hz is None else f"{v.movement_frequency_hz:.3f}"
@@ -188,8 +189,6 @@ def _cmd_features(args) -> int:
             )
         except InsufficientWindow as exc:
             print(f"window {index} {start} {end} insufficient: {exc}")
-        start = end
-        index += 1
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import GrabOutOfRange, InsufficientWindow, NonUnitNormal, TooFewSamples
-from .frame_model import NORMAL_TOLERANCE, FrameStream, Handedness, row_dots, row_norms
+from .frame_model import DEVICE_FPS_MIN, NORMAL_TOLERANCE, FrameStream, Handedness, row_dots, row_norms
 
 
 class PalmOrientation(str, Enum):
@@ -163,14 +163,13 @@ def finger_spread(fingertips, config: EngineConfig = DEFAULT_CONFIG):
     """Minimum adjacent fingertip gap and the open/closed verdict.
 
     Adjacent means thumb-index, index-middle, middle-ring, ring-pinky over the
-    tracked tips. Returns (min_distance or None, spread); spread is Unknown
-    when fewer than two adjacent tracked pairs exist.
+    tracked tips; a row holding NaN is untracked. Returns (min_distance or
+    None, spread); spread is Unknown when fewer than two adjacent tracked
+    pairs exist.
     """
-    tips = list(fingertips)
-    distances = []
-    for a, b in zip(tips, tips[1:]):
-        if a is not None and b is not None:
-            distances.append(float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float))))
+    tips = np.asarray(fingertips, float)
+    distances = [float(np.linalg.norm(a - b)) for a, b in zip(tips, tips[1:])
+                 if not (np.isnan(a).any() or np.isnan(b).any())]
     if not distances:
         return None, FingerSpread.UNKNOWN
     min_distance = min(distances)
@@ -254,8 +253,8 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     span_s = raw_span * len(pts) / (len(pts) - 1)   # covered duration
     if span_s < 1.0:
         raise TooFewSamples(f"window spans {span_s:.3f} s, need at least 1 s")
-    if (len(pts) - 1) / raw_span < 50.0:
-        raise TooFewSamples("sampling rate below 50 FPS")
+    if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
+        raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
 
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
@@ -294,20 +293,13 @@ class _HandSamples(NamedTuple):
     gap_pairs: np.ndarray      # (m,) tracked adjacent pairs behind each gap
 
 
-_UNTRACKED = np.full(3, np.nan)
-
-
 def _hand_samples(observations, timestamps) -> _HandSamples:
-    vectors = [_UNTRACKED]      # keeps the concatenation defined for a hand never seen
+    vectors = [np.empty(0)]     # keeps the concatenation defined for a hand never seen
     for o in observations:
-        vectors.append(o.palm_position)
-        vectors.append(o.palm_normal)
-        vectors.extend(o.fingertips)
-    tracked = np.array([t is not None for o in observations for t in o.fingertips], bool).reshape(-1, 5)
-    if not tracked.all():
-        vectors = [_UNTRACKED if v is None else v for v in vectors]
-    block = np.concatenate(vectors, dtype=float)[3:].reshape(-1, 7, 3)
+        vectors += (o.palm_position, o.palm_normal, o.fingertips.reshape(-1))
+    block = np.concatenate(vectors, dtype=float).reshape(-1, 7, 3)
     tips = block[:, 2:]
+    tracked = ~np.isnan(tips).any(axis=2)
     adjacent = tracked[:, 1:] & tracked[:, :-1]
     gaps = np.where(adjacent, row_norms(tips[:, 1:] - tips[:, :-1]), np.inf).min(axis=1)
     gap_pairs = adjacent.sum(axis=1)

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,8 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 NORMAL_TOLERANCE = 1e-3   # renormalize within this, reject beyond it
 MERGE_WINDOW_MS = 5       # half the frame period at the slowest paper rate
-NOMINAL_FPS_MIN = 50.0
-NOMINAL_FPS_MAX = 200.0
+DEVICE_FPS_MIN = 50.0     # the tracker rates the paper covers
+DEVICE_FPS_MAX = 200.0
 
 
 class Handedness(str, Enum):
@@ -60,7 +60,7 @@ class HandObservation:
     palm_normal: np.ndarray        # unit vector, orthogonal to the palm, pointing outward
     palm_velocity: np.ndarray
     grab_strength: float           # 0 fully flat .. 1 fully curled
-    fingertips: tuple              # 5 entries thumb..pinky, np.ndarray or None when untracked
+    fingertips: np.ndarray         # (5, 3) thumb..pinky; a row of NaN is an untracked tip
 
 
 @dataclass(eq=False)
@@ -83,20 +83,19 @@ class Frame:
 
 @dataclass(eq=False)
 class FrameStream:
-    """Ordered frames plus the nominal sampling rate they were captured at."""
+    """Frames in time order."""
 
     frames: list
-    nominal_fps: float = 100.0
 
     def slice_ms(self, start_ms: int, end_ms: int) -> "FrameStream":
-        """Frames with start_ms <= timestamp < end_ms; fps label preserved.
+        """Frames with start_ms <= timestamp < end_ms.
 
         Bisects the frames, which must be in time order, as merge_hand_streams
         and the synthesiser produce them.
         """
         lo = bisect_left(self.frames, start_ms, key=_timestamp)
         hi = bisect_left(self.frames, end_ms, lo=lo, key=_timestamp)
-        return FrameStream(self.frames[lo:hi], self.nominal_fps)
+        return FrameStream(self.frames[lo:hi])
 
 
 _timestamp = attrgetter("timestamp")
@@ -117,11 +116,16 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def validate_observation(obs: HandObservation) -> HandObservation:
-    """Check one observation's invariants; renormalizes a near-unit palm normal."""
-    tips = tuple(obs.fingertips)
+    """Check one observation's invariants; renormalizes a near-unit palm normal.
+
+    Each fingertip row is all finite, or all NaN for an untracked tip.
+    """
+    tips = np.asarray(obs.fingertips, float)
+    if tips.shape != (5, 3):
+        raise ValueError(f"expected (5, 3) fingertips thumb..pinky, got shape {tips.shape}")
     for field, value in (("palm_position", obs.palm_position), ("palm_normal", obs.palm_normal),
                          ("palm_velocity", obs.palm_velocity), ("grab_strength", obs.grab_strength),
-                         ("fingertips", [t for t in tips if t is not None])):
+                         ("fingertips", tips[~np.isnan(tips).all(axis=1)])):
         if not np.isfinite(np.asarray(value, float)).all():
             raise NonFiniteValue(field)
     if not 0.0 <= float(obs.grab_strength) <= 1.0:
@@ -130,15 +134,13 @@ def validate_observation(obs: HandObservation) -> HandObservation:
     norm = float(np.linalg.norm(normal))
     if abs(norm - 1.0) > NORMAL_TOLERANCE:
         raise NonUnitNormal(f"|palm_normal| = {norm:.6f} deviates more than {NORMAL_TOLERANCE}")
-    if len(tips) != 5:
-        raise ValueError(f"expected 5 fingertip slots thumb..pinky, got {len(tips)}")
     return HandObservation(
         handedness=Handedness(obs.handedness),
         palm_position=np.asarray(obs.palm_position, float),
         palm_normal=normal / norm,
         palm_velocity=np.asarray(obs.palm_velocity, float),
         grab_strength=float(obs.grab_strength),
-        fingertips=tuple(None if t is None else np.asarray(t, float) for t in tips),
+        fingertips=tips,
     )
 
 
@@ -156,17 +158,6 @@ def validate_frame(frame: Frame) -> Frame:
         seen.add(obs.handedness)
         hands.append(validate_observation(obs))
     return Frame(timestamp=int(frame.timestamp), hands=tuple(hands))
-
-
-def estimate_nominal_fps(timestamps_ms: Sequence[int]) -> float:
-    """(record count - 1) / span, clamped into the supported device range."""
-    if len(timestamps_ms) < 2:
-        return 100.0
-    span_s = (timestamps_ms[-1] - timestamps_ms[0]) / 1000.0
-    if span_s <= 0:
-        return 100.0
-    fps = (len(timestamps_ms) - 1) / span_s
-    return min(max(fps, NOMINAL_FPS_MIN), NOMINAL_FPS_MAX)
 
 
 def merge_hand_streams(left, right) -> FrameStream:
@@ -220,7 +211,7 @@ def merge_hand_streams(left, right) -> FrameStream:
             raise NonMonotonicTimestamp(
                 "merged frames collide in time; per-hand records are closer than the merge window"
             )
-    return FrameStream(frames, estimate_nominal_fps([f.timestamp for f in frames]))
+    return FrameStream(frames)
 
 
 def _parse_float(cell: str, line: int, column: str) -> float:
@@ -336,17 +327,9 @@ def parse_hand_csv(text: str, handedness: Handedness):
 
     positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
     grabs = block[:, _GRAB].tolist()
-    tips = list(block[:, _TIPS:].reshape(-1, 3))
-    tracked = ~np.isnan(block[:, _TIPS::3])
-    partial = set(np.flatnonzero(~tracked.all(axis=1)).tolist())
-    records = []
-    for i, ts in enumerate(stamps):
-        fingertips = tuple(tips[5 * i:5 * i + 5])
-        if i in partial:
-            fingertips = tuple(t if ok else None for t, ok in zip(fingertips, tracked[i]))
-        records.append((ts, HandObservation(handedness, positions[i], normals[i], velocities[i],
-                                            grabs[i], fingertips)))
-    return records
+    tips = list(block[:, _TIPS:].reshape(-1, 5, 3))
+    return [(ts, HandObservation(handedness, positions[i], normals[i], velocities[i], grabs[i], tips[i]))
+            for i, ts in enumerate(stamps)]
 
 
 def parse_csv_stream(left_text: str, right_text: str) -> FrameStream:
@@ -366,8 +349,8 @@ def _observation_row(ts: int, obs: HandObservation) -> str:
     cells += [_fmt(v) for v in obs.palm_normal]
     cells += [_fmt(v) for v in obs.palm_velocity]
     cells.append(_fmt(obs.grab_strength))
-    for tip in obs.fingertips:
-        cells += ["", "", ""] if tip is None else [_fmt(v) for v in tip]
+    for tip in obs.fingertips.tolist():
+        cells += ["", "", ""] if math.isnan(tip[0]) else [_fmt(v) for v in tip]
     return ",".join(cells)
 
 

@@ -7,6 +7,8 @@ frequency, and palm distance.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,9 +83,12 @@ def _cell(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    lines = [DATASET_HEADER]
+    """The dataset as CSV text; a label holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(DATASET_HEADER.split(","))
     for r in rows:
-        lines.append(",".join([
+        writer.writerow([
             str(r.sample_no),
             _cell(r.hand_curvature_left),
             _cell(r.hand_curvature_right),
@@ -94,5 +99,5 @@ def rows_to_csv(rows) -> str:
             _cell(r.frequency_hz),
             _cell(r.inter_palm_distance_mm),
             r.gesture_class,
-        ]))
-    return "\n".join(lines) + "\n"
+        ])
+    return out.getvalue()

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frame_model import Frame, FrameStream, HandObservation, Handedness
+from .frame_model import DEVICE_FPS_MAX, DEVICE_FPS_MIN, Frame, FrameStream, HandObservation, Handedness
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -30,6 +30,7 @@ FLAT_GRAB = 0.1
 CLOSED_TIP_SPACING_MM = 10.0
 OPEN_TIP_SPACING_MM = 20.0
 STAGE3_STACK_GAP_MM = 40.0
+MAX_SCRIPT_S = 600.0          # longest script: generate holds every frame in memory
 
 
 class PhaseKind(str, Enum):
@@ -83,8 +84,8 @@ class GestureScript:
 def _validate_script(script: GestureScript):
     if not script.phases:
         raise InvalidScript("script has no phases")
-    if not 50.0 <= script.fps <= 200.0:
-        raise InvalidScript(f"fps {script.fps} outside [50, 200]")
+    if not DEVICE_FPS_MIN <= script.fps <= DEVICE_FPS_MAX:
+        raise InvalidScript(f"fps {script.fps} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
     if script.noise_sigma < 0:
         raise InvalidScript("noise_sigma must be non-negative")
     if script.seed < 0:
@@ -100,6 +101,9 @@ def _validate_script(script: GestureScript):
             raise InvalidScript("rub radius must be non-negative")
         if spec.kind == PhaseKind.PRIMITIVE and spec.primitive_kind is None:
             raise InvalidScript("primitive phase needs a primitive_kind")
+    total_s = sum(spec.duration_s for spec in script.phases)
+    if total_s > MAX_SCRIPT_S:
+        raise InvalidScript(f"script lasts {total_s:g} s, more than {MAX_SCRIPT_S:g} s")
 
 
 def _approach_end(spec: PhaseSpec) -> float:
@@ -110,7 +114,7 @@ def _approach_end(spec: PhaseSpec) -> float:
 
 def _fingertips(palm, forward, lateral, spacing):
     row = palm + FINGER_REACH_MM * forward
-    return tuple(row + (k - 2) * spacing * lateral for k in range(5))
+    return np.array([row + (k - 2) * spacing * lateral for k in range(5)])
 
 
 def _hand(handedness, palm, normal, velocity, forward, lateral, spacing, grab=FLAT_GRAB):
@@ -231,7 +235,7 @@ def generate(script: GestureScript):
         frames.append(Frame(int(round(i * 1000.0 / script.fps)), tuple(hands)))
         labels.append(spec.kind.value)
 
-    return FrameStream(frames, script.fps), labels
+    return FrameStream(frames), labels
 
 
 def _jitter(obs: HandObservation, sigma: float, rng) -> HandObservation:
@@ -242,7 +246,7 @@ def _jitter(obs: HandObservation, sigma: float, rng) -> HandObservation:
         palm_normal=normal / np.linalg.norm(normal),
         palm_velocity=obs.palm_velocity,
         grab_strength=obs.grab_strength,
-        fingertips=tuple(None if t is None else t + rng.normal(0.0, sigma, 3) for t in obs.fingertips),
+        fingertips=obs.fingertips + rng.normal(0.0, sigma, (5, 3)),
     )
 
 
@@ -318,26 +322,6 @@ def random_plane_basis(rng):
 
 # -- perturbations ----------------------------------------------------------
 
-def add_noise(stream: FrameStream, sigma: float, seed: int = 0) -> FrameStream:
-    """Gaussian noise on palm and fingertip positions only."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    rng = np.random.default_rng(seed)
-    frames = []
-    for f in stream.frames:
-        hands = []
-        for obs in f.hands:
-            pos = obs.palm_position + (rng.normal(0.0, sigma, 3) if sigma > 0 else 0.0)
-            tips = tuple(
-                None if t is None else t + (rng.normal(0.0, sigma, 3) if sigma > 0 else 0.0)
-                for t in obs.fingertips
-            )
-            hands.append(HandObservation(obs.handedness, pos, obs.palm_normal.copy(),
-                                         obs.palm_velocity.copy(), obs.grab_strength, tips))
-        frames.append(Frame(f.timestamp, tuple(hands)))
-    return FrameStream(frames, stream.nominal_fps)
-
-
 def remove_phase_frames(stream: FrameStream, labels, phase):
     """Drop every frame labeled with the given phase kind."""
     try:
@@ -347,34 +331,7 @@ def remove_phase_frames(stream: FrameStream, labels, phase):
     if len(labels) != len(stream.frames):
         raise ValueError("labels must parallel the stream frames")
     kept = [(f, lab) for f, lab in zip(stream.frames, labels) if lab != kind]
-    return FrameStream([f for f, _ in kept], stream.nominal_fps), [lab for _, lab in kept]
-
-
-def suppress_occlusion(stream: FrameStream) -> FrameStream:
-    """Re-insert the occluded hand, mirrored across the last two-hand midpoint."""
-    frames = []
-    midpoint = None
-    for f in stream.frames:
-        if f.hand_count == 2:
-            midpoint = (f.hands[0].palm_position + f.hands[1].palm_position) / 2.0
-            frames.append(f)
-            continue
-        if f.hand_count == 1 and midpoint is not None:
-            visible = f.hands[0]
-            missing = Handedness.LEFT if visible.handedness == Handedness.RIGHT else Handedness.RIGHT
-            mirrored = HandObservation(
-                handedness=missing,
-                palm_position=2.0 * midpoint - visible.palm_position,
-                palm_normal=-visible.palm_normal,
-                palm_velocity=-visible.palm_velocity,
-                grab_strength=visible.grab_strength,
-                fingertips=tuple(None if t is None else 2.0 * midpoint - t for t in visible.fingertips),
-            )
-            ordered = (mirrored, visible) if missing == Handedness.LEFT else (visible, mirrored)
-            frames.append(Frame(f.timestamp, ordered))
-            continue
-        frames.append(f)
-    return FrameStream(frames, stream.nominal_fps)
+    return FrameStream([f for f, _ in kept]), [lab for _, lab in kept]
 
 
 def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
@@ -383,8 +340,7 @@ def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
         raise ValueError("rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(stream.frames)) >= rate
-    frames = [f for f, k in zip(stream.frames, keep) if k]
-    return FrameStream(frames, stream.nominal_fps)
+    return FrameStream([f for f, k in zip(stream.frames, keep) if k])
 
 
 # -- script text format -------------------------------------------------------

@@ -8,20 +8,23 @@ import numpy as np
 from hge import Frame, FrameStream, HandObservation, Handedness
 
 
+NAN_ROW = (np.nan, np.nan, np.nan)   # an untracked fingertip
+
+
 def make_hand(handedness, palm=(0.0, 200.0, 0.0), normal=(0.0, 1.0, 0.0),
               velocity=(0.0, 0.0, 0.0), grab=0.1, tip_spacing=20.0, tips=None):
-    """Hand observation with evenly spaced fingertips unless tips are given."""
+    """Hand observation with evenly spaced fingertips unless five tip rows are given."""
     palm = np.asarray(palm, float)
     if tips is None:
-        tips = tuple(palm + np.array([0.0, 0.0, 80.0]) + (k - 2) * tip_spacing * np.array([1.0, 0.0, 0.0])
-                     for k in range(5))
+        tips = [palm + np.array([0.0, 0.0, 80.0]) + (k - 2) * tip_spacing * np.array([1.0, 0.0, 0.0])
+                for k in range(5)]
     return HandObservation(
         handedness=handedness,
         palm_position=palm,
         palm_normal=np.asarray(normal, float),
         palm_velocity=np.asarray(velocity, float),
         grab_strength=grab,
-        fingertips=tuple(tips),
+        fingertips=np.array(tips, float),
     )
 
 
@@ -99,6 +102,5 @@ def stream_scalars(stream: FrameStream):
             out.extend(obs.palm_normal.tolist())
             out.extend(obs.palm_velocity.tolist())
             out.append(obs.grab_strength)
-            for tip in obs.fingertips:
-                out.extend([float("nan")] * 3 if tip is None else tip.tolist())
+            out.extend(obs.fingertips.reshape(-1).tolist())
     return np.array(out)

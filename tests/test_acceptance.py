@@ -163,7 +163,7 @@ def test_criterion_6_signature_separation():
                      occlusion_model=OcclusionModel.NONE)
     stream, labels = generate(script)
     rub_frames = [f for f, lab in zip(stream.frames, labels) if lab == "rub_circular"]
-    v2 = extract_feature_vector(FrameStream(rub_frames, stream.nominal_fps))
+    v2 = extract_feature_vector(FrameStream(rub_frames))
     s3_stream, _ = generate(make_stage3_script(duration_s=3.0, frequency_hz=2.0))
     v3 = extract_feature_vector(s3_stream)
 

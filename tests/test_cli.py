@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 from functools import lru_cache
@@ -120,6 +121,9 @@ BAD_INPUTS = {
     "fps_inf": ({"s.script": b"phase idle duration_s=1\nfps inf\n"},
                 ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                 ["s.script", "line 2", "fps", "not finite"]),
+    "script_over_ten_minutes": ({"s.script": b"fps 50\nphase idle duration_s=601\n"},
+                                ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                                ["s.script", "601 s"]),
     "negative_seed": ({"s.script": b"seed -1\nphase idle duration_s=1\n"},
                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                       ["s.script", "seed"]),
@@ -218,6 +222,18 @@ class TestFeaturesCommand:
         assert out[0].startswith("window 0 0 1000 orientation=FacingEachOther")
         assert "trajectory=Circular" in out[4] or "trajectory=Circular" in out[3]
 
+    def test_windows_without_frames_are_not_printed(self, canonical_pair, capsys):
+        lp, rp = canonical_pair
+        lines = open(lp).read().splitlines()
+        lines[-1] = "100000000" + lines[-1][lines[-1].index(","):]   # one left record a day later
+        with open(lp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run(["features", "--left", lp, "--right", rp, "--window-ms", "100"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 51
+        assert [line.split()[1:4] for line in out[:2]] == [["0", "0", "100"], ["1", "100", "200"]]
+        assert out[-1].startswith("window 1000000 100000000 100000100 insufficient")
+
 
 class TestMlprepCommand:
     def test_builds_dataset_from_manifest(self, canonical_pair, tmp_path, capsys):
@@ -235,6 +251,17 @@ class TestMlprepCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "1"
         assert lines[2].split(",")[-1] == "Hands Palm to palm"
+
+    def test_label_with_comma_stays_one_cell(self, canonical_pair, tmp_path, capsys):
+        lp, rp = canonical_pair
+        manifest = tmp_path / "manifest.csv"
+        pair = f"{os.path.basename(lp)},{os.path.basename(rp)}"
+        manifest.write_text(MANIFEST_HEAD + f'{pair},0,1500,"a,b"\n{pair},2200,4800,"say ""rub"""\n')
+        out_path = tmp_path / "dataset.csv"
+        assert run(["mlprep", "--manifest", str(manifest), "--out", str(out_path)]) == 0
+        rows = list(csv.reader(out_path.open(newline="")))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        assert [row[-1] for row in rows[1:]] == ["a,b", 'say "rub"']
 
     def test_bad_manifest_exits_two(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -258,7 +285,8 @@ _MANIFEST = st.builds(lambda head, rows: "\n".join([head] + rows) + "\n",
 _CONFIG = st.lists(st.sampled_from(["stage_min_s 3", "stage_min_s nan", "stage_max_s 1", "bogus 1",
                                     "stage_min_s", "# note", "facing_dwell_s 1e400", "rub_freq_min_hz 0x1"]),
                    max_size=3).map("\n".join)
-# durations stay small: generate renders round(total_s * fps) frames whatever the total
+# generate renders round(total_s * fps) frames, so the scripts that may pass stay
+# short; a long phase takes any script past the 600 s bound, which must reject it
 _SCRIPT_HEAD = st.lists(st.sampled_from(["fps 200", "seed 3", "noise_sigma 1", "occlusion none",
                                          "surviving_hand left", "# note"]), max_size=2)
 _SCRIPT_PHASES = st.lists(st.sampled_from([
@@ -275,8 +303,11 @@ _BROKEN_SCRIPT_LINE = st.sampled_from([
     "phase approach duration_s=1 end_separation_mm=200", "phase facing_hold duration_s=1 separation_mm=nan",
     "phase", "phase idle", "fps 0", "fps nan", "fps abc", "fps", "seed -1", "seed x", "noise_sigma -1",
     "noise_sigma inf", "occlusion bogus", "surviving_hand up"])
-_SCRIPT = st.builds(lambda head, phases, broken: "\n".join(head + phases + broken),
-                    _SCRIPT_HEAD, _SCRIPT_PHASES, st.lists(_BROKEN_SCRIPT_LINE, max_size=1))
+_LONG_PHASE = st.builds("phase {} duration_s={!r}".format, st.sampled_from(["idle", "rub_circular"]),
+                        st.floats(1e3, 1e12))
+_SCRIPT = st.builds(lambda head, phases, long, broken: "\n".join(head + phases + long + broken),
+                    _SCRIPT_HEAD, _SCRIPT_PHASES, st.lists(_LONG_PHASE, max_size=1),
+                    st.lists(_BROKEN_SCRIPT_LINE, max_size=1))
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from hge import (
 from hge.synth import OcclusionModel
 from dataclasses import replace
 
-from helpers import chord_oracle, facing_frames, make_hand, random_rotation, random_unit
+from helpers import NAN_ROW, chord_oracle, facing_frames, make_hand, random_rotation, random_unit
 
 
 class TestPalmOpposition:
@@ -125,20 +125,20 @@ class TestFingerSpread:
         assert finger_spread(tips_spaced(16.9))[1] == FingerSpread.CLOSED
 
     def test_only_thumb_unknown(self):
-        tips = (np.zeros(3), None, None, None, None)
+        tips = (np.zeros(3), NAN_ROW, NAN_ROW, NAN_ROW, NAN_ROW)
         dist, spread = finger_spread(tips)
         assert dist is None
         assert spread == FingerSpread.UNKNOWN
 
     def test_single_pair_reports_distance_but_unknown(self):
-        tips = (np.zeros(3), np.array([12.0, 0, 0]), None, None, None)
+        tips = (np.zeros(3), np.array([12.0, 0, 0]), NAN_ROW, NAN_ROW, NAN_ROW)
         dist, spread = finger_spread(tips)
         assert dist == pytest.approx(12.0)
         assert spread == FingerSpread.UNKNOWN
 
     def test_non_adjacent_gaps_ignored(self):
         # wide thumb-index gap, missing middle: index-middle and middle-ring pairs vanish
-        tips = (np.zeros(3), np.array([30.0, 0, 0]), None,
+        tips = (np.zeros(3), np.array([30.0, 0, 0]), NAN_ROW,
                 np.array([60.0, 0, 0]), np.array([75.0, 0, 0]))
         dist, spread = finger_spread(tips)
         assert dist == pytest.approx(15.0)   # ring-pinky
@@ -250,7 +250,7 @@ def stage2_rub_window():
                      occlusion_model=OcclusionModel.NONE)
     stream, labels = generate(script)
     frames = [f for f, lab in zip(stream.frames, labels) if lab == "rub_circular"]
-    return FrameStream(frames, stream.nominal_fps)
+    return FrameStream(frames)
 
 
 class TestExtractFeatureVector:
@@ -276,7 +276,7 @@ class TestExtractFeatureVector:
     def test_single_hand_window_has_other_orientation(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT, palm=(0, 200, t / 10.0)),))
                   for t in range(0, 1500, 10)]
-        v = extract_feature_vector(FrameStream(frames, 100.0))
+        v = extract_feature_vector(FrameStream(frames))
         assert v.palm_orientation == PalmOrientation.OTHER
         assert v.inter_palm_distance_mm is None
         assert v.palm_shape_left is None
@@ -284,21 +284,21 @@ class TestExtractFeatureVector:
     def test_short_window_rejected(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT),)) for t in range(0, 500, 10)]
         with pytest.raises(InsufficientWindow):
-            extract_feature_vector(FrameStream(frames, 100.0))
+            extract_feature_vector(FrameStream(frames))
 
     def test_observations_with_one_tracked_pair_do_not_vote_on_spread(self):
-        wide_pair = (np.array([0.0, 200.0, 80.0]), np.array([30.0, 200.0, 80.0]), None, None, None)
+        wide_pair = (np.array([0.0, 200.0, 80.0]), np.array([30.0, 200.0, 80.0]), NAN_ROW, NAN_ROW, NAN_ROW)
         frames = [Frame(t, (make_hand(Handedness.RIGHT, tips=wide_pair) if t % 30 else
                             make_hand(Handedness.RIGHT, tip_spacing=10.0),))
                   for t in range(0, 1500, 10)]
-        v = extract_feature_vector(FrameStream(frames, 100.0))
+        v = extract_feature_vector(FrameStream(frames))
         assert v.finger_spread_right == FingerSpread.CLOSED
         assert v.finger_spread_left == FingerSpread.UNKNOWN
 
     def test_spread_tie_goes_to_open(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT, tip_spacing=25.0 if t % 20 else 10.0),))
                   for t in range(0, 1500, 10)]
-        assert extract_feature_vector(FrameStream(frames, 100.0)).finger_spread_right == FingerSpread.OPEN
+        assert extract_feature_vector(FrameStream(frames)).finger_spread_right == FingerSpread.OPEN
 
     def test_normals_at_right_angles_do_not_vote_stacked(self):
         # |A+B| = sqrt(2) is neither facing nor near-parallel, whatever the displacement
@@ -307,20 +307,20 @@ class TestExtractFeatureVector:
                             make_hand(Handedness.RIGHT, palm=np.array([0.0, 200.0, 0.0]) + 60.0 * shared,
                                       normal=(1.0, 0.0, 0.0))))
                   for t in range(0, 1500, 10)]
-        assert extract_feature_vector(FrameStream(frames, 100.0)).palm_orientation == PalmOrientation.OTHER
+        assert extract_feature_vector(FrameStream(frames)).palm_orientation == PalmOrientation.OTHER
 
     def test_non_unit_normal_in_a_two_hand_frame_rejected(self):
         frames = facing_frames(150)
         left, right = frames[40].hands
         frames[40] = Frame(frames[40].timestamp, (left, replace(right, palm_normal=np.array([-1.01, 0.0, 0.0]))))
         with pytest.raises(NonUnitNormal, match="normal_right"):
-            extract_feature_vector(FrameStream(frames, 100.0))
+            extract_feature_vector(FrameStream(frames))
 
     def test_sparse_hands_rejected(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT),) if t % 50 == 0 else ())
                   for t in range(0, 2000, 10)]
         with pytest.raises(InsufficientWindow):
-            extract_feature_vector(FrameStream(frames, 100.0))
+            extract_feature_vector(FrameStream(frames))
 
 
 def vector(**overrides):

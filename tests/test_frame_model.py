@@ -13,6 +13,8 @@ from hge import (
     NonFiniteValue,
     NonMonotonicTimestamp,
     NonUnitNormal,
+    build_dataset,
+    detect_stage2,
     generate,
     make_canonical_script,
     merge_hand_streams,
@@ -21,9 +23,8 @@ from hge import (
     validate_frame,
     write_csv_stream,
 )
-from hge.frame_model import estimate_nominal_fps
 
-from helpers import brute_force_max_pairs, make_hand, renormalize_oracle, stream_scalars
+from helpers import NAN_ROW, brute_force_max_pairs, make_hand, renormalize_oracle, stream_scalars
 
 
 def two_hand_frame(ts=0):
@@ -68,7 +69,8 @@ class TestValidateFrame:
         ("palm_normal", dict(normal=(np.nan, 0.0, 0.0))),
         ("palm_velocity", dict(velocity=(0.0, np.inf, 0.0))),
         ("grab_strength", dict(grab=np.nan)),
-        ("fingertips", dict(tips=(None, np.array([1.0, 2.0, -np.inf]), None, None, None))),
+        ("fingertips", dict(tips=(NAN_ROW, (1.0, 2.0, -np.inf), NAN_ROW, NAN_ROW, NAN_ROW))),
+        ("fingertips", dict(tips=((1.0, 2.0, 3.0), (1.0, np.nan, 3.0)) + (NAN_ROW,) * 3)),
     ])
     def test_non_finite_field_rejected(self, field, hand):
         frame = Frame(0, (make_hand(Handedness.LEFT, **hand),))
@@ -76,6 +78,19 @@ class TestValidateFrame:
             validate_frame(frame)
         assert err.value.field == field
         assert field in str(err.value)
+
+    @pytest.mark.parametrize("untracked", [[1], [0, 2, 4], [0, 1, 2, 3, 4]])
+    def test_nan_fingertip_rows_accepted_as_untracked(self, untracked):
+        hand = make_hand(Handedness.LEFT)
+        hand.fingertips[untracked] = np.nan
+        out = validate_frame(Frame(0, (hand,))).hands[0].fingertips
+        assert out.shape == (5, 3)
+        assert np.isnan(out).all(axis=1).tolist() == [k in untracked for k in range(5)]
+        np.testing.assert_array_equal(out, hand.fingertips)
+
+    def test_fingertips_must_be_five_rows_of_three(self):
+        with pytest.raises(ValueError, match="fingertips"):
+            validate_frame(Frame(0, (make_hand(Handedness.LEFT, tips=np.zeros((4, 3))),)))
 
 
 class TestMerge:
@@ -149,13 +164,6 @@ class TestCsv:
         assert [(f.timestamp, f.hand_count) for f in stream.frames] == [(0, 1), (10, 1)]
         assert all(f.hands[0].handedness == Handedness.LEFT for f in stream.frames)
 
-    def test_nominal_fps_from_union(self):
-        timestamps = list(range(0, 3001, 10))   # 301 records spanning 3000 ms
-        assert len(timestamps) == 301
-        stream = parse_csv_stream(self.rows(timestamps), self.rows(timestamps))
-        assert stream.nominal_fps == pytest.approx((301 - 1) / 3.0)
-        assert stream.nominal_fps == pytest.approx(100.0)
-
     def test_malformed_cell_names_line_and_column(self):
         text = self.rows([0, 10]).replace("10,0.0,200.0", "10,abc,200.0")
         with pytest.raises(MalformedRow) as err:
@@ -211,34 +219,36 @@ class TestCsv:
             parse_hand_csv(text, Handedness.LEFT)
         assert (err.value.line, err.value.column) == (5, "normal_z")
 
-    def test_untracked_fingertips_parse_as_none_beside_tracked_rows(self):
+    def test_untracked_fingertips_parse_as_nan_rows_beside_tracked_rows(self):
         text = self.with_cell(self.rows([0, 10, 20]), 3, 14, "")
         text = self.with_cell(text, 3, 15, " ")
         text = self.with_cell(text, 3, 16, "")
         records = parse_hand_csv(text, Handedness.LEFT)
-        assert [t is None for t in records[1][1].fingertips] == [False, True, False, False, False]
-        assert all(t is not None for _, obs in (records[0], records[2]) for t in obs.fingertips)
-        np.testing.assert_array_equal(records[1][1].fingertips[2], [1.0, 2.0, 3.0])
+        tips = records[1][1].fingertips
+        assert tips.shape == (5, 3)
+        assert np.isnan(tips).all(axis=1).tolist() == [False, True, False, False, False]
+        assert not np.isnan(tips[[0, 2, 3, 4]]).any()
+        assert all(np.isfinite(obs.fingertips).all() for _, obs in (records[0], records[2]))
+        np.testing.assert_array_equal(tips[2], [1.0, 2.0, 3.0])
 
     def test_empty_stream_writes_header_only(self):
-        left, right = write_csv_stream(FrameStream([], 100.0))
+        left, right = write_csv_stream(FrameStream([]))
         assert left == CSV_HEADER + "\n"
         assert right == CSV_HEADER + "\n"
 
     def test_single_hand_frame_lands_in_one_file(self):
         frame = Frame(5, (make_hand(Handedness.RIGHT),))
-        left, right = write_csv_stream(FrameStream([frame], 100.0))
+        left, right = write_csv_stream(FrameStream([frame]))
         assert left == CSV_HEADER + "\n"
         assert right.count("\n") == 2 and right.startswith(CSV_HEADER)
 
     def test_missing_fingertips_round_trip(self):
-        tips = (np.array([1.0, 2.0, 3.0]), None, np.array([4.0, 5.0, 6.0]), None, None)
+        tips = ((1.0, 2.0, 3.0), NAN_ROW, (4.0, 5.0, 6.0), NAN_ROW, NAN_ROW)
         frame = Frame(0, (make_hand(Handedness.LEFT, tips=tips),))
-        left, right = write_csv_stream(FrameStream([frame], 100.0))
+        left, right = write_csv_stream(FrameStream([frame]))
+        assert left.splitlines()[1].endswith(",1.0,2.0,3.0,,,,4.0,5.0,6.0,,,,,,")
         back = parse_csv_stream(left, right)
-        got = back.frames[0].hands[0].fingertips
-        assert got[1] is None and got[3] is None and got[4] is None
-        np.testing.assert_allclose(got[0], tips[0])
+        np.testing.assert_array_equal(back.frames[0].hands[0].fingertips, np.array(tips))
 
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])
@@ -261,7 +271,6 @@ class TestCsv:
             mask = ~np.isnan(a)
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.max(np.abs(a[mask] - b[mask])) <= 1e-6
-            assert back.nominal_fps == pytest.approx(stream.nominal_fps, abs=1e-6)
 
 
 def test_slice_ms_matches_a_scan_of_every_frame():
@@ -273,10 +282,17 @@ def test_slice_ms_matches_a_scan_of_every_frame():
     for start, end in bounds:
         got = stream.slice_ms(start, end)
         assert got.frames == [f for f in stream.frames if start <= f.timestamp < end]
-        assert got.nominal_fps == stream.nominal_fps
 
 
-def test_estimate_fps_clamps_to_device_range():
-    assert estimate_nominal_fps([0, 1]) == 200.0
-    assert estimate_nominal_fps([0, 1000]) == 50.0
-    assert estimate_nominal_fps([0]) == 100.0
+def test_no_layer_writes_into_the_shared_fingertip_block():
+    # ingest hands out views of one block, which a write anywhere would corrupt
+    stream = parse_csv_stream(*write_csv_stream(generate(make_canonical_script(noise_sigma=1.0, seed=6))[0]))
+    tips = [obs.fingertips for f in stream.frames for obs in f.hands]
+    assert all(t.base is not None for t in tips)
+    for t in tips:
+        t.setflags(write=False)
+    detect_stage2(stream)
+    build_dataset([(stream.slice_ms(t, t + 1500), "x") for t in range(0, 3500, 500)])
+    write_csv_stream(stream)
+    for f in stream.frames:
+        validate_frame(f)

@@ -31,7 +31,7 @@ def static_two_hand_window(grab=0.6, tip_spacing=25.66, n=120, dt=10):
         right = make_hand(Handedness.RIGHT, palm=(60, 200, 0), normal=(-1, 0, 0),
                           grab=grab, tip_spacing=tip_spacing)
         frames.append(Frame(i * dt, (left, right)))
-    return FrameStream(frames, 100.0)
+    return FrameStream(frames)
 
 
 class TestBuildDataset:
@@ -77,7 +77,7 @@ class TestBuildDataset:
 
     def test_insufficient_window_reports_index(self):
         good = static_two_hand_window()
-        tiny = FrameStream(good.frames[:5], 100.0)
+        tiny = FrameStream(good.frames[:5])
         with pytest.raises(InsufficientWindow) as err:
             build_dataset([(good, "a"), (tiny, "b")])
         assert "window 1" in str(err.value)
@@ -88,7 +88,7 @@ class TestBuildDataset:
 
     def test_missing_hand_gives_empty_cells(self):
         frames = [Frame(i * 10, (make_hand(Handedness.RIGHT),)) for i in range(120)]
-        row = build_dataset([(FrameStream(frames, 100.0), "x")])[0]
+        row = build_dataset([(FrameStream(frames), "x")])[0]
         assert row.hand_curvature_left is None
         csv_text = rows_to_csv([row])
         assert csv_text.splitlines()[1].split(",")[1] == ""
@@ -103,9 +103,10 @@ def synthetic_windows():
     frames = list(windows[1].frames)
     for k in range(0, len(frames), 7):
         obs = frames[k].hands[0]
-        tips = (None, obs.fingertips[1], None) + tuple(obs.fingertips[3:]) if k % 2 else (None,) * 5
+        tips = obs.fingertips.copy()
+        tips[[0, 2] if k % 2 else slice(None)] = np.nan   # thumb and middle, or every tip
         frames[k] = Frame(frames[k].timestamp, (replace(obs, fingertips=tips),) + frames[k].hands[1:])
-    windows[1] = FrameStream(frames, windows[1].nominal_fps)
+    windows[1] = FrameStream(frames)
     return windows
 
 

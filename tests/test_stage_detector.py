@@ -85,7 +85,7 @@ class TestTransitions:
     def test_detect_stage2_reports_frame_index(self):
         frames = [Frame(0, ()), Frame(10, ()), Frame(10, ())]
         with pytest.raises(OutOfOrderFrame) as err:
-            detect_stage2(FrameStream(frames, 100.0))
+            detect_stage2(FrameStream(frames))
         assert "frame 2" in str(err.value)
 
     def test_hands_lost_over_one_second_fails(self):
@@ -168,7 +168,7 @@ class TestDetectStage2:
 
     def test_truncated_during_approach(self):
         stream = canonical_stream()
-        cut = FrameStream([f for f in stream.frames if f.timestamp < 1700], stream.nominal_fps)
+        cut = FrameStream([f for f in stream.frames if f.timestamp < 1700])
         report = detect_stage2(cut)
         assert report.verdict == Verdict.NOT_COMPLETED
         assert report.phase_timeline[-1][0] == Phase.APPROACHING
@@ -201,8 +201,7 @@ class TestDetectStage2:
         stream = canonical_stream(noise_sigma=1.0, seed=5)
         base = detect_stage2(stream)
         shift = 12345
-        shifted = FrameStream([Frame(f.timestamp + shift, f.hands) for f in stream.frames],
-                              stream.nominal_fps)
+        shifted = FrameStream([Frame(f.timestamp + shift, f.hands) for f in stream.frames])
         moved = detect_stage2(shifted)
         assert moved.verdict == base.verdict
         assert moved.stage_duration_s == pytest.approx(base.stage_duration_s, abs=1e-9)
@@ -221,7 +220,7 @@ class TestDetectStage2:
         assert all(l.split()[0] in ("phase", "alert") for l in lines[2:])
 
     def test_empty_stream_not_completed(self):
-        report = detect_stage2(FrameStream([], 100.0))
+        report = detect_stage2(FrameStream([]))
         assert report.verdict == Verdict.NOT_COMPLETED
         assert report.phase_timeline == ()
         assert report.stage_duration_s is None
