@@ -31,7 +31,6 @@ from .features import (
     OppositionResult,
     PalmOrientation,
     PalmShape,
-    StageId,
     StageSignature,
     TrajectoryKind,
     classify_palm_shape,

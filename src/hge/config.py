@@ -13,7 +13,7 @@ from .errors import ConfigError
 
 
 def _ranged(default: float, lo: float, hi: float):
-    """A threshold field with its valid range [lo, hi], which validate() checks."""
+    """A threshold field with its valid range [lo, hi], which _check_range enforces."""
     return field(default=default, metadata={"range": (lo, hi)})
 
 
@@ -63,11 +63,8 @@ class EngineConfig:
     stage_max_slack_s: float = _ranged(0.5, 0.0, 5.0)        # covers the occlusion-before-rub lead-in
 
     def validate(self) -> "EngineConfig":
-        for f in fields(self):
-            lo, hi = f.metadata["range"]
-            v = getattr(self, f.name)
-            if not (lo <= v <= hi):
-                raise ConfigError(f"{f.name}={v} outside valid range [{lo}, {hi}]")
+        for name in _RANGES:
+            _check_range(name, getattr(self, name))
         if self.circle_radius_min_mm >= self.circle_radius_max_mm:
             raise ConfigError("circle radius band is empty")
         if self.rub_freq_min_hz >= self.rub_freq_max_hz:
@@ -77,7 +74,14 @@ class EngineConfig:
         return self
 
 
-_FIELD_NAMES = {f.name for f in fields(EngineConfig)}
+_RANGES = {f.name: f.metadata["range"] for f in fields(EngineConfig)}
+
+
+def _check_range(name: str, value: float, where: str = ""):
+    lo, hi = _RANGES[name]
+    if not (lo <= value <= hi):
+        raise ConfigError(f"{where}{name}={value} outside valid range [{lo}, {hi}]")
+
 
 DEFAULT_CONFIG = EngineConfig().validate()
 
@@ -96,12 +100,13 @@ def parse_config_text(text: str) -> EngineConfig:
         if len(parts) != 2:
             raise ConfigError(f"line {lineno}: expected 'key value', got {raw!r}")
         key, value = parts
-        if key not in _FIELD_NAMES:
+        if key not in _RANGES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             overrides[key] = float(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} value {value!r} is not numeric") from None
+        _check_range(key, overrides[key], f"line {lineno}: ")
     return replace(DEFAULT_CONFIG, **overrides).validate()
 
 

@@ -42,11 +42,6 @@ class TrajectoryKind(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-class StageId(str, Enum):
-    STAGE2 = "Stage2"
-    STAGE3 = "Stage3"
-
-
 @dataclass(frozen=True)
 class OppositionResult:
     """Magnitude of the summed palm normals and the facing verdict."""
@@ -94,7 +89,6 @@ class StageSignature:
     its neighbours; the rest must merely not be contradicted.
     """
 
-    stage_id: StageId
     orientation: PalmOrientation
     palm_shape: PalmShape
     spread: FingerSpread
@@ -110,7 +104,6 @@ class StageSignature:
 
 
 STAGE2_SIGNATURE = StageSignature(
-    stage_id=StageId.STAGE2,
     orientation=PalmOrientation.FACING_EACH_OTHER,
     palm_shape=PalmShape.FLAT,
     spread=FingerSpread.CLOSED,
@@ -121,7 +114,6 @@ STAGE2_SIGNATURE = StageSignature(
 )
 
 STAGE3_SIGNATURE = StageSignature(
-    stage_id=StageId.STAGE3,
     orientation=PalmOrientation.ONE_PALM_OVER_OTHER,
     palm_shape=PalmShape.FLAT,
     spread=FingerSpread.OPEN,
@@ -417,19 +409,16 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     if len(positions) >= 10:
         # trim to the trailing 5 s so the classifier precondition holds
         cut = stamps >= stamps[-1] - 5000.0
-        traj_span = min(span_s, 5.0)
-        if traj_span >= 0.25:
-            try:
-                trajectory = classify_trajectory(positions[cut], traj_span, config)
-            except TooFewSamples:
-                pass
-
-    frequency = None
-    if len(positions) >= 2:
         try:
-            frequency = estimate_frequency(positions, stamps, config)
+            trajectory = classify_trajectory(positions[cut], min(span_s, 5.0), config)
         except TooFewSamples:
             pass
+
+    frequency = None
+    try:
+        frequency = estimate_frequency(positions, stamps, config)
+    except TooFewSamples:
+        pass
 
     return FeatureVector(
         palm_orientation=orientation,

@@ -41,7 +41,7 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 NORMAL_TOLERANCE = 1e-3   # renormalize within this, reject beyond it
-MERGE_WINDOW_MS = 5       # half the frame period at the slowest paper rate
+MERGE_WINDOW_MS = 5       # one frame period at DEVICE_FPS_MAX
 DEVICE_FPS_MIN = 50.0     # the tracker rates the paper covers
 DEVICE_FPS_MAX = 200.0
 
@@ -163,54 +163,38 @@ def validate_frame(frame: Frame) -> Frame:
 def merge_hand_streams(left, right) -> FrameStream:
     """Align per-hand (timestamp, observation) records into two-hand frames.
 
-    Records whose timestamps differ by at most MERGE_WINDOW_MS merge into one
-    frame stamped with the left record's time. Each left record takes the
-    right record with the same timestamp when one exists, otherwise the
-    earliest unused right inside the window; for sorted inputs this pairs the
-    maximum possible number of records. Unmatched records become single-hand
-    frames.
+    A left and a right record with equal timestamps always share a frame.
+    Every other left record takes the earliest unused right record within
+    MERGE_WINDOW_MS whose timestamp no left record holds; the frame keeps the
+    left record's time. This greedy rule is not a maximum matching: left
+    [5, 9] and right [0, 5] pair once, 5 with 5. Unmatched records become
+    single-hand frames.
     """
     for name, records in (("left", left), ("right", right)):
         for k in range(1, len(records)):
             if records[k][0] <= records[k - 1][0]:
                 raise NonMonotonicTimestamp(f"{name} records not strictly increasing at index {k}")
 
-    used = [False] * len(right)
-    partner = [None] * len(left)
-    lo = 0
-    for i, (tl, _) in enumerate(left):
-        while lo < len(right) and right[lo][0] < tl - MERGE_WINDOW_MS:
-            lo += 1
-        exact = None
-        smallest = None
-        j = lo
-        while j < len(right) and right[j][0] <= tl + MERGE_WINDOW_MS:
-            if not used[j]:
-                if right[j][0] == tl:
-                    exact = j
-                    break
-                if smallest is None:
-                    smallest = j
-            j += 1
-        pick = exact if exact is not None else smallest
-        if pick is not None:
-            used[pick] = True
-            partner[i] = pick
-
+    exact = {t: j for j, (t, _) in enumerate(right)}
+    left_times = {t for t, _ in left}
+    used = [t in left_times for t, _ in right]    # reserved for the left record at its time
     frames = []
-    for i, (tl, ol) in enumerate(left):
-        if partner[i] is None:
-            frames.append(Frame(tl, (ol,)))
-        else:
-            frames.append(Frame(tl, (ol, right[partner[i]][1])))
+    lo = 0
+    for tl, ol in left:
+        pick = exact.get(tl)
+        if pick is None:
+            while lo < len(right) and right[lo][0] < tl - MERGE_WINDOW_MS:
+                lo += 1
+            j = lo
+            while j < len(right) and right[j][0] <= tl + MERGE_WINDOW_MS:
+                if not used[j]:
+                    used[j] = True
+                    pick = j
+                    break
+                j += 1
+        frames.append(Frame(tl, (ol,) if pick is None else (ol, right[pick][1])))
     frames.extend(Frame(t, (o,)) for (t, o), was_used in zip(right, used) if not was_used)
-    frames.sort(key=lambda f: f.timestamp)
-
-    for k in range(1, len(frames)):
-        if frames[k].timestamp <= frames[k - 1].timestamp:
-            raise NonMonotonicTimestamp(
-                "merged frames collide in time; per-hand records are closer than the merge window"
-            )
+    frames.sort(key=_timestamp)
     return FrameStream(frames)
 
 

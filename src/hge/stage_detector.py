@@ -78,7 +78,6 @@ class DetectorState:
     """Everything a detection run remembers between frames."""
 
     phase: Phase = Phase.AWAITING_TWO_HANDS
-    phase_entry_time: int = 0
     last_ts: Optional[int] = None
     prev_hand_count: int = 0
     seen_hand: bool = False
@@ -97,7 +96,6 @@ class DetectorState:
     pos_window: deque = field(default_factory=deque)    # (ts, palm position), rub_freq_window_s long
     rub_evals: int = 0
     rub_ok: int = 0
-    rub_armed: bool = False
     rub_none_streak: int = 0
 
 
@@ -138,7 +136,6 @@ class Stage2Detector:
 
     def _enter(self, phase: Phase, ts: int, detail: str = ""):
         self.state.phase = phase
-        self.state.phase_entry_time = ts
         self.events.append(Event(ts, phase.value, detail))
 
     # -- per-phase helpers ------------------------------------------------
@@ -211,8 +208,7 @@ class Stage2Detector:
             hi = cfg.rub_freq_max_hz + cfg.rub_freq_tolerance_hz
             if lo <= freq <= hi:
                 s.rub_ok += 1
-                s.rub_armed = True
-        elif s.rub_armed:
+        elif s.rub_ok:     # an in-band rub was seen; three unscored windows in a row end it
             s.rub_none_streak += 1
             if s.rub_none_streak >= 3:
                 self._evaluate_completion(ts, "oscillation_stopped")
@@ -345,7 +341,8 @@ class Stage2Detector:
         completed = s.phase == Phase.COMPLETED
         alerts = [(ev.timestamp_ms, AlertKind(ev.name)) for ev in self.events if ev.name in _ALERT_NAMES]
         entries = [(Phase(ev.name), ev.timestamp_ms) for ev in self.events if ev.name in _ENTRY_NAMES]
-        stops = [start for _, start in entries[1:]] + [s.phase_entry_time if completed else s.last_ts]
+        # a completed run stops at its Completed entry, the last event
+        stops = [start for _, start in entries[1:]] + [self.events[-1].timestamp_ms if completed else s.last_ts]
         return StageReport(
             verdict=Verdict.COMPLETED if completed else Verdict.NOT_COMPLETED,
             phase_timeline=tuple((phase, start, stop) for (phase, start), stop in zip(entries, stops)),

@@ -9,7 +9,7 @@ feature extractors. Everything is a pure function of the script and its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -68,7 +68,6 @@ class PhaseSpec:
     oscillation_amplitude_mm: float = 15.0   # keeps the stacked palms within the 30 degree cone
     opposed_normals: bool = True          # False keeps both palms pointing one way
     primitive_kind: Optional[PrimitiveKind] = None
-    primitive_params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def _stage3_pair(spec, t_in_phase):
 
 
 def _primitive_hand(spec, t_in_phase):
-    pos, vel = _primitive_point(spec.primitive_kind, spec.primitive_params, t_in_phase)
+    pos, vel = _primitive_point(spec.primitive_kind, {}, t_in_phase)
     return _hand(Handedness.RIGHT, pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
 
 
@@ -345,8 +344,13 @@ def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
 
 # -- script text format -------------------------------------------------------
 
-_SCRIPT_KEYS = {"fps", "seed", "noise_sigma", "occlusion", "surviving_hand"}
-_SCRIPT_FLOAT_KEYS = {"fps", "noise_sigma"}
+_SCRIPT_KEYS = {   # global key -> (GestureScript field, converter)
+    "fps": ("fps", float),
+    "noise_sigma": ("noise_sigma", float),
+    "seed": ("seed", int),
+    "occlusion": ("occlusion_model", OcclusionModel),
+    "surviving_hand": ("surviving_hand", lambda v: Handedness(v.capitalize())),
+}
 _PHASE_FLOAT_KEYS = {
     "duration_s", "separation_mm", "start_separation_mm", "end_separation_mm",
     "approach_speed_mm_s", "rub_frequency_hz", "rub_radius_mm",
@@ -354,12 +358,14 @@ _PHASE_FLOAT_KEYS = {
 }
 
 
-def _script_float(key: str, value: str, lineno: int) -> float:
+def _script_value(key: str, value: str, lineno: int, convert=float):
+    """The value as `convert` reads it; a float must also be finite."""
     try:
-        x = float(value)
+        x = convert(value)
     except ValueError:
-        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not numeric") from None
-    if not math.isfinite(x):
+        what = "numeric" if convert is float else "valid"
+        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not {what}") from None
+    if convert is float and not math.isfinite(x):
         raise InvalidScript(f"line {lineno}: {key} value {value!r} is not finite")
     return x
 
@@ -397,14 +403,11 @@ def parse_script_text(text: str) -> GestureScript:
                     raise InvalidScript(f"line {lineno}: expected k=v, got {token!r}")
                 k, v = token.split("=", 1)
                 if k in _PHASE_FLOAT_KEYS:
-                    kwargs[k] = _script_float(k, v, lineno)
+                    kwargs[k] = _script_value(k, v, lineno)
                 elif k == "opposed_normals":
                     kwargs[k] = v.lower() in ("1", "true", "yes")
                 elif k == "primitive_kind":
-                    try:
-                        kwargs[k] = PrimitiveKind(v)
-                    except ValueError:
-                        raise InvalidScript(f"line {lineno}: unknown primitive kind {v!r}") from None
+                    kwargs[k] = _script_value(k, v, lineno, PrimitiveKind)
                 else:
                     raise InvalidScript(f"line {lineno}: unknown phase key {k!r}")
             if "duration_s" not in kwargs:
@@ -413,21 +416,12 @@ def parse_script_text(text: str) -> GestureScript:
         elif key in _SCRIPT_KEYS:
             if len(parts) != 2:
                 raise InvalidScript(f"line {lineno}: expected '{key} value'")
-            fields[key] = _script_float(key, parts[1], lineno) if key in _SCRIPT_FLOAT_KEYS else parts[1]
+            name, convert = _SCRIPT_KEYS[key]
+            fields[name] = _script_value(key, parts[1], lineno, convert)
         else:
             raise InvalidScript(f"line {lineno}: unknown key {key!r}")
 
-    try:
-        script = GestureScript(
-            phases=tuple(phases),
-            fps=fields.get("fps", 100.0),
-            noise_sigma=fields.get("noise_sigma", 0.0),
-            occlusion_model=OcclusionModel(fields.get("occlusion", "drop_on_contact")),
-            surviving_hand=Handedness(fields.get("surviving_hand", "right").capitalize()),
-            seed=int(fields.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise InvalidScript(str(exc)) from None
+    script = GestureScript(phases=tuple(phases), **fields)
     _validate_script(script)
     return script
 

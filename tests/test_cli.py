@@ -127,6 +127,18 @@ BAD_INPUTS = {
     "negative_seed": ({"s.script": b"seed -1\nphase idle duration_s=1\n"},
                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                       ["s.script", "seed"]),
+    "config_out_of_range": ({"cfg.txt": b"# demand a long stage\nstage_min_s 100\n"},
+                            ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                            ["cfg.txt", "line 2", "stage_min_s=100.0", "[0.1, 60.0]"]),
+    "seed_not_integer": ({"s.script": b"phase idle duration_s=1\nseed abc\n"},
+                         ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                         ["s.script", "line 2", "seed", "'abc'"]),
+    "occlusion_unknown": ({"s.script": b"fps 100\nocclusion bogus\nphase idle duration_s=1\n"},
+                          ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                          ["s.script", "line 2", "occlusion", "'bogus'"]),
+    "surviving_hand_unknown": ({"s.script": b"phase idle duration_s=1\n\nsurviving_hand middle\n"},
+                               ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                               ["s.script", "line 3", "surviving_hand", "'middle'"]),
     "mlprep_empty_label": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0,1500,x\n"
                                       "left.csv,right.csv,0,1500,\n").encode()},
                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 3", "label"]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hge import (
     CSV_HEADER,
@@ -24,7 +26,10 @@ from hge import (
     write_csv_stream,
 )
 
+from hge.frame_model import MERGE_WINDOW_MS
+
 from helpers import NAN_ROW, brute_force_max_pairs, make_hand, renormalize_oracle, stream_scalars
+from test_ingest_properties import PROPERTY
 
 
 def two_hand_frame(ts=0):
@@ -141,6 +146,49 @@ class TestMerge:
     def test_non_monotonic_input_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
             merge_hand_streams(self.records([10, 10], Handedness.LEFT), [])
+
+    def merged_times(self, left, right):
+        """Each frame as (left timestamp or None, right timestamp or None)."""
+        left, right = self.records(left, Handedness.LEFT), self.records(right, Handedness.RIGHT)
+        stamp = {id(o): t for t, o in left + right}
+        return [tuple(stamp[id(o)] if o else None for o in (f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)))
+                for f in merge_hand_streams(left, right).frames]
+
+    def test_missing_right_record_does_not_shift_later_pairs(self):
+        # at 200 FPS the window also holds the neighbouring frame; L5 must not take L10's partner
+        assert self.merged_times([0, 5, 10, 15, 20], [0, 10, 15, 20]) == [
+            (0, 0), (5, None), (10, 10), (15, 15), (20, 20)]
+
+    def test_equal_timestamps_pair_even_where_a_larger_matching_exists(self):
+        assert brute_force_max_pairs([5, 9], [0, 5], 5) == 2
+        assert self.merged_times([5, 9], [0, 5]) == [(None, 0), (5, 5), (9, None)]
+
+
+_STAMPS = st.lists(st.integers(0, 120), max_size=25, unique=True).map(sorted)
+
+
+@PROPERTY
+@given(left=_STAMPS, right=_STAMPS)
+def test_merge_keeps_its_rule_on_any_sorted_timestamps(left, right):
+    left = [(t, make_hand(Handedness.LEFT)) for t in left]
+    right = [(t, make_hand(Handedness.RIGHT)) for t in right]
+    frames = merge_hand_streams(left, right).frames
+    stamps = [f.timestamp for f in frames]
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+    frame_of = {}
+    for f in frames:
+        for obs in f.hands:
+            assert id(obs) not in frame_of
+            frame_of[id(obs)] = f
+    assert len(frame_of) == len(left) + len(right)
+    right_at = {t: obs for t, obs in right}
+    for t, obs in left:
+        if t in right_at:
+            assert frame_of[id(obs)] is frame_of[id(right_at[t])]
+    unused = [t for t, obs in right if frame_of[id(obs)].hand_count == 1]
+    for f in frames:
+        if f.hand_count == 1 and f.hands[0].handedness == Handedness.LEFT:
+            assert all(abs(t - f.timestamp) > MERGE_WINDOW_MS for t in unused)
 
 
 class TestCsv:

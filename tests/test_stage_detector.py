@@ -1,6 +1,9 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hge import (
     DEFAULT_CONFIG,
@@ -13,14 +16,16 @@ from hge import (
     Stage2Detector,
     Verdict,
     detect_stage2,
+    drop_frames,
     generate,
     make_ablation_stream,
     make_canonical_script,
 )
 from hge.stage_detector import WORKING_PHASES
-from hge.synth import ABLATIONS
+from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec, PrimitiveKind
 
 from helpers import facing_frames, make_hand
+from test_ingest_properties import PROPERTY
 
 
 def canonical_stream(seed=0, **kw):
@@ -224,3 +229,49 @@ class TestDetectStage2:
         assert report.verdict == Verdict.NOT_COMPLETED
         assert report.phase_timeline == ()
         assert report.stage_duration_s is None
+
+
+_DURATION = st.floats(0.1, 3.0)
+_PHASE = st.one_of(
+    st.builds(PhaseSpec, st.sampled_from([k for k in PhaseKind if k != PhaseKind.PRIMITIVE]), _DURATION,
+              opposed_normals=st.booleans()),
+    st.builds(PhaseSpec, st.just(PhaseKind.PRIMITIVE), _DURATION, primitive_kind=st.sampled_from(PrimitiveKind)))
+# the canonical hold, approach and rub with drawn durations, so some runs complete,
+# and maybe one more phase, so some complete before the stream ends
+_CANONICAL = st.builds(lambda hold, approach, rub, tail: (PhaseSpec(PhaseKind.FACING_HOLD, hold),
+                                                          PhaseSpec(PhaseKind.APPROACH, approach),
+                                                          PhaseSpec(PhaseKind.RUB_CIRCULAR, rub)) + tuple(tail),
+                       st.floats(0.2, 1.0), st.floats(0.3, 1.0), st.floats(0.5, 4.0),
+                       st.lists(_PHASE, max_size=1))
+_SCRIPTS = st.builds(GestureScript, st.one_of(_CANONICAL, st.lists(_PHASE, min_size=1, max_size=4).map(tuple)),
+                     fps=st.floats(50.0, 200.0), noise_sigma=st.sampled_from([0.0, 0.5, 2.0]),
+                     surviving_hand=st.sampled_from(Handedness), seed=st.integers(0, 1000))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(script=_SCRIPTS, drop_rate=st.sampled_from([0.0, 0.0, 0.05, 0.3]), drop_seed=st.integers(0, 1000))
+def test_detector_invariants_on_drawn_scripts(script, drop_rate, drop_seed):
+    """Detection never raises, its windows stay bounded, and its report agrees with its events."""
+    stream, _ = generate(script)
+    frames = drop_frames(stream, drop_rate, drop_seed).frames
+    det = Stage2Detector()
+    # timestamps are rounded to whole ms, so a window can hold one sample more than span_s * fps + 1
+    dist_max = math.ceil(DEFAULT_CONFIG.approach_window_s * script.fps) + 1
+    pos_max = math.ceil(DEFAULT_CONFIG.rub_freq_window_s * script.fps) + 1
+    for frame in frames:
+        det.step(frame)
+        assert len(det.state.dist_window) <= dist_max and len(det.state.pos_window) <= pos_max
+    report = det.report()
+    if not frames:
+        assert report.phase_timeline == () and report.verdict == Verdict.NOT_COMPLETED
+        return
+    timeline = report.phase_timeline
+    assert timeline[0][1] == frames[0].timestamp
+    for (_, _, end), (_, start, _) in zip(timeline, timeline[1:]):
+        assert end == start
+    terminal = [k for k, ev in enumerate(report.events) if ev.name in (Phase.COMPLETED.value, Phase.FAILED.value)]
+    assert terminal == [len(report.events) - 1]
+    last = report.events[-1]
+    completed = last.name == Phase.COMPLETED.value
+    assert report.verdict == (Verdict.COMPLETED if completed else Verdict.NOT_COMPLETED)
+    assert timeline[-1][2] == (last.timestamp_ms if completed else frames[-1].timestamp)
