@@ -9,14 +9,12 @@ and exports feature datasets for classifier training.
 from .config import DEFAULT_CONFIG, EngineConfig, parse_config_text
 from .errors import (
     ConfigError,
-    DuplicateHandedness,
     EngineError,
     GrabOutOfRange,
     HeaderMismatch,
     InsufficientWindow,
     InvalidScript,
     MalformedRow,
-    NonFiniteValue,
     NonMonotonicTimestamp,
     NonUnitNormal,
     OutOfOrderFrame,
@@ -51,8 +49,6 @@ from .frame_model import (
     merge_hand_streams,
     parse_csv_stream,
     parse_hand_csv,
-    validate_frame,
-    validate_observation,
     write_csv_stream,
 )
 from .mlprep import DatasetRow, build_dataset, rows_to_csv
@@ -80,7 +76,6 @@ from .synth import (
     make_canonical_script,
     make_stage3_script,
     parse_script_text,
-    random_plane_basis,
     remove_phase_frames,
 )
 

@@ -128,10 +128,7 @@ def _parse_pair(left_path: str, right_path: str):
         except EngineError as exc:
             # the parser reports line numbers; prefix the offending file
             raise EngineError(f"{path}: {exc}") from None
-    try:
-        return merge_hand_streams(*records)
-    except EngineError as exc:
-        raise EngineError(f"{left_path} + {right_path}: {exc}") from None
+    return merge_hand_streams(*records)
 
 
 def _cmd_synth(args) -> int:

@@ -47,8 +47,8 @@ class EngineConfig:
     not_facing_alert_s: float = _ranged(2.0, 0.1, 30.0)
     approach_window_s: float = _ranged(0.5, 0.1, 5.0)
     approach_slope_mm_s: float = _ranged(-20.0, -10000.0, -0.1)
-    contact_distance_mm: float = _ranged(30.0, 1.0, 200.0)
-    contact_margin_mm: float = _ranged(5.0, 0.0, 50.0)       # one frame of closing at the slowest rate
+    # palms close enough to touch (30 mm), plus one frame of closing at the slowest frame rate
+    contact_distance_mm: float = _ranged(35.0, 1.0, 250.0)
     rotation_sweep_deg: float = _ranged(180.0, 10.0, 1080.0)
     sweep_min_speed_mm_s: float = _ranged(5.0, 0.1, 1000.0)
     sweep_max_step_deg: float = _ranged(150.0, 90.0, 179.0)  # larger per-frame jumps are reversals, not rotation

@@ -94,13 +94,12 @@ class StageSignature:
     spread: FingerSpread
     trajectories: frozenset
     frequency_range_hz: Tuple[float, float]
-    duration_range_s: Tuple[float, float]
     discriminative: frozenset
 
     def __post_init__(self):
-        for lo, hi in (self.frequency_range_hz, self.duration_range_s):
-            if lo > hi:
-                raise ValueError("signature range is empty")
+        lo, hi = self.frequency_range_hz
+        if lo > hi:
+            raise ValueError("signature frequency range is empty")
 
 
 STAGE2_SIGNATURE = StageSignature(
@@ -109,7 +108,6 @@ STAGE2_SIGNATURE = StageSignature(
     spread=FingerSpread.CLOSED,
     trajectories=frozenset({TrajectoryKind.LINEAR, TrajectoryKind.CIRCULAR}),
     frequency_range_hz=(DEFAULT_CONFIG.rub_freq_min_hz, DEFAULT_CONFIG.rub_freq_max_hz),
-    duration_range_s=(DEFAULT_CONFIG.stage_min_s, DEFAULT_CONFIG.stage_max_s),
     discriminative=frozenset({"orientation", "spread"}),
 )
 
@@ -119,7 +117,6 @@ STAGE3_SIGNATURE = StageSignature(
     spread=FingerSpread.OPEN,
     trajectories=frozenset({TrajectoryKind.LINEAR}),
     frequency_range_hz=(1.0, 3.0),
-    duration_range_s=(1.0, 10.0),
     discriminative=frozenset({"orientation", "spread"}),
 )
 
@@ -186,7 +183,7 @@ def _fit_circle_2d(uv: np.ndarray):
     return cx, cy, math.sqrt(r_sq) if r_sq > 0 else float("nan")
 
 
-def classify_trajectory(palm_positions, window_span_s: float, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
+def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
     """Label a short palm path as Linear, Circular, or Indeterminate.
 
     Linear when the best-fit line explains enough positional variance;
@@ -199,8 +196,6 @@ def classify_trajectory(palm_positions, window_span_s: float, config: EngineConf
         raise ValueError("palm_positions must be an (n, 3) array")
     if len(pts) < 10:
         raise TooFewSamples(f"need at least 10 samples, got {len(pts)}")
-    if not 0.25 <= window_span_s <= 5.0:
-        raise ValueError(f"window_span_s {window_span_s} outside [0.25, 5]")
 
     if float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()) < config.stationary_path_mm:
         return TrajectoryKind.INDETERMINATE
@@ -407,10 +402,10 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
 
     trajectory = TrajectoryKind.INDETERMINATE
     if len(positions) >= 10:
-        # trim to the trailing 5 s so the classifier precondition holds
+        # a trajectory is a short path: classify the trailing 5 s
         cut = stamps >= stamps[-1] - 5000.0
         try:
-            trajectory = classify_trajectory(positions[cut], min(span_s, 5.0), config)
+            trajectory = classify_trajectory(positions[cut], config)
         except TooFewSamples:
             pass
 

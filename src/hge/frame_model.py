@@ -18,15 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DuplicateHandedness,
-    GrabOutOfRange,
-    HeaderMismatch,
-    MalformedRow,
-    NonFiniteValue,
-    NonMonotonicTimestamp,
-    NonUnitNormal,
-)
+from .errors import HeaderMismatch, MalformedRow, NonMonotonicTimestamp
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
@@ -113,51 +105,6 @@ def row_norms(v: np.ndarray) -> np.ndarray:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of matching rows of two (..., 3) arrays, as `a[i] @ b[i]` computes it."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def validate_observation(obs: HandObservation) -> HandObservation:
-    """Check one observation's invariants; renormalizes a near-unit palm normal.
-
-    Each fingertip row is all finite, or all NaN for an untracked tip.
-    """
-    tips = np.asarray(obs.fingertips, float)
-    if tips.shape != (5, 3):
-        raise ValueError(f"expected (5, 3) fingertips thumb..pinky, got shape {tips.shape}")
-    for field, value in (("palm_position", obs.palm_position), ("palm_normal", obs.palm_normal),
-                         ("palm_velocity", obs.palm_velocity), ("grab_strength", obs.grab_strength),
-                         ("fingertips", tips[~np.isnan(tips).all(axis=1)])):
-        if not np.isfinite(np.asarray(value, float)).all():
-            raise NonFiniteValue(field)
-    if not 0.0 <= float(obs.grab_strength) <= 1.0:
-        raise GrabOutOfRange(f"grab_strength {obs.grab_strength} outside [0, 1]")
-    normal = np.asarray(obs.palm_normal, float)
-    norm = float(np.linalg.norm(normal))
-    if abs(norm - 1.0) > NORMAL_TOLERANCE:
-        raise NonUnitNormal(f"|palm_normal| = {norm:.6f} deviates more than {NORMAL_TOLERANCE}")
-    return HandObservation(
-        handedness=Handedness(obs.handedness),
-        palm_position=np.asarray(obs.palm_position, float),
-        palm_normal=normal / norm,
-        palm_velocity=np.asarray(obs.palm_velocity, float),
-        grab_strength=float(obs.grab_strength),
-        fingertips=tips,
-    )
-
-
-def validate_frame(frame: Frame) -> Frame:
-    """Return the frame with all invariants checked and normals renormalized."""
-    if frame.timestamp < 0:
-        raise ValueError(f"negative timestamp {frame.timestamp}")
-    if len(frame.hands) > 2:
-        raise ValueError(f"frame holds {len(frame.hands)} hands, at most 2 allowed")
-    seen = set()
-    hands = []
-    for obs in frame.hands:
-        if obs.handedness in seen:
-            raise DuplicateHandedness(f"two {Handedness(obs.handedness).value} hands at t={frame.timestamp}")
-        seen.add(obs.handedness)
-        hands.append(validate_observation(obs))
-    return Frame(timestamp=int(frame.timestamp), hands=tuple(hands))
 
 
 def merge_hand_streams(left, right) -> FrameStream:

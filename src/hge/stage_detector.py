@@ -288,7 +288,7 @@ class Stage2Detector:
                 self._update_two_hand_tracking(frame)
             elif hc == 1 and s.prev_hand_count == 2 and s.dist_window:
                 last_d = s.dist_window[-1][1]
-                if last_d < cfg.contact_distance_mm + cfg.contact_margin_mm:
+                if last_d < cfg.contact_distance_mm:
                     s.surviving = frame.hands[0].handedness
                     s.contact_ts = ts
                     self._enter(Phase.CONTACT_OCCLUDED, ts, f"distance_mm={last_d:.1f}")

@@ -116,18 +116,18 @@ def _fingertips(palm, forward, lateral, spacing):
     return np.array([row + (k - 2) * spacing * lateral for k in range(5)])
 
 
-def _hand(handedness, palm, normal, velocity, forward, lateral, spacing, grab=FLAT_GRAB):
+def _hand(handedness, palm, normal, velocity, forward, lateral, spacing):
     return HandObservation(
         handedness=handedness,
         palm_position=np.asarray(palm, float),
         palm_normal=np.asarray(normal, float),
         palm_velocity=np.asarray(velocity, float),
-        grab_strength=grab,
+        grab_strength=FLAT_GRAB,
         fingertips=_fingertips(np.asarray(palm, float), forward, lateral, spacing),
     )
 
 
-def _facing_pair(separation, closing_speed, spacing, opposed):
+def _facing_pair(separation, closing_speed, opposed):
     """Two palms on the x axis; opposed normals point at each other."""
     center = PALM_HEIGHT_MM * Y
     left_palm = center - separation / 2.0 * X
@@ -136,8 +136,8 @@ def _facing_pair(separation, closing_speed, spacing, opposed):
     right_normal = -X if opposed else X
     left_vel = closing_speed / 2.0 * X
     right_vel = -closing_speed / 2.0 * X
-    left = _hand(Handedness.LEFT, left_palm, left_normal, left_vel, Z, Y, spacing)
-    right = _hand(Handedness.RIGHT, right_palm, right_normal, right_vel, Z, Y, spacing)
+    left = _hand(Handedness.LEFT, left_palm, left_normal, left_vel, Z, Y, CLOSED_TIP_SPACING_MM)
+    right = _hand(Handedness.RIGHT, right_palm, right_normal, right_vel, Z, Y, CLOSED_TIP_SPACING_MM)
     return left, right
 
 
@@ -209,12 +209,12 @@ def generate(script: GestureScript):
         if spec.kind == PhaseKind.IDLE:
             hands = ()
         elif spec.kind == PhaseKind.FACING_HOLD:
-            hands = _facing_pair(spec.separation_mm, 0.0, CLOSED_TIP_SPACING_MM, spec.opposed_normals)
+            hands = _facing_pair(spec.separation_mm, 0.0, spec.opposed_normals)
         elif spec.kind == PhaseKind.APPROACH:
             end = _approach_end(spec)
             speed = (spec.start_separation_mm - end) / spec.duration_s
             separation = spec.start_separation_mm - speed * t_in
-            hands = _facing_pair(separation, speed, CLOSED_TIP_SPACING_MM, spec.opposed_normals)
+            hands = _facing_pair(separation, speed, spec.opposed_normals)
         elif spec.kind == PhaseKind.RUB_CIRCULAR:
             hands = _rub_pair(spec, t_in, spec.opposed_normals)
         elif spec.kind == PhaseKind.STAGE3_LINEAR:
@@ -303,22 +303,6 @@ def generate_primitive(kind: PrimitiveKind, **params):
     return positions, timestamps
 
 
-def random_plane_basis(rng):
-    """Orthonormal (u, v) spanning a uniformly random plane."""
-    while True:
-        u = rng.normal(size=3)
-        nu = np.linalg.norm(u)
-        if nu > 1e-6:
-            u = u / nu
-            break
-    while True:
-        w = rng.normal(size=3)
-        v = w - (w @ u) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            return u, v / nv
-
-
 # -- perturbations ----------------------------------------------------------
 
 def remove_phase_frames(stream: FrameStream, labels, phase):
@@ -356,13 +340,14 @@ _PHASE_FLOAT_KEYS = {
     "approach_speed_mm_s", "rub_frequency_hz", "rub_radius_mm",
     "oscillation_frequency_hz", "oscillation_amplitude_mm",
 }
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}   # any case
 
 
 def _script_value(key: str, value: str, lineno: int, convert=float):
     """The value as `convert` reads it; a float must also be finite."""
     try:
         x = convert(value)
-    except ValueError:
+    except (ValueError, KeyError):
         what = "numeric" if convert is float else "valid"
         raise InvalidScript(f"line {lineno}: {key} value {value!r} is not {what}") from None
     if convert is float and not math.isfinite(x):
@@ -405,7 +390,7 @@ def parse_script_text(text: str) -> GestureScript:
                 if k in _PHASE_FLOAT_KEYS:
                     kwargs[k] = _script_value(k, v, lineno)
                 elif k == "opposed_normals":
-                    kwargs[k] = v.lower() in ("1", "true", "yes")
+                    kwargs[k] = _script_value(k, v, lineno, lambda v: _FLAGS[v.lower()])
                 elif k == "primitive_kind":
                     kwargs[k] = _script_value(k, v, lineno, PrimitiveKind)
                 else:

@@ -52,11 +52,6 @@ def chord_oracle(a, b):
     return 2.0 * math.sin(math.acos(cos_theta) / 2.0)
 
 
-def renormalize_oracle(v):
-    v = np.asarray(v, float)
-    return v / np.linalg.norm(v)
-
-
 def brute_force_max_pairs(left_ts, right_ts, window):
     """Maximum number of order-preserving record pairs within the window,
     found by exhaustive subproblem search."""
@@ -81,6 +76,17 @@ def random_unit(rng):
         n = np.linalg.norm(v)
         if n > 1e-9:
             return v / n
+
+
+def random_plane_basis(rng):
+    """Orthonormal (u, v) spanning a uniformly random plane."""
+    u = random_unit(rng)
+    while True:
+        w = rng.normal(size=3)
+        v = w - (w @ u) * u
+        nv = np.linalg.norm(v)
+        if nv > 1e-6:
+            return u, v / nv
 
 
 def random_rotation(rng):

@@ -33,14 +33,13 @@ from hge import (
     match_signature,
     palm_opposition,
     parse_csv_stream,
-    random_plane_basis,
     write_csv_stream,
 )
 from hge.cli import run
 from hge.synth import ABLATIONS, OcclusionModel
 from dataclasses import replace
 
-from helpers import chord_oracle, random_unit, stream_scalars
+from helpers import chord_oracle, random_plane_basis, random_unit, stream_scalars
 
 
 def _finish(number, ok, detail):
@@ -110,16 +109,16 @@ def test_criterion_4_trajectory_classifier():
         return pts
 
     circles_ok = sum(
-        classify_trajectory(circle(rng.uniform(5.0, 200.0)), 1.0) == TrajectoryKind.CIRCULAR
+        classify_trajectory(circle(rng.uniform(5.0, 200.0))) == TrajectoryKind.CIRCULAR
         for _ in range(100))
     lines_ok = sum(
         classify_trajectory(
             np.outer(np.linspace(0.0, rng.uniform(30.0, 200.0), 60), random_unit(rng))
-            + rng.uniform(-100.0, 100.0, 3), 1.0) == TrajectoryKind.LINEAR
+            + rng.uniform(-100.0, 100.0, 3)) == TrajectoryKind.LINEAR
         for _ in range(100))
     # noisy circles at rub-plausible radii: sigma=2 mm keeps residual under 10%
     noisy_ok = sum(
-        classify_trajectory(circle(rng.uniform(25.0, 200.0), noise=2.0), 1.0) == TrajectoryKind.CIRCULAR
+        classify_trajectory(circle(rng.uniform(25.0, 200.0), noise=2.0)) == TrajectoryKind.CIRCULAR
         for _ in range(100))
     ok = circles_ok == 100 and lines_ok == 100 and noisy_ok >= 95
     _finish(4, ok, f"exact circles {circles_ok}/100, exact lines {lines_ok}/100, noisy circles {noisy_ok}/100")

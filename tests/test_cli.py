@@ -124,12 +124,18 @@ BAD_INPUTS = {
     "script_over_ten_minutes": ({"s.script": b"fps 50\nphase idle duration_s=601\n"},
                                 ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                                 ["s.script", "601 s"]),
+    "opposed_normals_misspelt": ({"s.script": b"fps 100\nphase facing_hold duration_s=1 opposed_normals=ture\n"},
+                                 ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                                 ["s.script", "line 2", "opposed_normals value 'ture' is not valid"]),
     "negative_seed": ({"s.script": b"seed -1\nphase idle duration_s=1\n"},
                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                       ["s.script", "seed"]),
     "config_out_of_range": ({"cfg.txt": b"# demand a long stage\nstage_min_s 100\n"},
                             ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
                             ["cfg.txt", "line 2", "stage_min_s=100.0", "[0.1, 60.0]"]),
+    "contact_margin_unknown": ({"cfg.txt": b"stage_min_s 2\ncontact_margin_mm 5\n"},
+                               ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                               ["cfg.txt", "line 2", "unknown key 'contact_margin_mm'"]),
     "seed_not_integer": ({"s.script": b"phase idle duration_s=1\nseed abc\n"},
                          ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                          ["s.script", "line 2", "seed", "'abc'"]),

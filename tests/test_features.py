@@ -36,7 +36,8 @@ from hge import (
 from hge.synth import OcclusionModel
 from dataclasses import replace
 
-from helpers import NAN_ROW, chord_oracle, facing_frames, make_hand, random_rotation, random_unit
+from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
+                     random_unit)
 
 
 class TestPalmOpposition:
@@ -171,41 +172,40 @@ def circle_points(radius, n=50, u=(1, 0, 0), v=(0, 0, 1), center=(0, 200, 0)):
 
 class TestTrajectory:
     def test_perfect_circle(self):
-        assert classify_trajectory(circle_points(50.0), 1.0) == TrajectoryKind.CIRCULAR
+        assert classify_trajectory(circle_points(50.0)) == TrajectoryKind.CIRCULAR
 
     def test_collinear_points(self):
         pts = np.outer(np.linspace(0, 80, 50), np.array([1.0, 0, 0]))
-        assert classify_trajectory(pts, 1.0) == TrajectoryKind.LINEAR
+        assert classify_trajectory(pts) == TrajectoryKind.LINEAR
 
     def test_noisy_circle(self):
         rng = np.random.default_rng(11)
         pts = circle_points(50.0) + rng.normal(0, 2.0, (50, 3))
-        assert classify_trajectory(pts, 1.0) == TrajectoryKind.CIRCULAR
+        assert classify_trajectory(pts) == TrajectoryKind.CIRCULAR
 
     def test_stationary(self):
         rng = np.random.default_rng(12)
         pts = np.array([100.0, 200.0, 0.0]) + rng.normal(0, 0.02, (50, 3))
-        assert classify_trajectory(pts, 1.0) == TrajectoryKind.INDETERMINATE
+        assert classify_trajectory(pts) == TrajectoryKind.INDETERMINATE
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            classify_trajectory(circle_points(50.0, n=9), 1.0)
+            classify_trajectory(circle_points(50.0, n=9))
 
     def test_lines_in_all_directions(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             d = random_unit(rng)
             pts = np.outer(np.linspace(0, rng.uniform(30, 150), 40), d) + rng.uniform(-100, 100, 3)
-            assert classify_trajectory(pts, 1.0) == TrajectoryKind.LINEAR
+            assert classify_trajectory(pts) == TrajectoryKind.LINEAR
 
     def test_circles_in_all_orientations(self):
-        from hge import random_plane_basis
         rng = np.random.default_rng(14)
         for _ in range(50):
             u, v = random_plane_basis(rng)
             r = rng.uniform(5, 200)
             pts = circle_points(r, n=60, u=u, v=v, center=rng.uniform(-100, 100, 3))
-            assert classify_trajectory(pts, 1.0) == TrajectoryKind.CIRCULAR
+            assert classify_trajectory(pts) == TrajectoryKind.CIRCULAR
 
 
 class TestFrequency:
@@ -341,9 +341,7 @@ def vector(**overrides):
 
 def test_stage2_bands_come_from_the_config():
     assert STAGE2_SIGNATURE.frequency_range_hz == (DEFAULT_CONFIG.rub_freq_min_hz, DEFAULT_CONFIG.rub_freq_max_hz)
-    assert STAGE2_SIGNATURE.duration_range_s == (DEFAULT_CONFIG.stage_min_s, DEFAULT_CONFIG.stage_max_s)
     assert STAGE2_SIGNATURE.frequency_range_hz == (0.8, 3.6)
-    assert STAGE2_SIGNATURE.duration_range_s == (2.0, 7.0)
 
 
 class TestMatchSignature:

@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from hge import (
     CSV_HEADER,
-    DuplicateHandedness,
     Frame,
-    GrabOutOfRange,
     Handedness,
     HeaderMismatch,
     FrameStream,
     MalformedRow,
-    NonFiniteValue,
     NonMonotonicTimestamp,
-    NonUnitNormal,
     build_dataset,
     detect_stage2,
     generate,
@@ -22,80 +18,13 @@ from hge import (
     merge_hand_streams,
     parse_csv_stream,
     parse_hand_csv,
-    validate_frame,
     write_csv_stream,
 )
 
 from hge.frame_model import MERGE_WINDOW_MS
 
-from helpers import NAN_ROW, brute_force_max_pairs, make_hand, renormalize_oracle, stream_scalars
+from helpers import NAN_ROW, brute_force_max_pairs, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
-
-
-def two_hand_frame(ts=0):
-    return Frame(ts, (make_hand(Handedness.LEFT, palm=(-75, 200, 0), normal=(1, 0, 0)),
-                      make_hand(Handedness.RIGHT, palm=(75, 200, 0), normal=(-1, 0, 0))))
-
-
-class TestValidateFrame:
-    def test_valid_frame_accepted_unchanged(self):
-        frame = two_hand_frame()
-        out = validate_frame(frame)
-        assert out.hand_count == 2
-        assert out.timestamp == 0
-        np.testing.assert_allclose(out.hands[0].palm_position, frame.hands[0].palm_position)
-        np.testing.assert_allclose(out.hands[0].palm_normal, frame.hands[0].palm_normal)
-
-    def test_duplicate_handedness_rejected(self):
-        frame = Frame(0, (make_hand(Handedness.RIGHT), make_hand(Handedness.RIGHT)))
-        with pytest.raises(DuplicateHandedness):
-            validate_frame(frame)
-
-    def test_near_unit_normal_renormalized(self):
-        raw = np.array([0.0, 1.0005, 0.0])
-        expected = renormalize_oracle(raw)   # deviation 5e-4 is inside the 1e-3 band
-        frame = Frame(0, (make_hand(Handedness.LEFT, normal=raw),))
-        out = validate_frame(frame)
-        np.testing.assert_allclose(out.hands[0].palm_normal, expected, atol=1e-12)
-        np.testing.assert_allclose(out.hands[0].palm_normal, [0.0, 1.0, 0.0], atol=1e-12)
-
-    def test_far_from_unit_normal_rejected(self):
-        frame = Frame(0, (make_hand(Handedness.LEFT, normal=(0.0, 1.002, 0.0)),))
-        with pytest.raises(NonUnitNormal):
-            validate_frame(frame)
-
-    def test_grab_out_of_range(self):
-        frame = Frame(0, (make_hand(Handedness.LEFT, grab=1.2),))
-        with pytest.raises(GrabOutOfRange):
-            validate_frame(frame)
-
-    @pytest.mark.parametrize("field, hand", [
-        ("palm_position", dict(palm=(np.nan, 200.0, 0.0))),
-        ("palm_normal", dict(normal=(np.nan, 0.0, 0.0))),
-        ("palm_velocity", dict(velocity=(0.0, np.inf, 0.0))),
-        ("grab_strength", dict(grab=np.nan)),
-        ("fingertips", dict(tips=(NAN_ROW, (1.0, 2.0, -np.inf), NAN_ROW, NAN_ROW, NAN_ROW))),
-        ("fingertips", dict(tips=((1.0, 2.0, 3.0), (1.0, np.nan, 3.0)) + (NAN_ROW,) * 3)),
-    ])
-    def test_non_finite_field_rejected(self, field, hand):
-        frame = Frame(0, (make_hand(Handedness.LEFT, **hand),))
-        with pytest.raises(NonFiniteValue) as err:
-            validate_frame(frame)
-        assert err.value.field == field
-        assert field in str(err.value)
-
-    @pytest.mark.parametrize("untracked", [[1], [0, 2, 4], [0, 1, 2, 3, 4]])
-    def test_nan_fingertip_rows_accepted_as_untracked(self, untracked):
-        hand = make_hand(Handedness.LEFT)
-        hand.fingertips[untracked] = np.nan
-        out = validate_frame(Frame(0, (hand,))).hands[0].fingertips
-        assert out.shape == (5, 3)
-        assert np.isnan(out).all(axis=1).tolist() == [k in untracked for k in range(5)]
-        np.testing.assert_array_equal(out, hand.fingertips)
-
-    def test_fingertips_must_be_five_rows_of_three(self):
-        with pytest.raises(ValueError, match="fingertips"):
-            validate_frame(Frame(0, (make_hand(Handedness.LEFT, tips=np.zeros((4, 3))),)))
 
 
 class TestMerge:
@@ -342,5 +271,3 @@ def test_no_layer_writes_into_the_shared_fingertip_block():
     detect_stage2(stream)
     build_dataset([(stream.slice_ms(t, t + 1500), "x") for t in range(0, 3500, 500)])
     write_csv_stream(stream)
-    for f in stream.frames:
-        validate_frame(f)

@@ -134,7 +134,7 @@ class TestPerturbations:
 class TestPrimitives:
     def test_circle_classifies_circular(self):
         pos, _ = generate_primitive(PrimitiveKind.CIRCLE, radius_mm=50.0, duration_s=1.0, fps=100.0)
-        assert classify_trajectory(pos, 1.0) == TrajectoryKind.CIRCULAR
+        assert classify_trajectory(pos) == TrajectoryKind.CIRCULAR
 
     def test_sinusoid_frequency(self):
         pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=2.0,
@@ -147,7 +147,7 @@ class TestPrimitives:
 
     def test_line_classifies_linear(self):
         pos, _ = generate_primitive(PrimitiveKind.LINE, speed_mm_s=60.0, duration_s=1.0, fps=100.0)
-        assert classify_trajectory(pos, 1.0) == TrajectoryKind.LINEAR
+        assert classify_trajectory(pos) == TrajectoryKind.LINEAR
 
 
 class TestScriptText:
@@ -177,6 +177,12 @@ phase rub_circular duration_s=3.0 rub_frequency_hz=2.0 rub_radius_mm=30
     def test_unknown_phase_kind_rejected(self):
         with pytest.raises(InvalidScript):
             parse_script_text("phase moonwalk duration_s=1\n")
+
+    @pytest.mark.parametrize("value, opposed", [("1", True), ("TRUE", True), ("Yes", True),
+                                                ("0", False), ("false", False), ("NO", False)])
+    def test_opposed_normals_spellings(self, value, opposed):
+        script = parse_script_text(f"phase facing_hold duration_s=1 opposed_normals={value}\n")
+        assert script.phases[0].opposed_normals is opposed
 
     def test_missing_duration_rejected(self):
         with pytest.raises(InvalidScript):
