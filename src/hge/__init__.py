@@ -51,7 +51,7 @@ from .frame_model import (
     parse_hand_csv,
     write_csv_stream,
 )
-from .mlprep import DatasetRow, build_dataset, rows_to_csv
+from .mlprep import build_dataset, rows_to_csv
 from .stage_detector import (
     AlertKind,
     DetectorState,

@@ -85,8 +85,9 @@ class FeatureVector:
 class StageSignature:
     """Expected feature values that identify one washing stage.
 
-    `discriminative` lists the features that alone separate this stage from
-    its neighbours; the rest must merely not be contradicted.
+    Orientation and finger spread separate the stage from its neighbours;
+    the palm shape, trajectories and frequency band must merely not be
+    contradicted.
     """
 
     orientation: PalmOrientation
@@ -94,7 +95,6 @@ class StageSignature:
     spread: FingerSpread
     trajectories: frozenset
     frequency_range_hz: Tuple[float, float]
-    discriminative: frozenset
 
     def __post_init__(self):
         lo, hi = self.frequency_range_hz
@@ -108,7 +108,6 @@ STAGE2_SIGNATURE = StageSignature(
     spread=FingerSpread.CLOSED,
     trajectories=frozenset({TrajectoryKind.LINEAR, TrajectoryKind.CIRCULAR}),
     frequency_range_hz=(DEFAULT_CONFIG.rub_freq_min_hz, DEFAULT_CONFIG.rub_freq_max_hz),
-    discriminative=frozenset({"orientation", "spread"}),
 )
 
 STAGE3_SIGNATURE = StageSignature(
@@ -117,7 +116,6 @@ STAGE3_SIGNATURE = StageSignature(
     spread=FingerSpread.OPEN,
     trajectories=frozenset({TrajectoryKind.LINEAR}),
     frequency_range_hz=(1.0, 3.0),
-    discriminative=frozenset({"orientation", "spread"}),
 )
 
 
@@ -183,6 +181,10 @@ def _fit_circle_2d(uv: np.ndarray):
     return cx, cy, math.sqrt(r_sq) if r_sq > 0 else float("nan")
 
 
+def _path_length(positions: np.ndarray) -> float:
+    return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+
+
 def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
     """Label a short palm path as Linear, Circular, or Indeterminate.
 
@@ -197,7 +199,7 @@ def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -
     if len(pts) < 10:
         raise TooFewSamples(f"need at least 10 samples, got {len(pts)}")
 
-    if float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()) < config.stationary_path_mm:
+    if _path_length(pts) < config.stationary_path_mm:
         return TrajectoryKind.INDETERMINATE
 
     centered = pts - pts.mean(axis=0)
@@ -391,13 +393,7 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     fingertip_distances = {h: _mean(hands[h].gaps[hands[h].gap_pairs > 0]) for h in Handedness}
     spreads = {h: _majority_spread(hands[h], config) for h in Handedness}
 
-    def path_length(h):
-        pos = hands[h].positions
-        if len(pos) < 2:
-            return 0.0
-        return float(np.linalg.norm(np.diff(pos, axis=0), axis=1).sum())
-
-    mover = max(Handedness, key=lambda h: (path_length(h), h == Handedness.RIGHT))
+    mover = max(Handedness, key=lambda h: (_path_length(hands[h].positions), h == Handedness.RIGHT))
     positions, stamps = hands[mover].positions, hands[mover].timestamps
 
     trajectory = TrajectoryKind.INDETERMINATE
@@ -432,54 +428,21 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     )
 
 
-_SATISFIED, _CONTRADICTED, _NO_INFO = "satisfied", "contradicted", "no_info"
-
-
-def _evaluate_feature(name: str, v: FeatureVector, s: StageSignature) -> str:
-    if name == "orientation":
-        return _SATISFIED if v.palm_orientation == s.orientation else _CONTRADICTED
-    if name == "shape":
-        present = [x for x in (v.palm_shape_left, v.palm_shape_right) if x is not None]
-        if not present:
-            return _NO_INFO
-        return _SATISFIED if all(x == s.palm_shape for x in present) else _CONTRADICTED
-    if name == "spread":
-        pair = (v.finger_spread_left, v.finger_spread_right)
-        if all(x == s.spread for x in pair):
-            return _SATISFIED
-        if any(x != FingerSpread.UNKNOWN and x != s.spread for x in pair):
-            return _CONTRADICTED
-        return _NO_INFO
-    if name == "trajectory":
-        if v.trajectory == TrajectoryKind.INDETERMINATE:
-            return _NO_INFO
-        return _SATISFIED if v.trajectory in s.trajectories else _CONTRADICTED
-    if name == "frequency":
-        if v.movement_frequency_hz is None:
-            return _NO_INFO
-        lo, hi = s.frequency_range_hz
-        return _SATISFIED if lo <= v.movement_frequency_hz <= hi else _CONTRADICTED
-    raise ValueError(f"unknown feature {name!r}")
-
-
 def match_signature(vector: FeatureVector, signature: StageSignature):
     """Compare a feature vector to a stage signature.
 
-    Returns (match, score): match requires every discriminative feature to be
-    satisfied and no other feature to be contradicted; score is the fraction
-    of discriminative features satisfied.
+    Returns (match, score). Match requires the signature's orientation and
+    its spread on both hands, and that no observed palm shape, determinate
+    trajectory or measured frequency contradicts it; score is the fraction
+    of orientation and spread that agree.
     """
-    names = ("orientation", "shape", "spread", "trajectory", "frequency")
-    satisfied_disc = 0
-    match = True
-    for name in names:
-        verdict = _evaluate_feature(name, vector, signature)
-        if name in signature.discriminative:
-            if verdict == _SATISFIED:
-                satisfied_disc += 1
-            else:
-                match = False
-        elif verdict == _CONTRADICTED:
-            match = False
-    score = satisfied_disc / len(signature.discriminative) if signature.discriminative else 1.0
-    return match, score
+    s, v = signature, vector
+    orientation = v.palm_orientation == s.orientation
+    spread = v.finger_spread_left == s.spread and v.finger_spread_right == s.spread
+    lo, hi = s.frequency_range_hz
+    contradicted = (
+        any(x is not None and x != s.palm_shape for x in (v.palm_shape_left, v.palm_shape_right))
+        or v.trajectory != TrajectoryKind.INDETERMINATE and v.trajectory not in s.trajectories
+        or v.movement_frequency_hz is not None and not lo <= v.movement_frequency_hz <= hi
+    )
+    return orientation and spread and not contradicted, (orientation + spread) / 2

@@ -1,15 +1,14 @@
 """Labeled two-hand feature datasets for classifier training elsewhere.
 
 One row per labeled window, read off the window's FeatureVector: per-hand
-curvature and fingertip spacing plus the orientation/trajectory codes,
-frequency, and palm distance.
+curvature and fingertip spacing (the window means extract_feature_vector
+reports) plus the orientation/trajectory codes, frequency, and palm distance.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -31,26 +30,8 @@ TRAJECTORY_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class DatasetRow:
-    sample_no: int
-    hand_curvature_left: Optional[float]
-    hand_curvature_right: Optional[float]
-    fingertip_distance_left: Optional[float]
-    fingertip_distance_right: Optional[float]
-    orientation_code: int
-    trajectory_code: int
-    frequency_hz: Optional[float]
-    inter_palm_distance_mm: Optional[float]
-    gesture_class: str
-
-
 def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONFIG):
-    """Turn (FrameStream window, label) pairs into dataset rows.
-
-    Per-frame values are the window means that extract_feature_vector
-    reports. Rows keep the input order, numbered from 1.
-    """
+    """Turn (FrameStream window, label) pairs into (FeatureVector, label) pairs, in input order."""
     rows = []
     for index, (window, label) in enumerate(labeled_windows):
         if not label:
@@ -59,45 +40,30 @@ def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONF
             vector = extract_feature_vector(window, config)
         except InsufficientWindow as exc:
             raise InsufficientWindow(f"window {index}: {exc}") from None
-        rows.append(DatasetRow(
-            sample_no=index + 1,
-            hand_curvature_left=vector.hand_curvature_left,
-            hand_curvature_right=vector.hand_curvature_right,
-            fingertip_distance_left=vector.fingertip_distance_left,
-            fingertip_distance_right=vector.fingertip_distance_right,
-            orientation_code=ORIENTATION_CODES[vector.palm_orientation],
-            trajectory_code=TRAJECTORY_CODES[vector.trajectory],
-            frequency_hz=vector.movement_frequency_hz,
-            inter_palm_distance_mm=vector.inter_palm_distance_mm,
-            gesture_class=label,
-        ))
+        rows.append((vector, label))
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6g}"
+def _cell(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.6g}"
 
 
 def rows_to_csv(rows) -> str:
-    """The dataset as CSV text; a label holding a comma, quote or newline is quoted."""
+    """The dataset as CSV text, rows numbered from 1; a label holding a comma, quote or newline is quoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(DATASET_HEADER.split(","))
-    for r in rows:
+    for sample_no, (v, label) in enumerate(rows, 1):
         writer.writerow([
-            str(r.sample_no),
-            _cell(r.hand_curvature_left),
-            _cell(r.hand_curvature_right),
-            _cell(r.fingertip_distance_left),
-            _cell(r.fingertip_distance_right),
-            str(r.orientation_code),
-            str(r.trajectory_code),
-            _cell(r.frequency_hz),
-            _cell(r.inter_palm_distance_mm),
-            r.gesture_class,
+            sample_no,
+            _cell(v.hand_curvature_left),
+            _cell(v.hand_curvature_right),
+            _cell(v.fingertip_distance_left),
+            _cell(v.fingertip_distance_right),
+            ORIENTATION_CODES[v.palm_orientation],
+            TRAJECTORY_CODES[v.trajectory],
+            _cell(v.movement_frequency_hz),
+            _cell(v.inter_palm_distance_mm),
+            label,
         ])
     return out.getvalue()

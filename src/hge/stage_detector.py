@@ -183,9 +183,7 @@ class Stage2Detector:
 
     def _rub_frequency(self) -> Optional[float]:
         cfg = self.config
-        window = self.state.pos_window
-        if len(window) < 2:
-            return None
+        window = self.state.pos_window     # holds at least the contact frame's sample
         span_s = (window[-1][0] - window[0][0]) / 1000.0
         # wait for a full-length window; short windows miscount crossings
         if span_s < 0.95 * cfg.rub_freq_window_s:

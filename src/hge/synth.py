@@ -415,13 +415,12 @@ def parse_script_text(text: str) -> GestureScript:
 
 def make_canonical_script(rub_frequency_hz: float = 2.0, rub_duration_s: float = 3.0,
                           noise_sigma: float = 0.0, seed: int = 0, fps: float = 100.0,
-                          hold_s: float = 1.0, approach_s: float = 1.0,
-                          start_separation_mm: float = 150.0) -> GestureScript:
-    """Hold facing palms, approach, then rub in a circle until the stream ends."""
+                          hold_s: float = 1.0) -> GestureScript:
+    """Hold facing palms 150 mm apart, approach for 1 s, then rub in a circle until the stream ends."""
     return GestureScript(
         phases=(
-            PhaseSpec(PhaseKind.FACING_HOLD, hold_s, separation_mm=start_separation_mm),
-            PhaseSpec(PhaseKind.APPROACH, approach_s, start_separation_mm=start_separation_mm),
+            PhaseSpec(PhaseKind.FACING_HOLD, hold_s),
+            PhaseSpec(PhaseKind.APPROACH, 1.0),
             PhaseSpec(PhaseKind.RUB_CIRCULAR, rub_duration_s, rub_frequency_hz=rub_frequency_hz),
         ),
         fps=fps,
@@ -430,14 +429,9 @@ def make_canonical_script(rub_frequency_hz: float = 2.0, rub_duration_s: float =
     )
 
 
-def make_stage3_script(duration_s: float = 3.0, frequency_hz: float = 2.0,
-                       noise_sigma: float = 0.0, seed: int = 0, fps: float = 100.0) -> GestureScript:
-    return GestureScript(
-        phases=(PhaseSpec(PhaseKind.STAGE3_LINEAR, duration_s, oscillation_frequency_hz=frequency_hz),),
-        fps=fps,
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
+def make_stage3_script(seed: int = 0) -> GestureScript:
+    """Three seconds of stage-3 stacked palms oscillating along a line at 2 Hz."""
+    return GestureScript(phases=(PhaseSpec(PhaseKind.STAGE3_LINEAR, 3.0),), seed=seed)
 
 
 ABLATIONS = ("no_facing", "no_approach", "no_occlusion", "no_rotation", "short_rub")

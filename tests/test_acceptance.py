@@ -163,7 +163,7 @@ def test_criterion_6_signature_separation():
     stream, labels = generate(script)
     rub_frames = [f for f, lab in zip(stream.frames, labels) if lab == "rub_circular"]
     v2 = extract_feature_vector(FrameStream(rub_frames))
-    s3_stream, _ = generate(make_stage3_script(duration_s=3.0, frequency_hz=2.0))
+    s3_stream, _ = generate(make_stage3_script())
     v3 = extract_feature_vector(s3_stream)
 
     own2, score2 = match_signature(v2, STAGE2_SIGNATURE)

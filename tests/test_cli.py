@@ -1,7 +1,9 @@
 import csv
 import os
 import tempfile
+from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from hge import CSV_HEADER, generate, make_ablation_stream, make_canonical_script, write_csv_stream
 from hge.cli import run
+from hge.config import DEFAULT_CONFIG, config_to_text, parse_config_text
 
 from test_ingest_properties import PROPERTY, _csv_like
 
@@ -83,7 +86,7 @@ class TestSynthAndDetect:
     def test_detect_rejects_non_finite_value(self, canonical_pair, tmp_path, capsys, column, value):
         lp, rp = canonical_pair
         broken = tmp_path / "broken.csv"
-        lines = open(lp).read().splitlines()
+        lines = Path(lp).read_text().splitlines()
         cells = lines[3].split(",")
         cells[lines[0].split(",").index(column)] = value
         lines[3] = ",".join(cells)
@@ -176,7 +179,7 @@ class TestValidate:
     def test_malformed_row_exits_two_and_names_line(self, canonical_pair, tmp_path, capsys):
         lp, rp = canonical_pair
         broken = tmp_path / "broken.csv"
-        lines = open(lp).read().splitlines()
+        lines = Path(lp).read_text().splitlines()
         lines[3] = lines[3].replace(lines[3].split(",")[1], "abc", 1)
         broken.write_text("\n".join(lines) + "\n")
         code = run(["validate", "--left", str(broken), "--right", rp])
@@ -221,6 +224,10 @@ class TestUsageAndConfig:
         cfg.write_text("stage_min_s 5\n")
         assert run(["detect", "--left", lp, "--right", rp, "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, replace(DEFAULT_CONFIG, stage_min_s=2.5, rub_freq_max_hz=3.3)])
+    def test_config_text_round_trips(self, cfg):
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
     def test_env_var_supplies_config(self, canonical_pair, tmp_path, monkeypatch):
         lp, rp = canonical_pair
         cfg = tmp_path / "cfg.txt"
@@ -242,7 +249,7 @@ class TestFeaturesCommand:
 
     def test_windows_without_frames_are_not_printed(self, canonical_pair, capsys):
         lp, rp = canonical_pair
-        lines = open(lp).read().splitlines()
+        lines = Path(lp).read_text().splitlines()
         lines[-1] = "100000000" + lines[-1][lines[-1].index(","):]   # one left record a day later
         with open(lp, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -277,7 +284,8 @@ class TestMlprepCommand:
         manifest.write_text(MANIFEST_HEAD + f'{pair},0,1500,"a,b"\n{pair},2200,4800,"say ""rub"""\n')
         out_path = tmp_path / "dataset.csv"
         assert run(["mlprep", "--manifest", str(manifest), "--out", str(out_path)]) == 0
-        rows = list(csv.reader(out_path.open(newline="")))
+        with out_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [10, 10, 10]
         assert [row[-1] for row in rows[1:]] == ["a,b", 'say "rub"']
 

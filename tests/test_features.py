@@ -265,7 +265,7 @@ class TestExtractFeatureVector:
         assert v.inter_palm_distance_mm is not None
 
     def test_stage3_window(self):
-        stream, _ = generate(make_stage3_script(duration_s=3.0, frequency_hz=2.0))
+        stream, _ = generate(make_stage3_script())
         v = extract_feature_vector(stream)
         assert v.palm_orientation == PalmOrientation.ONE_PALM_OVER_OTHER
         assert v.palm_shape_left == PalmShape.FLAT and v.palm_shape_right == PalmShape.FLAT

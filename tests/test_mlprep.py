@@ -34,18 +34,22 @@ def static_two_hand_window(grab=0.6, tip_spacing=25.66, n=120, dt=10):
     return FrameStream(frames)
 
 
+def sample_numbers(rows):
+    return [line.split(",")[0] for line in rows_to_csv(rows).splitlines()[1:]]
+
+
 class TestBuildDataset:
     def test_sample_row_reproduces_measured_values(self):
         window = static_two_hand_window(grab=0.6, tip_spacing=25.66)
         rows = build_dataset([(window, "Hands Palm to palm")])
         assert len(rows) == 1
-        row = rows[0]
-        assert row.sample_no == 1
-        assert row.hand_curvature_left == pytest.approx(0.6)
-        assert row.hand_curvature_right == pytest.approx(0.6)
-        assert row.fingertip_distance_left == pytest.approx(25.66)
-        assert row.fingertip_distance_right == pytest.approx(25.66)
-        assert row.gesture_class == "Hands Palm to palm"
+        vector, label = rows[0]
+        assert sample_numbers(rows) == ["1"]
+        assert vector.hand_curvature_left == pytest.approx(0.6)
+        assert vector.hand_curvature_right == pytest.approx(0.6)
+        assert vector.fingertip_distance_left == pytest.approx(25.66)
+        assert vector.fingertip_distance_right == pytest.approx(25.66)
+        assert label == "Hands Palm to palm"
 
     def test_empty_input_empty_dataset(self):
         assert build_dataset([]) == []
@@ -54,8 +58,8 @@ class TestBuildDataset:
         w = static_two_hand_window()
         rows = build_dataset([(w, "Hands Palm to palm"),
                               (w, "Palm to Palm with fingers interlocked")])
-        assert [r.sample_no for r in rows] == [1, 2]
-        assert rows[1].gesture_class == "Palm to Palm with fingers interlocked"
+        assert sample_numbers(rows) == ["1", "2"]
+        assert rows[1][1] == "Palm to Palm with fingers interlocked"
 
     def test_rerun_is_byte_identical(self):
         stream, labels = generate(make_canonical_script(noise_sigma=1.0, seed=6))
@@ -67,13 +71,13 @@ class TestBuildDataset:
     def test_numeric_cells_finite(self):
         stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=7))
         rows = build_dataset([(stream.slice_ms(0, 1500), "a"), (stream.slice_ms(1000, 3000), "b")])
-        for row in rows:
-            for value in (row.hand_curvature_left, row.hand_curvature_right,
-                          row.fingertip_distance_left, row.fingertip_distance_right,
-                          row.frequency_hz, row.inter_palm_distance_mm):
+        for vector, _ in rows:
+            for value in (vector.hand_curvature_left, vector.hand_curvature_right,
+                          vector.fingertip_distance_left, vector.fingertip_distance_right,
+                          vector.movement_frequency_hz, vector.inter_palm_distance_mm):
                 if value is not None:
                     assert np.isfinite(value)
-            assert 0.0 <= row.hand_curvature_right <= 1.0
+            assert 0.0 <= vector.hand_curvature_right <= 1.0
 
     def test_insufficient_window_reports_index(self):
         good = static_two_hand_window()
@@ -89,7 +93,7 @@ class TestBuildDataset:
     def test_missing_hand_gives_empty_cells(self):
         frames = [Frame(i * 10, (make_hand(Handedness.RIGHT),)) for i in range(120)]
         row = build_dataset([(FrameStream(frames), "x")])[0]
-        assert row.hand_curvature_left is None
+        assert row[0].hand_curvature_left is None
         csv_text = rows_to_csv([row])
         assert csv_text.splitlines()[1].split(",")[1] == ""
 
@@ -116,7 +120,7 @@ class TestAgainstScalarFeatures:
     def test_dataset_aggregates_match_finger_spread_and_grab(self):
         windows = synthetic_windows()
         rows = build_dataset([(w, "x") for w in windows])
-        for window, row in zip(windows, rows):
+        for window, (row, _) in zip(windows, rows):
             vector = extract_feature_vector(window)
             for hand, curv, ftd, v_curv, v_ftd in (
                     (Handedness.LEFT, row.hand_curvature_left, row.fingertip_distance_left,

@@ -111,6 +111,17 @@ class TestTransitions:
 
 
 class TestBoundedVerdict:
+    @pytest.mark.parametrize("rub_s,last_line", [
+        (4.0, "6000 Completed stage_duration_s=4.070"),
+        (1.5, "3500 Failed hands_reappeared_elapsed=1.57s_ok=1.00"),    # shorter than stage_min_s
+    ])
+    def test_both_hands_reappearing_ends_the_rub(self, rub_s, last_line):
+        stream = canonical_stream(rub_duration_s=rub_s)
+        end = stream.frames[-1].timestamp
+        report = detect_stage2(FrameStream(list(stream.frames) + facing_frames(50, t0=end + 10)))
+        assert report.events[-2].name == Phase.RUBBING.value
+        assert report.events[-1].to_line() == last_line    # decided on the first two-hand frame
+
     @pytest.mark.parametrize("rub_s,cut_s,phase,verdict", [
         (4.0, 4.07, Phase.RUBBING, Phase.COMPLETED),          # walk away after a 4 s rub
         (4.0, 0.3, Phase.CONTACT_OCCLUDED, Phase.FAILED),
