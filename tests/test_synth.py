@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from hge import (
     palm_opposition,
     parse_script_text,
     remove_phase_frames,
+    write_csv_stream,
 )
 from hge.synth import GestureScript, OcclusionModel, PhaseSpec
 from dataclasses import replace
@@ -145,6 +148,14 @@ class TestPrimitives:
         pos, ts = generate_primitive(PrimitiveKind.STATIC, duration_s=2.0, fps=100.0)
         assert estimate_frequency(pos, ts) is None
 
+    @pytest.mark.parametrize("kind", list(PrimitiveKind))
+    def test_primitive_phase_renders_generate_primitive(self, kind):
+        script = GestureScript(phases=(PhaseSpec(PhaseKind.PRIMITIVE, 1.3, primitive_kind=kind),), fps=80.0)
+        stream, _ = generate(script)
+        pos, ts = generate_primitive(kind, duration_s=1.3, fps=80.0)
+        assert np.array_equal(np.array([f.hands[0].palm_position for f in stream.frames]), pos)
+        assert [f.timestamp for f in stream.frames] == ts.tolist()
+
     def test_line_classifies_linear(self):
         pos, _ = generate_primitive(PrimitiveKind.LINE, speed_mm_s=60.0, duration_s=1.0, fps=100.0)
         assert classify_trajectory(pos) == TrajectoryKind.LINEAR
@@ -187,3 +198,72 @@ phase rub_circular duration_s=3.0 rub_frequency_hz=2.0 rub_radius_mm=30
     def test_missing_duration_rejected(self):
         with pytest.raises(InvalidScript):
             parse_script_text("phase facing_hold separation_mm=100\n")
+
+
+GOLDEN_SCRIPTS = {
+    # canonical rub, then a facing hold after contact: the hidden hand stays hidden
+    "rub_then_hold": "fps 100\nseed 3\n"
+                     "phase facing_hold duration_s=0.5 separation_mm=150\n"
+                     "phase approach duration_s=1.0 start_separation_mm=150\n"
+                     "phase rub_circular duration_s=1.0 rub_frequency_hz=2.0 rub_radius_mm=30\n"
+                     "phase facing_hold duration_s=0.4 separation_mm=120\n"
+                     "phase idle duration_s=0.2\n",
+    "rub_noisy_left_200fps": "fps 200\nseed 7\nnoise_sigma 1.5\nsurviving_hand left\n"
+                             "phase facing_hold duration_s=0.5 separation_mm=150\n"
+                             "phase approach duration_s=1.0 start_separation_mm=150\n"
+                             "phase rub_circular duration_s=1.0 rub_frequency_hz=2.5 rub_radius_mm=25\n"
+                             "phase facing_hold duration_s=0.3 separation_mm=150\n",
+    "no_occlusion_speed_unopposed_50fps": "fps 50\nseed 11\nnoise_sigma 1.5\nocclusion none\n"
+                                          "phase idle duration_s=0.3\n"
+                                          "phase facing_hold duration_s=0.6 separation_mm=140 opposed_normals=no\n"
+                                          "phase approach duration_s=1.0 start_separation_mm=140 "
+                                          "approach_speed_mm_s=110 opposed_normals=no\n"
+                                          "phase rub_circular duration_s=0.8 rub_radius_mm=0\n",
+    "speed_approach_drop_right": "fps 100\nseed 2\n"
+                                 "phase approach duration_s=1.0 start_separation_mm=100 approach_speed_mm_s=90\n"
+                                 "phase rub_circular duration_s=0.5 rub_frequency_hz=1.5 opposed_normals=0\n",
+    "stage3": "fps 100\nseed 5\nphase stage3_linear duration_s=1.0 oscillation_frequency_hz=1.7\n",
+    "stage3_noisy_200fps": "fps 200\nseed 6\nnoise_sigma 1.5\n"
+                           "phase stage3_linear duration_s=0.7 oscillation_amplitude_mm=12\n",
+    "primitives": "fps 100\nseed 9\n"
+                  + "".join(f"phase primitive duration_s=0.37 primitive_kind={k.value}\n" for k in PrimitiveKind)
+                  + "phase idle duration_s=0.1\n",
+    # contact, then one-hand primitives, then a facing hold that still shows one hand
+    "contact_primitives_hold_noisy_50fps": "fps 50\nseed 4\nnoise_sigma 1.5\n"
+                                           "phase approach duration_s=0.5 start_separation_mm=60\n"
+                                           + "".join(f"phase primitive duration_s=0.5 primitive_kind={k.value}\n"
+                                                     for k in PrimitiveKind)
+                                           + "phase facing_hold duration_s=0.4 separation_mm=100\n",
+}
+
+# sha256 of write_csv_stream's left and right texts joined by a NUL, and of the comma-joined labels
+GOLDEN_DIGESTS = {
+    "contact_primitives_hold_noisy_50fps": ("a6365e94a9b09fda97a812ede10081d7d307a8845a26b72fdd9c4e8058433188",
+                                            "ba93b41ce06a23547bc98d99c5d98474948cbdc61b84350e7b1dbfff7fc2fb3f"),
+    "no_occlusion_speed_unopposed_50fps": ("088244a04e456f87644140854e8175eeacde1391353dc5bfadffaf5925133701",
+                                           "c105310ff10c5c57152a31273f3aa0838381679473e2bb04c3051ff4aec064af"),
+    "primitives": ("9ace16f5e7da94038d00a81b9f9157391f67e7cbc7b0e4160cf087301bae6faf",
+                   "247fed8d524f7984a7af1724bed80d6868dc35d25d9da6ef249607b146a86253"),
+    "rub_noisy_left_200fps": ("140bb9297cffd972c5399717abf7bb420b9ba12cf3bf2057daaa1e5b1fee1141",
+                              "9003cd9c5252d0aab1bd69234e08123c163c14e9059c9107cc42a8c67941bc77"),
+    "rub_then_hold": ("163019cacf728b40a122f0fd1706e385a23dae4c6e8698b214a689f84cbe1fe8",
+                      "1a744a407d91028bed20d60525c58f021f285e50c3ec55f87d9945788239e6ff"),
+    "speed_approach_drop_right": ("a583d65584a001a4c40ecd7049b23388e884d6e4f6a52058596cf7704173ac29",
+                                  "63262fb5a85df923c7d50b5f6693832fa984c5c0df98e8d0c1849cbc6eeeeda5"),
+    "stage3": ("1fec958975082f4ae2e4622f1c1b59fa000e97b245469684683bf868c61d2003",
+               "c2dc76868853ebffd6c816a5e70970094749e4d2fa4dbb3f0b1902138b2775f3"),
+    "stage3_noisy_200fps": ("bca3b3aacacf61a7e9ade22d736a56842e1aa8ffa407367ea26a2c96ecbf6072",
+                            "aec3644660d3fbf124d6a816b514955cb1e2b5c08ad8a9db3e08d32d01176724"),
+}
+
+
+def _digests(text):
+    stream, labels = generate(parse_script_text(text))
+    return tuple(hashlib.sha256(s.encode()).hexdigest()
+                 for s in ("\0".join(write_csv_stream(stream)), ",".join(labels)))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCRIPTS))
+    def test_stream_bytes_and_labels_are_pinned(self, name):
+        assert _digests(GOLDEN_SCRIPTS[name]) == GOLDEN_DIGESTS[name]
