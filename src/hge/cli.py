@@ -158,10 +158,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    config = _load_config(args)
-    stream = _parse_pair(args.left, args.right)
     if args.window_ms <= 0:
         raise EngineError("--window-ms must be positive")
+    config = _load_config(args)
+    stream = _parse_pair(args.left, args.right)
     frames = stream.frames
     i = 0
     while i < len(frames):

@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, islice
 from typing import Optional
 
 import numpy as np
 
-from .frame_model import DEVICE_FPS_MAX, DEVICE_FPS_MIN, Frame, FrameStream, HandObservation, Handedness
+from .frame_model import (DEVICE_FPS_MAX, DEVICE_FPS_MIN, Frame, FrameStream, HandObservation, Handedness,
+                          row_norms)
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -111,154 +113,134 @@ def _approach_end(spec: PhaseSpec) -> float:
     return spec.end_separation_mm
 
 
-def _fingertips(palm, forward, lateral, spacing):
-    row = palm + FINGER_REACH_MM * forward
-    return np.array([row + (k - 2) * spacing * lateral for k in range(5)])
+# rows of a hand block, in noise draw order, with the exact velocity last
+_NORMAL, _PALM, _TIPS, _VELOCITY = 0, 1, slice(2, 7), 7
+_PAIR = (Handedness.LEFT, Handedness.RIGHT)
+_BLOCK_FRAMES = 256     # frames per render pass: blocks under 100 KB, whose freed copies do not raise peak memory
 
 
-def _hand(handedness, palm, normal, velocity, forward, lateral, spacing):
-    return HandObservation(
-        handedness=handedness,
-        palm_position=np.asarray(palm, float),
-        palm_normal=np.asarray(normal, float),
-        palm_velocity=np.asarray(velocity, float),
-        grab_strength=FLAT_GRAB,
-        fingertips=_fingertips(np.asarray(palm, float), forward, lateral, spacing),
-    )
+def _fill_hand(rows, palm, normal, velocity, forward, lateral, spacing):
+    """Write the (m, 8, 3) rows of one hand over m frames from (m, 3) palm positions."""
+    rows[:, _NORMAL] = normal
+    rows[:, _PALM] = palm
+    rows[:, _TIPS] = (palm + FINGER_REACH_MM * forward)[:, None, :] + np.array(
+        [(k - 2) * spacing * lateral for k in range(5)])
+    rows[:, _VELOCITY] = velocity
 
 
-def _facing_pair(separation, closing_speed, opposed):
-    """Two palms on the x axis; opposed normals point at each other."""
+def _cos_sin(angles):
+    """(m, 1) cosine and sine columns, from `math` so they match on every CPU."""
+    angles = angles.tolist()
+    return (np.array([math.cos(a) for a in angles])[:, None],
+            np.array([math.sin(a) for a in angles])[:, None])
+
+
+def _phase_block(spec: PhaseSpec, t_in):
+    """(handedness per hand, (m, hands, 8, 3) block) of a phase at in-phase times t_in."""
+    if spec.kind == PhaseKind.IDLE:
+        return (), np.empty((len(t_in), 0, 8, 3))
+    if spec.kind == PhaseKind.PRIMITIVE:
+        block = np.empty((len(t_in), 1, 8, 3))
+        pos, vel = _primitive_point(spec.primitive_kind, {}, t_in)
+        _fill_hand(block[:, 0], pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
+        return (Handedness.RIGHT,), block
+    block = np.empty((len(t_in), 2, 8, 3))
+    left, right = block[:, 0], block[:, 1]
     center = PALM_HEIGHT_MM * Y
-    left_palm = center - separation / 2.0 * X
-    right_palm = center + separation / 2.0 * X
-    left_normal = X
-    right_normal = -X if opposed else X
-    left_vel = closing_speed / 2.0 * X
-    right_vel = -closing_speed / 2.0 * X
-    left = _hand(Handedness.LEFT, left_palm, left_normal, left_vel, Z, Y, CLOSED_TIP_SPACING_MM)
-    right = _hand(Handedness.RIGHT, right_palm, right_normal, right_vel, Z, Y, CLOSED_TIP_SPACING_MM)
-    return left, right
-
-
-def _rub_pair(spec, t_in_phase, opposed):
-    center = PALM_HEIGHT_MM * Y
-    omega = 2.0 * math.pi * spec.rub_frequency_hz
-    ang = omega * t_in_phase
-    offset = spec.rub_radius_mm * (math.cos(ang) * Y + math.sin(ang) * Z)
-    vel = spec.rub_radius_mm * omega * (-math.sin(ang) * Y + math.cos(ang) * Z)
-    left_palm = center - RUB_CONTACT_GAP_MM / 2.0 * X + offset
-    right_palm = center + RUB_CONTACT_GAP_MM / 2.0 * X + offset
-    left_normal = X
-    right_normal = -X if opposed else X
-    left = _hand(Handedness.LEFT, left_palm, left_normal, vel, Z, Y, CLOSED_TIP_SPACING_MM)
-    right = _hand(Handedness.RIGHT, right_palm, right_normal, vel, Z, Y, CLOSED_TIP_SPACING_MM)
-    return left, right
-
-
-def _stage3_pair(spec, t_in_phase):
-    """Right palm stacked over the left hand's back, oscillating along x."""
-    omega = 2.0 * math.pi * spec.oscillation_frequency_hz
-    base = PALM_HEIGHT_MM * Y
-    bottom = base
-    top = base + STAGE3_STACK_GAP_MM * Y + spec.oscillation_amplitude_mm * math.sin(omega * t_in_phase) * X
-    top_vel = spec.oscillation_amplitude_mm * omega * math.cos(omega * t_in_phase) * X
-    left = _hand(Handedness.LEFT, bottom, -Y, np.zeros(3), Z, X, OPEN_TIP_SPACING_MM)
-    right = _hand(Handedness.RIGHT, top, -Y, top_vel, Z, X, OPEN_TIP_SPACING_MM)
-    return left, right
-
-
-def _primitive_hand(spec, t_in_phase):
-    pos, vel = _primitive_point(spec.primitive_kind, {}, t_in_phase)
-    return _hand(Handedness.RIGHT, pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
+    right_normal = -X if spec.opposed_normals else X
+    if spec.kind in (PhaseKind.FACING_HOLD, PhaseKind.APPROACH):
+        # two palms on the x axis; opposed normals point at each other
+        if spec.kind == PhaseKind.FACING_HOLD:
+            speed, separation = 0.0, np.full((len(t_in), 1), spec.separation_mm)
+        else:
+            speed = (spec.start_separation_mm - _approach_end(spec)) / spec.duration_s
+            separation = spec.start_separation_mm - speed * t_in[:, None]
+        _fill_hand(left, center - separation / 2.0 * X, X, speed / 2.0 * X, Z, Y, CLOSED_TIP_SPACING_MM)
+        _fill_hand(right, center + separation / 2.0 * X, right_normal, -speed / 2.0 * X,
+                   Z, Y, CLOSED_TIP_SPACING_MM)
+    elif spec.kind == PhaseKind.RUB_CIRCULAR:
+        omega = 2.0 * math.pi * spec.rub_frequency_hz
+        cos, sin = _cos_sin(omega * t_in)
+        offset = spec.rub_radius_mm * (cos * Y + sin * Z)
+        vel = spec.rub_radius_mm * omega * (-sin * Y + cos * Z)
+        _fill_hand(left, center - RUB_CONTACT_GAP_MM / 2.0 * X + offset, X, vel, Z, Y, CLOSED_TIP_SPACING_MM)
+        _fill_hand(right, center + RUB_CONTACT_GAP_MM / 2.0 * X + offset, right_normal, vel,
+                   Z, Y, CLOSED_TIP_SPACING_MM)
+    else:
+        # stage 3: right palm stacked over the left hand's back, oscillating along x
+        omega = 2.0 * math.pi * spec.oscillation_frequency_hz
+        cos, sin = _cos_sin(omega * t_in)
+        top = center + STAGE3_STACK_GAP_MM * Y + spec.oscillation_amplitude_mm * sin * X
+        top_vel = spec.oscillation_amplitude_mm * omega * cos * X
+        _fill_hand(left, np.broadcast_to(center, top.shape), -Y, np.zeros(3), Z, X, OPEN_TIP_SPACING_MM)
+        _fill_hand(right, top, -Y, top_vel, Z, X, OPEN_TIP_SPACING_MM)
+    return _PAIR, block
 
 
 def generate(script: GestureScript):
     """Render a script into (FrameStream, per-frame phase labels).
 
-    Deterministic for a given seed. Positional noise is Gaussian on palm and
-    fingertip positions; palm normals get a matching small angular jitter and
-    are renormalized. Velocities and grab values stay exact. With the
-    drop-on-contact occlusion model, one hand vanishes for good once the
-    palm separation falls below 30 mm.
+    Deterministic for a given seed. Each phase renders its frames in array
+    passes, up to 256 frames at a time, into one block of hand rows per pass.
+    With the drop-on-contact occlusion model, one hand vanishes for good from
+    the first frame whose palm separation falls below 30 mm. Noise is drawn
+    for the kept rows in frame order: Gaussian on palm and fingertip
+    positions, and a matching small angular jitter on the palm normals, which
+    are renormalized. Velocities and grab values stay exact. Observations
+    hold writeable, non-overlapping row views of their block.
     """
     _validate_script(script)
     rng = np.random.default_rng(script.seed)
-    starts = []
-    t0 = 0.0
-    for spec in script.phases:
-        starts.append(t0)
-        t0 += spec.duration_s
-    total_s = t0
-    n_frames = int(round(total_s * script.fps))
-
-    frames = []
-    labels = []
-    occluded = False
+    sigma = script.noise_sigma
+    scales = np.array([sigma / 100.0] * 3 + [sigma] * 18)     # normal, palm, tips
+    bounds = list(accumulate((spec.duration_s for spec in script.phases), initial=0.0))
+    index = np.arange(int(round(bounds[-1] * script.fps)))
+    t = index / script.fps
+    stamps = np.rint(index * 1000.0 / script.fps).astype(int).tolist()
+    cuts = np.searchsorted(t, bounds[:-1]).tolist() + [len(t)]    # first frame of each phase
     drop = script.occlusion_model == OcclusionModel.DROP_ONE_HAND_ON_CONTACT
-    hidden = Handedness.LEFT if script.surviving_hand == Handedness.RIGHT else Handedness.RIGHT
+    hidden = 0 if script.surviving_hand == Handedness.RIGHT else 1    # _PAIR column of the hidden hand
+    contact = None      # first frame whose two palms are closer than OCCLUSION_DISTANCE_MM
 
-    for i in range(n_frames):
-        t = i / script.fps
-        k = 0
-        while k + 1 < len(script.phases) and t >= starts[k + 1]:
-            k += 1
-        spec = script.phases[k]
-        t_in = t - starts[k]
-
-        if spec.kind == PhaseKind.IDLE:
-            hands = ()
-        elif spec.kind == PhaseKind.FACING_HOLD:
-            hands = _facing_pair(spec.separation_mm, 0.0, spec.opposed_normals)
-        elif spec.kind == PhaseKind.APPROACH:
-            end = _approach_end(spec)
-            speed = (spec.start_separation_mm - end) / spec.duration_s
-            separation = spec.start_separation_mm - speed * t_in
-            hands = _facing_pair(separation, speed, spec.opposed_normals)
-        elif spec.kind == PhaseKind.RUB_CIRCULAR:
-            hands = _rub_pair(spec, t_in, spec.opposed_normals)
-        elif spec.kind == PhaseKind.STAGE3_LINEAR:
-            hands = _stage3_pair(spec, t_in)
-        else:
-            hands = (_primitive_hand(spec, t_in),)
-
-        if drop and len(hands) == 2:
-            separation = float(np.linalg.norm(hands[0].palm_position - hands[1].palm_position))
-            if occluded or separation < OCCLUSION_DISTANCE_MM:
-                occluded = True
-                hands = tuple(h for h in hands if h.handedness != hidden)
-
-        if script.noise_sigma > 0:
-            hands = tuple(_jitter(h, script.noise_sigma, rng) for h in hands)
-
-        frames.append(Frame(int(round(i * 1000.0 / script.fps)), tuple(hands)))
-        labels.append(spec.kind.value)
-
+    blocks = [(spec, start, lo, min(lo + _BLOCK_FRAMES, end))
+              for spec, start, first, end in zip(script.phases, bounds, cuts, cuts[1:])
+              for lo in range(first, end, _BLOCK_FRAMES)]
+    frames, labels = [], []
+    for spec, start, lo, hi in blocks:
+        who, block = _phase_block(spec, t[lo:hi] - start)
+        keep = np.ones(block.shape[:2], bool)
+        if drop and len(who) == 2:
+            if contact is None:
+                gap = row_norms(block[:, 0, _PALM] - block[:, 1, _PALM])
+                close = np.flatnonzero(gap < OCCLUSION_DISTANCE_MM)
+                contact = lo + int(close[0]) if len(close) else None
+            if contact is not None:
+                keep[max(contact - lo, 0):, hidden] = False
+        rows = block[keep]
+        if sigma > 0:
+            rows[:, :_VELOCITY] += rng.normal(0.0, scales, (len(rows), 21)).reshape(-1, 7, 3)
+            rows[:, _NORMAL] /= row_norms(rows[:, _NORMAL])[:, None]
+        palms, normals, vels, tips = (list(rows[:, k]) for k in (_PALM, _NORMAL, _VELOCITY, _TIPS))
+        observations = iter([HandObservation(who[h], palms[r], normals[r], vels[r], FLAT_GRAB, tips[r])
+                             for r, h in enumerate(np.nonzero(keep)[1].tolist())])
+        frames += [Frame(ts, tuple(islice(observations, n)))
+                   for ts, n in zip(stamps[lo:hi], keep.sum(axis=1).tolist())]
+        labels += [spec.kind.value] * (hi - lo)
     return FrameStream(frames), labels
-
-
-def _jitter(obs: HandObservation, sigma: float, rng) -> HandObservation:
-    normal = obs.palm_normal + rng.normal(0.0, sigma / 100.0, 3)
-    return HandObservation(
-        handedness=obs.handedness,
-        palm_position=obs.palm_position + rng.normal(0.0, sigma, 3),
-        palm_normal=normal / np.linalg.norm(normal),
-        palm_velocity=obs.palm_velocity,
-        grab_strength=obs.grab_strength,
-        fingertips=obs.fingertips + rng.normal(0.0, sigma, (5, 3)),
-    )
 
 
 # -- primitives ------------------------------------------------------------
 
-def _primitive_point(kind: PrimitiveKind, params: dict, t: float):
+def _primitive_point(kind: PrimitiveKind, params: dict, t):
+    """(m, 3) positions and velocities of a primitive at the m times in t."""
     if kind == PrimitiveKind.SINUSOID_1D:
         f = params.get("frequency_hz", 2.0)
         amp = params.get("amplitude_mm", 30.0)
         axis = np.asarray(params.get("axis", X), float)
         base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
         omega = 2.0 * math.pi * f
-        return base + amp * math.sin(omega * t) * axis, amp * omega * math.cos(omega * t) * axis
+        cos, sin = _cos_sin(omega * t)
+        return base + amp * sin * axis, amp * omega * cos * axis
     if kind == PrimitiveKind.CIRCLE:
         r = params.get("radius_mm", 50.0)
         f = params.get("frequency_hz", 1.0)
@@ -266,19 +248,19 @@ def _primitive_point(kind: PrimitiveKind, params: dict, t: float):
         v = np.asarray(params.get("v", Z), float)
         center = np.asarray(params.get("center", PALM_HEIGHT_MM * Y), float)
         omega = 2.0 * math.pi * f
-        ang = omega * t
-        pos = center + r * (math.cos(ang) * u + math.sin(ang) * v)
-        vel = r * omega * (-math.sin(ang) * u + math.cos(ang) * v)
+        cos, sin = _cos_sin(omega * t)
+        pos = center + r * (cos * u + sin * v)
+        vel = r * omega * (-sin * u + cos * v)
         return pos, vel
     if kind == PrimitiveKind.LINE:
         direction = np.asarray(params.get("direction", X), float)
         direction = direction / np.linalg.norm(direction)
         speed = params.get("speed_mm_s", 50.0)
         base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
-        return base + speed * t * direction, speed * direction
+        return base + speed * t[:, None] * direction, np.broadcast_to(speed * direction, (len(t), 3))
     if kind == PrimitiveKind.STATIC:
         base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
-        return base, np.zeros(3)
+        return np.broadcast_to(base, (len(t), 3)), np.zeros((len(t), 3))
     raise InvalidScript(f"unknown primitive kind {kind!r}")
 
 
@@ -293,14 +275,9 @@ def generate_primitive(kind: PrimitiveKind, **params):
     fps = params.pop("fps", 100.0)
     if duration_s <= 0 or fps <= 0:
         raise InvalidScript("duration_s and fps must be positive")
-    n = int(round(duration_s * fps))
-    positions = np.empty((n, 3))
-    timestamps = np.empty(n, dtype=int)
-    for i in range(n):
-        t = i / fps
-        positions[i], _ = _primitive_point(PrimitiveKind(kind), params, t)
-        timestamps[i] = int(round(i * 1000.0 / fps))
-    return positions, timestamps
+    index = np.arange(int(round(duration_s * fps)))
+    positions, _ = _primitive_point(PrimitiveKind(kind), params, index / fps)
+    return np.array(positions), np.rint(index * 1000.0 / fps).astype(int)
 
 
 # -- perturbations ----------------------------------------------------------
@@ -335,12 +312,18 @@ _SCRIPT_KEYS = {   # global key -> (GestureScript field, converter)
     "occlusion": ("occlusion_model", OcclusionModel),
     "surviving_hand": ("surviving_hand", lambda v: Handedness(v.capitalize())),
 }
-_PHASE_FLOAT_KEYS = {
-    "duration_s", "separation_mm", "start_separation_mm", "end_separation_mm",
-    "approach_speed_mm_s", "rub_frequency_hz", "rub_radius_mm",
-    "oscillation_frequency_hz", "oscillation_amplitude_mm",
+_PHASE_KEYS = {   # phase kind -> the keys its rendering reads
+    PhaseKind.IDLE: ("duration_s",),
+    PhaseKind.FACING_HOLD: ("duration_s", "separation_mm", "opposed_normals"),
+    PhaseKind.APPROACH: ("duration_s", "start_separation_mm", "end_separation_mm", "approach_speed_mm_s",
+                         "opposed_normals"),
+    PhaseKind.RUB_CIRCULAR: ("duration_s", "rub_frequency_hz", "rub_radius_mm", "opposed_normals"),
+    PhaseKind.STAGE3_LINEAR: ("duration_s", "oscillation_frequency_hz", "oscillation_amplitude_mm"),
+    PhaseKind.PRIMITIVE: ("duration_s", "primitive_kind"),
 }
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}   # any case
+# phase keys read by anything but float
+_PHASE_CONVERTERS = {"opposed_normals": lambda v: _FLAGS[v.lower()], "primitive_kind": PrimitiveKind}
 
 
 def _script_value(key: str, value: str, lineno: int, convert=float):
@@ -387,16 +370,15 @@ def parse_script_text(text: str) -> GestureScript:
                 if "=" not in token:
                     raise InvalidScript(f"line {lineno}: expected k=v, got {token!r}")
                 k, v = token.split("=", 1)
-                if k in _PHASE_FLOAT_KEYS:
-                    kwargs[k] = _script_value(k, v, lineno)
-                elif k == "opposed_normals":
-                    kwargs[k] = _script_value(k, v, lineno, lambda v: _FLAGS[v.lower()])
-                elif k == "primitive_kind":
-                    kwargs[k] = _script_value(k, v, lineno, PrimitiveKind)
-                else:
-                    raise InvalidScript(f"line {lineno}: unknown phase key {k!r}")
+                if k not in _PHASE_KEYS[kind]:
+                    raise InvalidScript(f"line {lineno}: phase {kind.value} reads no key {k!r},"
+                                        f" only {', '.join(_PHASE_KEYS[kind])}")
+                kwargs[k] = _script_value(k, v, lineno, _PHASE_CONVERTERS.get(k, float))
             if "duration_s" not in kwargs:
                 raise InvalidScript(f"line {lineno}: phase needs duration_s")
+            if "end_separation_mm" in kwargs and "approach_speed_mm_s" in kwargs:
+                raise InvalidScript(f"line {lineno}: approach takes end_separation_mm or approach_speed_mm_s,"
+                                    " not both")
             phases.append(PhaseSpec(kind=kind, **kwargs))
         elif key in _SCRIPT_KEYS:
             if len(parts) != 2:

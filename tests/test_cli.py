@@ -130,6 +130,13 @@ BAD_INPUTS = {
     "opposed_normals_misspelt": ({"s.script": b"fps 100\nphase facing_hold duration_s=1 opposed_normals=ture\n"},
                                  ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                                  ["s.script", "line 2", "opposed_normals value 'ture' is not valid"]),
+    "phase_key_not_read": ({"s.script": b"fps 100\nphase facing_hold duration_s=1 rub_frequency_hz=2\n"},
+                           ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                           ["s.script", "line 2", "facing_hold", "'rub_frequency_hz'"]),
+    "approach_end_and_speed": ({"s.script": b"phase approach duration_s=1 end_separation_mm=20"
+                                              b" approach_speed_mm_s=50\n"},
+                               ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                               ["s.script", "line 1", "end_separation_mm", "approach_speed_mm_s", "not both"]),
     "negative_seed": ({"s.script": b"seed -1\nphase idle duration_s=1\n"},
                       ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                       ["s.script", "seed"]),
@@ -148,6 +155,8 @@ BAD_INPUTS = {
     "surviving_hand_unknown": ({"s.script": b"phase idle duration_s=1\n\nsurviving_hand middle\n"},
                                ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                                ["s.script", "line 3", "surviving_hand", "'middle'"]),
+    "window_before_missing_files": ({}, ["features", "--left", "no.csv", "--right", "no.csv", "--window-ms", "0"],
+                                    ["--window-ms must be positive"]),
     "mlprep_empty_label": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0,1500,x\n"
                                       "left.csv,right.csv,0,1500,\n").encode()},
                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 3", "label"]),

@@ -199,6 +199,29 @@ phase rub_circular duration_s=3.0 rub_frequency_hz=2.0 rub_radius_mm=30
         with pytest.raises(InvalidScript):
             parse_script_text("phase facing_hold separation_mm=100\n")
 
+    # a value for each phase key other than duration_s, and its script spelling
+    CHANGED = {"separation_mm": (90.0, "90"), "start_separation_mm": (120.0, "120"),
+               "end_separation_mm": (40.0, "40"), "approach_speed_mm_s": (20.0, "20"),
+               "rub_frequency_hz": (1.5, "1.5"), "rub_radius_mm": (10.0, "10"),
+               "oscillation_frequency_hz": (1.5, "1.5"), "oscillation_amplitude_mm": (5.0, "5"),
+               "opposed_normals": (False, "no"), "primitive_kind": (PrimitiveKind.LINE, "line")}
+
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    def test_a_phase_accepts_exactly_the_keys_it_renders(self, kind):
+        base = PhaseSpec(kind, 1.0, primitive_kind=PrimitiveKind.CIRCLE)
+        render = lambda spec: stream_scalars(generate(GestureScript(
+            phases=(spec,), occlusion_model=OcclusionModel.NONE))[0])
+        for key, (value, text) in self.CHANGED.items():
+            read = not np.array_equal(render(base), render(replace(base, **{key: value})))
+            line = f"phase {kind.value} duration_s=1 {key}={text}"
+            if kind == PhaseKind.PRIMITIVE and key != "primitive_kind":
+                line += " primitive_kind=circle"
+            if read:
+                assert getattr(parse_script_text(line).phases[0], key) == value
+            else:
+                with pytest.raises(InvalidScript, match=f"line 1: phase {kind.value} reads no key '{key}'"):
+                    parse_script_text(line)
+
 
 GOLDEN_SCRIPTS = {
     # canonical rub, then a facing hold after contact: the hidden hand stays hidden
@@ -222,6 +245,11 @@ GOLDEN_SCRIPTS = {
     "speed_approach_drop_right": "fps 100\nseed 2\n"
                                  "phase approach duration_s=1.0 start_separation_mm=100 approach_speed_mm_s=90\n"
                                  "phase rub_circular duration_s=0.5 rub_frequency_hz=1.5 opposed_normals=0\n",
+    # phases longer than one 256-frame render pass; contact falls in the approach's second pass
+    "long_phases_noisy": "fps 100\nseed 12\nnoise_sigma 1.0\n"
+                         "phase facing_hold duration_s=2.7 separation_mm=150\n"
+                         "phase approach duration_s=3.0 start_separation_mm=150\n"
+                         "phase rub_circular duration_s=2.6 rub_frequency_hz=1.8\n",
     "stage3": "fps 100\nseed 5\nphase stage3_linear duration_s=1.0 oscillation_frequency_hz=1.7\n",
     "stage3_noisy_200fps": "fps 200\nseed 6\nnoise_sigma 1.5\n"
                            "phase stage3_linear duration_s=0.7 oscillation_amplitude_mm=12\n",
@@ -240,6 +268,8 @@ GOLDEN_SCRIPTS = {
 GOLDEN_DIGESTS = {
     "contact_primitives_hold_noisy_50fps": ("a6365e94a9b09fda97a812ede10081d7d307a8845a26b72fdd9c4e8058433188",
                                             "ba93b41ce06a23547bc98d99c5d98474948cbdc61b84350e7b1dbfff7fc2fb3f"),
+    "long_phases_noisy": ("fe3fb8cb7183b5faa9e701e3fd524d12f3c9840c404693fcfe88d296a6626053",
+                          "0d3192a530aa09392b86651d8910748ecd4036546edb01722622f702ffbe98ff"),
     "no_occlusion_speed_unopposed_50fps": ("088244a04e456f87644140854e8175eeacde1391353dc5bfadffaf5925133701",
                                            "c105310ff10c5c57152a31273f3aa0838381679473e2bb04c3051ff4aec064af"),
     "primitives": ("9ace16f5e7da94038d00a81b9f9157391f67e7cbc7b0e4160cf087301bae6faf",
