@@ -102,6 +102,8 @@ def parse_config_text(text: str) -> EngineConfig:
         key, value = parts
         if key not in _RANGES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in overrides:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         try:
             overrides[key] = float(value)
         except ValueError:

@@ -119,12 +119,9 @@ STAGE3_SIGNATURE = StageSignature(
 )
 
 
-def _require_unit(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, float)
-    norm = float(np.linalg.norm(v))
+def _check_unit_norm(name: str, norm: float):
     if abs(norm - 1.0) > NORMAL_TOLERANCE:
         raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {NORMAL_TOLERANCE}")
-    return v
 
 
 def palm_opposition(normal_left, normal_right, config: EngineConfig = DEFAULT_CONFIG) -> OppositionResult:
@@ -132,9 +129,12 @@ def palm_opposition(normal_left, normal_right, config: EngineConfig = DEFAULT_CO
 
     Facing is the strict comparison |left + right| < facing_resultant_max.
     """
-    a = _require_unit(normal_left, "normal_left")
-    b = _require_unit(normal_right, "normal_right")
-    magnitude = float(np.linalg.norm(a + b))
+    ax, ay, az = np.asarray(normal_left, float).tolist()
+    bx, by, bz = np.asarray(normal_right, float).tolist()
+    _check_unit_norm("normal_left", math.sqrt(ax * ax + ay * ay + az * az))
+    _check_unit_norm("normal_right", math.sqrt(bx * bx + by * by + bz * bz))
+    sx, sy, sz = ax + bx, ay + by, az + bz
+    magnitude = math.sqrt(sx * sx + sy * sy + sz * sz)
     return OppositionResult(magnitude, magnitude < config.facing_resultant_max)
 
 
@@ -167,7 +167,7 @@ def finger_spread(fingertips, config: EngineConfig = DEFAULT_CONFIG):
 
 
 def inter_palm_distance(palm_left, palm_right) -> float:
-    return float(np.linalg.norm(np.asarray(palm_left, float) - np.asarray(palm_right, float)))
+    return math.dist(np.asarray(palm_left, float).tolist(), np.asarray(palm_right, float).tolist())
 
 
 def _fit_circle_2d(uv: np.ndarray):
@@ -319,16 +319,6 @@ def _window_hands(frames):
     return {h: _hand_samples(*seen[h]) for h in Handedness}, np.array(pairs, int).reshape(-1, 2)
 
 
-def _require_unit_rows(left: np.ndarray, right: np.ndarray):
-    """palm_opposition's unit check over paired normals, first offending frame first."""
-    off = [np.abs(row_norms(v) - 1.0) > NORMAL_TOLERANCE for v in (left, right)]
-    either = off[0] | off[1]
-    if either.any():
-        i = int(np.argmax(either))
-        name, v = ("normal_left", left) if off[0][i] else ("normal_right", right)
-        _require_unit(v[i], name)
-
-
 def _mean(values: np.ndarray) -> Optional[float]:
     return float(np.mean(values)) if len(values) else None
 
@@ -368,7 +358,12 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     if two_hand:
         left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
         left_normals, right_normals = left.normals[pairs[:, 0]], right.normals[pairs[:, 1]]
-        _require_unit_rows(left_normals, right_normals)
+        # palm_opposition's unit check; row-major argmax names the first bad frame, its left hand first
+        normal_norms = np.stack([row_norms(left_normals), row_norms(right_normals)], axis=1)
+        off = np.abs(normal_norms - 1.0) > NORMAL_TOLERANCE
+        if off.any():
+            i, side = divmod(int(np.argmax(off)), 2)
+            _check_unit_norm(("normal_left", "normal_right")[side], float(normal_norms[i, side]))
         disp = right.positions[pairs[:, 1]] - left.positions[pairs[:, 0]]
         distances = row_norms(disp)
         summed = left_normals + right_normals

@@ -150,13 +150,18 @@ class Stage2Detector:
 
     def _approach_slope(self) -> Optional[float]:
         window = self.state.dist_window
-        if len(window) < 5:
+        if len(window) < 5 or (window[-1][0] - window[0][0]) / 1000.0 < 0.9 * self.config.approach_window_s:
             return None
-        ts = np.array([t for t, _ in window], float) / 1000.0
-        if ts[-1] - ts[0] < 0.9 * self.config.approach_window_s:
-            return None
-        dist = np.array([d for _, d in window], float)
-        return float(np.polyfit(ts, dist, 1)[0])
+        # least squares over times in whole ms from the first sample, whose sums are exact integers
+        n, t0, st, stt = len(window), window[0][0], 0, 0
+        sd = std = 0.0
+        for t, d in window:
+            t -= t0
+            st += t
+            stt += t * t
+            sd += d
+            std += t * d
+        return 1000.0 * (n * std - st * sd) / (n * stt - st * st)
 
     def _update_sweep(self, obs: HandObservation):
         """Net sweep of the surviving hand's velocity direction in its dominant plane.

@@ -98,6 +98,8 @@ def _validate_script(script: GestureScript):
             end = _approach_end(spec)
             if end < 0 or end >= spec.start_separation_mm:
                 raise InvalidScript("approach must reduce separation toward a non-negative value")
+        if spec.kind == PhaseKind.FACING_HOLD and spec.separation_mm <= 0:
+            raise InvalidScript("facing_hold separation must be positive, or the palms face away")
         if spec.kind == PhaseKind.RUB_CIRCULAR and spec.rub_radius_mm < 0:
             raise InvalidScript("rub radius must be non-negative")
         if spec.kind == PhaseKind.PRIMITIVE and spec.primitive_kind is None:
@@ -373,6 +375,8 @@ def parse_script_text(text: str) -> GestureScript:
                 if k not in _PHASE_KEYS[kind]:
                     raise InvalidScript(f"line {lineno}: phase {kind.value} reads no key {k!r},"
                                         f" only {', '.join(_PHASE_KEYS[kind])}")
+                if k in kwargs:
+                    raise InvalidScript(f"line {lineno}: repeated key {k!r}")
                 kwargs[k] = _script_value(k, v, lineno, _PHASE_CONVERTERS.get(k, float))
             if "duration_s" not in kwargs:
                 raise InvalidScript(f"line {lineno}: phase needs duration_s")
@@ -384,6 +388,8 @@ def parse_script_text(text: str) -> GestureScript:
             if len(parts) != 2:
                 raise InvalidScript(f"line {lineno}: expected '{key} value'")
             name, convert = _SCRIPT_KEYS[key]
+            if name in fields:
+                raise InvalidScript(f"line {lineno}: repeated key {key!r}")
             fields[name] = _script_value(key, parts[1], lineno, convert)
         else:
             raise InvalidScript(f"line {lineno}: unknown key {key!r}")

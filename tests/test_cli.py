@@ -146,6 +146,15 @@ BAD_INPUTS = {
     "contact_margin_unknown": ({"cfg.txt": b"stage_min_s 2\ncontact_margin_mm 5\n"},
                                ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
                                ["cfg.txt", "line 2", "unknown key 'contact_margin_mm'"]),
+    "phase_key_repeated": ({"s.script": b"fps 100\nphase idle duration_s=1 duration_s=5\n"},
+                           ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                           ["s.script", "line 2", "repeated key 'duration_s'"]),
+    "script_key_repeated": ({"s.script": b"fps 100\nfps 200\nphase idle duration_s=1\n"},
+                            ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                            ["s.script", "line 2", "repeated key 'fps'"]),
+    "config_key_repeated": ({"cfg.txt": b"stage_min_s 2\nstage_min_s 5\n"},
+                            ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                            ["cfg.txt", "line 2", "repeated key 'stage_min_s'"]),
     "seed_not_integer": ({"s.script": b"phase idle duration_s=1\nseed abc\n"},
                          ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                          ["s.script", "line 2", "seed", "'abc'"]),

@@ -33,6 +33,7 @@ from hge import (
     match_signature,
     palm_opposition,
 )
+from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel
 from dataclasses import replace
 
@@ -81,6 +82,16 @@ class TestPalmOpposition:
     def test_rejects_non_unit_input(self):
         with pytest.raises(NonUnitNormal):
             palm_opposition((0, 1.01, 0), (0, -1, 0))
+
+    def test_matches_the_norm_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            a = random_unit(rng)
+            # near-opposed pairs as often as arbitrary ones: small resultants are the facing case
+            b = random_unit(rng) if rng.random() < 0.5 else -a + rng.normal(0.0, 0.05, 3)
+            b /= np.linalg.norm(b)
+            r = palm_opposition(a, b)
+            assert r.resultant_magnitude == pytest.approx(float(np.linalg.norm(a + b)), rel=1e-12, abs=1e-12)
 
 
 class TestPalmShape:
@@ -155,6 +166,12 @@ class TestInterPalmDistance:
 
     def test_3_4_5(self):
         assert inter_palm_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
+
+    def test_matches_the_norm_formula(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a, b = rng.uniform(-500, 500, (2, 3))
+            assert inter_palm_distance(a, b) == pytest.approx(float(np.linalg.norm(a - b)), rel=1e-12)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(10)
@@ -315,6 +332,25 @@ class TestExtractFeatureVector:
         frames[40] = Frame(frames[40].timestamp, (left, replace(right, palm_normal=np.array([-1.01, 0.0, 0.0]))))
         with pytest.raises(NonUnitNormal, match="normal_right"):
             extract_feature_vector(FrameStream(frames))
+
+    @pytest.mark.parametrize("k", [0, 73, 149])
+    @pytest.mark.parametrize("bad", [{Handedness.LEFT}, {Handedness.RIGHT}, {Handedness.LEFT, Handedness.RIGHT}])
+    def test_non_unit_normal_named_as_palm_opposition_names_it(self, k, bad):
+        frames = facing_frames(150)
+        scale = 1.0 + 1.5 * NORMAL_TOLERANCE
+        hands = tuple(replace(h, palm_normal=h.palm_normal * scale) if h.handedness in bad else h
+                      for h in frames[k].hands)
+        frames[k] = Frame(frames[k].timestamp, hands)
+        if k < 149:     # a later frame's other hand must not be the one named
+            late = frames[k + 1].hands
+            frames[k + 1] = Frame(frames[k + 1].timestamp, tuple(
+                h if h.handedness in bad else replace(h, palm_normal=h.palm_normal * scale) for h in late))
+        with pytest.raises(NonUnitNormal) as direct:
+            palm_opposition(hands[0].palm_normal, hands[1].palm_normal)
+        with pytest.raises(NonUnitNormal) as windowed:
+            extract_feature_vector(FrameStream(frames))
+        assert str(windowed.value) == str(direct.value)
+        assert str(direct.value).startswith("normal_left" if Handedness.LEFT in bad else "normal_right")
 
     def test_sparse_hands_rejected(self):
         frames = [Frame(t, (make_hand(Handedness.RIGHT),) if t % 50 == 0 else ())

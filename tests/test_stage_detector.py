@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,34 @@ class TestDetectStage2:
         assert report.stage_duration_s is None
 
 
+def _slope(stamps, distances, window_s):
+    det = Stage2Detector(replace(DEFAULT_CONFIG, approach_window_s=window_s))
+    det.state.dist_window.extend(zip(stamps, distances))
+    return det._approach_slope()
+
+
+class TestApproachSlope:
+    def test_matches_polyfit(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n, fps = int(rng.integers(5, 101)), rng.uniform(50.0, 200.0)
+            gaps = np.maximum(1, np.rint(1000.0 / fps * rng.uniform(0.7, 1.3, n - 1)))
+            stamps = int(rng.integers(0, 60_000)) + np.concatenate([[0], np.cumsum(gaps)]).astype(int)
+            elapsed_s = (stamps - stamps[0]) / 1000.0
+            distances = 150.0 + rng.uniform(-300.0, 50.0) * elapsed_s + rng.normal(0.0, 1.0, n)
+            # a window as long as the samples span, so the span gate passes at any count
+            slope = _slope(stamps.tolist(), distances.tolist(), elapsed_s[-1])
+            assert slope == pytest.approx(float(np.polyfit(stamps / 1000.0, distances, 1)[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("t0", [0, 1, 7, 990, 123457, 987654321])
+    def test_span_gate_counts_whole_ms_at_any_start(self, t0):
+        stamps = [t0 + 10 * k for k in range(46)]          # 450 ms, exactly 90% of the 0.5 s window
+        distances = [150.0 - 0.5 * k for k in range(46)]
+        assert _slope(stamps, distances, 0.5) == pytest.approx(-50.0, rel=1e-12)
+        assert _slope(stamps[:-1], distances[:-1], 0.5) is None
+        assert _slope(stamps[:4], distances[:4], 0.01) is None     # fewer than five samples
+
+
 _DURATION = st.floats(0.1, 3.0)
 _PHASE = st.one_of(
     st.builds(PhaseSpec, st.sampled_from([k for k in PhaseKind if k != PhaseKind.PRIMITIVE]), _DURATION,
@@ -286,3 +315,24 @@ def test_detector_invariants_on_drawn_scripts(script, drop_rate, drop_seed):
     completed = last.name == Phase.COMPLETED.value
     assert report.verdict == (Verdict.COMPLETED if completed else Verdict.NOT_COMPLETED)
     assert timeline[-1][2] == (last.timestamp_ms if completed else frames[-1].timestamp)
+
+
+SHIFT_MS = 123457
+
+
+def _shifted(stream, ms):
+    return FrameStream([Frame(f.timestamp + ms, f.hands) for f in stream.frames])
+
+
+# a drawn start moves the streams off t = 0, where times taken to seconds before subtracting stay exact
+@settings(PROPERTY, max_examples=60)
+@given(script=_SCRIPTS, start_ms=st.integers(0, 999))
+def test_time_shift_moves_every_event_through_contact(script, start_ms):
+    """Shifted timestamps shift each event up to ContactOccluded by the same amount, name and detail kept."""
+    stream = _shifted(generate(script)[0], start_ms)
+    base = detect_stage2(stream).events
+    moved = detect_stage2(_shifted(stream, SHIFT_MS)).events
+    names = [ev.name for ev in base]
+    end = names.index(Phase.CONTACT_OCCLUDED.value) + 1 if Phase.CONTACT_OCCLUDED.value in names else len(base)
+    assert [(ev.timestamp_ms - SHIFT_MS, ev.name, ev.detail) for ev in moved[:end]] == \
+        [(ev.timestamp_ms, ev.name, ev.detail) for ev in base[:end]]

@@ -88,6 +88,13 @@ class TestGenerate:
         with pytest.raises(InvalidScript):
             generate(replace(make_canonical_script(), fps=20.0))
 
+    @pytest.mark.parametrize("separation", ["-100", "0"])
+    def test_facing_hold_at_no_positive_separation_rejected(self, separation):
+        # the palms would face away from each other, or sit at one point, under a facing_hold label
+        with pytest.raises(InvalidScript, match="facing_hold separation must be positive"):
+            parse_script_text(f"occlusion none\nphase facing_hold duration_s=0.1 separation_mm={separation}\n")
+        assert parse_script_text("phase facing_hold duration_s=0.1 separation_mm=0.5\n").phases[0].separation_mm == 0.5
+
     def test_script_longer_than_ten_minutes_rejected(self):
         idle = PhaseSpec(PhaseKind.IDLE, 300.0)
         assert len(generate(GestureScript(phases=(idle, idle), fps=50.0))[0].frames) == 30000
