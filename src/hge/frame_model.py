@@ -9,6 +9,7 @@ origin at the sensor center, millimeters and mm/s.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HeaderMismatch, MalformedRow, NonMonotonicTimestamp
+from .errors import EngineError, HeaderMismatch, MalformedRow, NonMonotonicTimestamp
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
@@ -210,17 +211,38 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
 def parse_hand_csv(text: str, handedness: Handedness):
     """Parse one per-hand CSV into validated (timestamp, observation) records.
 
-    Each line is split once and its float cells go into one (n, 25) block,
-    over which the value checks run as array operations. A file with several
-    faults reports the one on the earliest line. Observations hold row views
-    of the block, with palm normals renormalised in place.
+    An ASCII file without blank fingertip cells is read in one pass of numpy's
+    C tokenizer. Any other file, or one that pass rejects, is read line by
+    line by `_parse_hand_lines`, which gives the same records and raises every
+    error; a file with several faults reports the one on the earliest line.
+    Observations hold row views of one (n, 25) block, with palm normals
+    renormalised in place.
     """
     handedness = Handedness(handedness)
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, got {got!r}")
+    # numpy's int parser can crash on a non-ASCII code point, and numpy strips \x1f where `float` rejects
+    # it; loadtxt skips empty lines, which would shift the line numbers, and warns on a file with no data.
+    if len(lines) < 2 or not text.isascii() or "\x1f" in text or "" in lines:
+        return _parse_hand_lines(lines, handedness)
+    try:
+        with warnings.catch_warnings():     # older numpy reads an int cell like '1.5' via float and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines[1:], delimiter=",", dtype=[("ts", "<i8"), ("v", "<f8", (_FLOAT_COLUMNS,))],
+                              ndmin=1, comments=None, quotechar=None)
+    except (ValueError, DeprecationWarning):
+        return _parse_hand_lines(lines, handedness)
+    stamps = rows["ts"]
+    if stamps[0] < 0 or not (stamps[1:] > stamps[:-1]).all():
+        return _parse_hand_lines(lines, handedness)
+    norms = _check_block(rows["v"], [], range(2, len(lines) + 1), lines)
+    return _records(stamps.tolist(), rows["v"], norms, handedness)
 
+
+def _parse_hand_lines(lines, handedness: Handedness):
+    """The records of a header and its data lines, read line by line with `int` and `float`."""
     stamps, linenos, careful = [], [], []
     values = array("d")
     fault = None
@@ -254,8 +276,12 @@ def parse_hand_csv(text: str, handedness: Handedness):
     norms = _check_block(block, careful, linenos, lines)
     if fault is not None:
         raise fault
-    block[:, 3:6] /= norms[:, None]
+    return _records(stamps, block, norms, handedness)
 
+
+def _records(stamps, block: np.ndarray, norms: np.ndarray, handedness: Handedness):
+    """Records holding row views of a checked block, its palm normals renormalised in place."""
+    block[:, 3:6] /= norms[:, None]
     positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
     grabs = block[:, _GRAB].tolist()
     tips = list(block[:, _TIPS:].reshape(-1, 5, 3))
@@ -281,8 +307,17 @@ def _observation_row(ts: int, obs: HandObservation) -> str:
     cells += [_fmt(v) for v in obs.palm_velocity]
     cells.append(_fmt(obs.grab_strength))
     for tip in obs.fingertips.tolist():
-        cells += ["", "", ""] if math.isnan(tip[0]) else [_fmt(v) for v in tip]
-    return ",".join(cells)
+        untracked = math.isnan(tip[0]) and math.isnan(tip[1]) and math.isnan(tip[2])
+        cells += ["", "", ""] if untracked else [_fmt(v) for v in tip]
+    row = ",".join(cells)
+    if "n" in row:      # the repr of a finite float has no 'n'; 'nan' and 'inf' do
+        k = next(k for k, cell in enumerate(cells) if "n" in cell)
+        what = f"{CSV_COLUMNS[k]} = {cells[k]} is not finite"
+        if k > _TIPS:
+            finger = (k - _TIPS - 1) // 3
+            what = f"{FINGER_NAMES[finger]} fingertip {obs.fingertips[finger].tolist()} must be all finite or all NaN"
+        raise EngineError(f"timestamp {ts}, {obs.handedness.value} hand: {what}")
+    return row
 
 
 def write_csv_stream(stream: FrameStream):
@@ -290,7 +325,8 @@ def write_csv_stream(stream: FrameStream):
 
     Floats are written in shortest round-trip form, so parse(write(s))
     reproduces every scalar exactly except the palm normals, which ingest
-    renormalises: they can move by a few ulp.
+    renormalises: they can move by a few ulp. A value that is not finite,
+    or a fingertip that is only partly NaN, raises EngineError.
     """
     out = {Handedness.LEFT: [CSV_HEADER], Handedness.RIGHT: [CSV_HEADER]}
     for frame in stream.frames:

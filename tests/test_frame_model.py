@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from hge import (
     CSV_HEADER,
+    EngineError,
     Frame,
     Handedness,
     HeaderMismatch,
@@ -226,6 +230,25 @@ class TestCsv:
         assert left.splitlines()[1].endswith(",1.0,2.0,3.0,,,,4.0,5.0,6.0,,,,,,")
         back = parse_csv_stream(left, right)
         np.testing.assert_array_equal(back.frames[0].hands[0].fingertips, np.array(tips))
+
+    @pytest.mark.parametrize("tip", [(1.0, math.nan, 2.0), (math.nan, 1.0, 2.0)])
+    def test_partly_nan_fingertip_is_not_written(self, tip):
+        # [1, nan, 2] used to be written as a cell its reader rejects, [nan, 1, 2] as an untracked tip
+        tips = ((1.0, 2.0, 3.0), tip, NAN_ROW, (4.0, 5.0, 6.0), NAN_ROW)
+        stream = FrameStream([Frame(40, (make_hand(Handedness.RIGHT, tips=tips),))])
+        message = f"timestamp 40, Right hand: index fingertip {list(tip)} must be all finite or all NaN"
+        with pytest.raises(EngineError, match=re.escape(message)):
+            write_csv_stream(stream)
+
+    @pytest.mark.parametrize("field, column, value", [
+        ("palm", "palm_y", math.inf), ("velocity", "vel_z", -math.inf), ("normal", "normal_x", math.nan),
+    ])
+    def test_non_finite_value_is_not_written(self, field, column, value):
+        vector = [0.0, 1.0, 0.0]
+        vector["xyz".index(column[-1])] = value
+        stream = FrameStream([Frame(7, (make_hand(Handedness.LEFT, **{field: vector}),))])
+        with pytest.raises(EngineError, match=re.escape(f"timestamp 7, Left hand: {column} = {value!r} is not finite")):
+            write_csv_stream(stream)
 
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])

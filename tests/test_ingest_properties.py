@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hge import (
@@ -22,7 +22,7 @@ from hge import (
     parse_hand_csv,
     write_csv_stream,
 )
-from hge.frame_model import CSV_COLUMNS
+from hge.frame_model import CSV_COLUMNS, _parse_hand_lines
 
 # fixed example sequence: the suite gives the same verdict on every run
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
@@ -135,3 +135,94 @@ def test_one_bad_cell_is_reported_at_its_line_and_column(line, column, cell):
     with pytest.raises(MalformedRow) as err:
         parse_hand_csv("\n".join(lines) + "\n", Handedness.LEFT)
     assert (err.value.line, err.value.column) == (line, CSV_COLUMNS[column])
+
+
+def _outcome(read, text):
+    """What a reader gives for the text: its records as bytes, or its exception's type and message."""
+    try:
+        records = read(text)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return [(type(ts), ts, obs.handedness, obs.palm_position.tobytes(), obs.palm_normal.tobytes(),
+             obs.palm_velocity.tobytes(), obs.grab_strength.hex(), obs.fingertips.tobytes())
+            for ts, obs in records]
+
+
+def _read_line_by_line(text):
+    return _parse_hand_lines(text.splitlines(), Handedness.LEFT)
+
+
+def _read(text):
+    return parse_hand_csv(text, Handedness.LEFT)
+
+
+@st.composite
+def _decimal(draw):
+    """A decimal of up to 25 digits: sign, '.5' and '5.' forms, exponent, space or tab padding."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.sampled_from(["", "e", "E"]))
+    if exponent:
+        exponent += draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 400)))
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + draw(st.sampled_from(["", "+", "-"])) + digits + exponent + draw(pad)
+
+
+_ASCII = st.one_of(st.sampled_from(["\x00", "\x1f", "\x7f"]), st.characters(max_codepoint=127))
+_ODD_CELLS = st.one_of(
+    _CELLS,
+    st.floats().map(repr),
+    _decimal(),
+    st.just("1_0"),
+    _ASCII,
+    st.tuples(_ASCII, st.sampled_from(["1", "0.5", "-2e1"]), st.booleans()).map(
+        lambda t: t[0] + t[1] if t[2] else t[1] + t[0]),
+    st.sampled_from(["٣", "\U000e2bc8", "1٣", "\U000e2bc8" + "1"]),
+    st.characters(min_codepoint=128),
+)
+
+
+def _with_cell(line: int, column: int, edit) -> str:
+    lines = _valid_left_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = edit(cells[column])
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _valid_rows() -> tuple:
+    return tuple(_valid_left_text().splitlines()[1:13])
+
+
+@st.composite
+def _odd_csv(draw):
+    """Text from `_csv_like`, or a valid file with some cells swapped for odd ones, a line inserted or rows cut."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_csv_like())
+    rows = [row.split(",") for row in _valid_rows()]
+    if draw(st.integers(0, 3)) == 0:     # timestamps past int64 in every row
+        for cells in rows:
+            cells[0] = str(int(cells[0]) + 2**63)
+    for k, column, cell in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(CSV_COLUMNS) - 1),
+                                                   _ODD_CELLS), max_size=4)):
+        rows[k][column] = cell
+    lines = [",".join(cells) for cells in rows]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t", " \t "])))
+    return "\n".join([CSV_HEADER] + lines[:draw(st.integers(0, len(lines)))]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(PROPERTY, max_examples=400)
+@example(text=CSV_HEADER + "\n")
+@example(text=CSV_HEADER + "\n\n")
+@example(text=CSV_HEADER + "\n \t\n")
+@example(text=_with_cell(2, 1, lambda cell: cell + "\x1f"))      # numpy strips \x1f, `float` rejects it
+@example(text=_with_cell(2, 0, lambda cell: "\U000e2bc8"))      # numpy's int parser can crash on it
+@example(text=_with_cell(41, 0, lambda cell: "\u01fe"))          # and read this as 462 (glibc, x86-64)
+@example(text=_with_cell(41, 0, lambda cell: str(2**63)))
+@given(text=_odd_csv())
+def test_parse_gives_what_the_line_by_line_reader_gives(text):
+    assert _outcome(_read, text) == _outcome(_read_line_by_line, text)
