@@ -71,12 +71,10 @@ from .synth import (
     PrimitiveKind,
     drop_frames,
     generate,
-    generate_primitive,
     make_ablation_stream,
     make_canonical_script,
     make_stage3_script,
     parse_script_text,
-    remove_phase_frames,
 )
 
 __version__ = "0.1.0"

@@ -185,6 +185,13 @@ def _path_length(positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
 
 
+def _principal_axes(pts):
+    """Mean-removed points, with the eigenvalues (ascending) and eigenvectors of their covariance."""
+    centered = pts - pts.mean(axis=0)
+    evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
+    return centered, evals, evecs
+
+
 def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
     """Label a short palm path as Linear, Circular, or Indeterminate.
 
@@ -202,9 +209,7 @@ def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -
     if _path_length(pts) < config.stationary_path_mm:
         return TrajectoryKind.INDETERMINATE
 
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(pts)
-    evals, evecs = np.linalg.eigh(cov)
+    centered, evals, evecs = _principal_axes(pts)
     total = float(evals.sum())
     if total <= 0:
         return TrajectoryKind.INDETERMINATE
@@ -245,9 +250,7 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
         raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
 
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(pts)
-    _, evecs = np.linalg.eigh(cov)
+    centered, _, evecs = _principal_axes(pts)
     signal = centered @ evecs[:, 2]
     signal = signal - signal.mean()
 

@@ -191,7 +191,8 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
     nonfinite[careful] = False     # careful rows are checked; their NaNs are untracked fingertips
     grab = block[:, _GRAB]
     bad_grab = ~((grab >= 0.0) & (grab <= 1.0))
-    norms = row_norms(block[:, 3:6])
+    with np.errstate(over="ignore"):    # a huge component makes the norm inf, which fails the check below
+        norms = row_norms(block[:, 3:6])
     bad_normal = np.abs(norms - 1.0) > NORMAL_TOLERANCE
     bad = nonfinite.any(axis=1) | bad_grab | bad_normal
     if not bad.any():

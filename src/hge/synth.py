@@ -143,7 +143,7 @@ def _phase_block(spec: PhaseSpec, t_in):
         return (), np.empty((len(t_in), 0, 8, 3))
     if spec.kind == PhaseKind.PRIMITIVE:
         block = np.empty((len(t_in), 1, 8, 3))
-        pos, vel = _primitive_point(spec.primitive_kind, {}, t_in)
+        pos, vel = _primitive_point(spec.primitive_kind, t_in)
         _fill_hand(block[:, 0], pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
         return (Handedness.RIGHT,), block
     block = np.empty((len(t_in), 2, 8, 3))
@@ -233,68 +233,30 @@ def generate(script: GestureScript):
 
 # -- primitives ------------------------------------------------------------
 
-def _primitive_point(kind: PrimitiveKind, params: dict, t):
-    """(m, 3) positions and velocities of a primitive at the m times in t."""
+def _primitive_point(kind: PrimitiveKind, t):
+    """(m, 3) positions and velocities of a primitive at the m times in t.
+
+    Each kind has one geometry, centred 200 mm above the sensor: sinusoid_1d
+    swings 30 mm along x at 2 Hz, circle turns at 50 mm radius and 1 Hz in the
+    x-z plane, line moves at 50 mm/s along x, and static stays put.
+    """
+    base = PALM_HEIGHT_MM * Y
     if kind == PrimitiveKind.SINUSOID_1D:
-        f = params.get("frequency_hz", 2.0)
-        amp = params.get("amplitude_mm", 30.0)
-        axis = np.asarray(params.get("axis", X), float)
-        base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
-        omega = 2.0 * math.pi * f
+        omega = 2.0 * math.pi * 2.0
         cos, sin = _cos_sin(omega * t)
-        return base + amp * sin * axis, amp * omega * cos * axis
+        return base + 30.0 * sin * X, 30.0 * omega * cos * X
     if kind == PrimitiveKind.CIRCLE:
-        r = params.get("radius_mm", 50.0)
-        f = params.get("frequency_hz", 1.0)
-        u = np.asarray(params.get("u", X), float)
-        v = np.asarray(params.get("v", Z), float)
-        center = np.asarray(params.get("center", PALM_HEIGHT_MM * Y), float)
-        omega = 2.0 * math.pi * f
+        omega = 2.0 * math.pi
         cos, sin = _cos_sin(omega * t)
-        pos = center + r * (cos * u + sin * v)
-        vel = r * omega * (-sin * u + cos * v)
-        return pos, vel
+        return base + 50.0 * (cos * X + sin * Z), 50.0 * omega * (-sin * X + cos * Z)
     if kind == PrimitiveKind.LINE:
-        direction = np.asarray(params.get("direction", X), float)
-        direction = direction / np.linalg.norm(direction)
-        speed = params.get("speed_mm_s", 50.0)
-        base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
-        return base + speed * t[:, None] * direction, np.broadcast_to(speed * direction, (len(t), 3))
+        return base + 50.0 * t[:, None] * X, np.broadcast_to(50.0 * X, (len(t), 3))
     if kind == PrimitiveKind.STATIC:
-        base = np.asarray(params.get("base", PALM_HEIGHT_MM * Y), float)
         return np.broadcast_to(base, (len(t), 3)), np.zeros((len(t), 3))
     raise InvalidScript(f"unknown primitive kind {kind!r}")
 
 
-def generate_primitive(kind: PrimitiveKind, **params):
-    """Exact analytic trajectory for extractor tests.
-
-    Returns (positions (n, 3), timestamps_ms). Common params: duration_s,
-    fps, plus the per-kind geometry (frequency_hz, amplitude_mm, radius_mm,
-    u/v plane basis, direction, speed_mm_s, base).
-    """
-    duration_s = params.pop("duration_s", 3.0)
-    fps = params.pop("fps", 100.0)
-    if duration_s <= 0 or fps <= 0:
-        raise InvalidScript("duration_s and fps must be positive")
-    index = np.arange(int(round(duration_s * fps)))
-    positions, _ = _primitive_point(PrimitiveKind(kind), params, index / fps)
-    return np.array(positions), np.rint(index * 1000.0 / fps).astype(int)
-
-
 # -- perturbations ----------------------------------------------------------
-
-def remove_phase_frames(stream: FrameStream, labels, phase):
-    """Drop every frame labeled with the given phase kind."""
-    try:
-        kind = PhaseKind(phase).value
-    except ValueError:
-        raise UnknownPhase(f"unknown phase {phase!r}") from None
-    if len(labels) != len(stream.frames):
-        raise ValueError("labels must parallel the stream frames")
-    kept = [(f, lab) for f, lab in zip(stream.frames, labels) if lab != kind]
-    return FrameStream([f for f, _ in kept]), [lab for _, lab in kept]
-
 
 def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
     """Remove frames independently with the given probability, keeping order."""
@@ -433,30 +395,20 @@ def make_ablation_stream(name: str, rub_frequency_hz: float = 2.0, rub_duration_
     face, a missing approach, no occlusion dropout, no rotation after contact,
     or a rub shorter than the minimum stage duration.
     """
-    base = dict(rub_frequency_hz=rub_frequency_hz, rub_duration_s=rub_duration_s,
-                noise_sigma=noise_sigma, seed=seed, fps=fps)
-    if name == "no_facing":
-        script = make_canonical_script(hold_s=2.5, **base)
-        script = replace(script, phases=tuple(replace(p, opposed_normals=False) for p in script.phases))
-        stream, _ = generate(script)
-        return stream
-    if name == "no_approach":
-        stream, labels = generate(make_canonical_script(**base))
-        stream, _ = remove_phase_frames(stream, labels, PhaseKind.APPROACH)
-        return stream
-    if name == "no_occlusion":
-        script = replace(make_canonical_script(**base), occlusion_model=OcclusionModel.NONE)
-        stream, _ = generate(script)
-        return stream
-    if name == "no_rotation":
-        script = make_canonical_script(**base)
-        script = replace(script, phases=tuple(
-            replace(p, rub_radius_mm=0.0) if p.kind == PhaseKind.RUB_CIRCULAR else p
-            for p in script.phases))
-        stream, _ = generate(script)
-        return stream
+    if name not in ABLATIONS:
+        raise UnknownPhase(f"unknown ablation {name!r}")
     if name == "short_rub":
-        base["rub_duration_s"] = min(rub_duration_s, 1.2)
-        stream, _ = generate(make_canonical_script(**base))
-        return stream
-    raise UnknownPhase(f"unknown ablation {name!r}")
+        rub_duration_s = min(rub_duration_s, 1.2)
+    script = make_canonical_script(rub_frequency_hz, rub_duration_s, noise_sigma, seed, fps,
+                                   hold_s=2.5 if name == "no_facing" else 1.0)
+    if name == "no_facing":
+        script = replace(script, phases=tuple(replace(p, opposed_normals=False) for p in script.phases))
+    elif name == "no_occlusion":
+        script = replace(script, occlusion_model=OcclusionModel.NONE)
+    elif name == "no_rotation":
+        script = replace(script, phases=tuple(
+            replace(p, rub_radius_mm=0.0) if p.kind == PhaseKind.RUB_CIRCULAR else p for p in script.phases))
+    stream, labels = generate(script)
+    if name == "no_approach":
+        stream = FrameStream([f for f, label in zip(stream.frames, labels) if label != PhaseKind.APPROACH.value])
+    return stream

@@ -43,6 +43,17 @@ def facing_frames(n, dt_ms=10, t0=0, separation=150.0, closing_mm_s=0.0, opposed
     return frames
 
 
+def sinusoid(frequency_hz, amplitude_mm, duration_s, fps):
+    """Closed-form palm path swinging along x about (0, 200, 0) mm.
+
+    Returns (n, 3) positions and whole-ms timestamps, one sample every 1/fps s.
+    """
+    index = np.arange(int(round(duration_s * fps)))
+    swing = amplitude_mm * np.sin(2.0 * np.pi * frequency_hz * index / fps)
+    positions = np.outer(swing, [1.0, 0.0, 0.0]) + [0.0, 200.0, 0.0]
+    return positions, np.rint(index * 1000.0 / fps).astype(int)
+
+
 def chord_oracle(a, b):
     """|a + b| for unit vectors equals the chord length 2*sin(theta/2),
     theta being the angle between a and -b."""

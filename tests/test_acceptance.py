@@ -13,7 +13,6 @@ from hge import (
     FingerSpread,
     FrameStream,
     PalmShape,
-    PrimitiveKind,
     STAGE2_SIGNATURE,
     STAGE3_SIGNATURE,
     TrajectoryKind,
@@ -26,7 +25,6 @@ from hge import (
     extract_feature_vector,
     finger_spread,
     generate,
-    generate_primitive,
     make_ablation_stream,
     make_canonical_script,
     make_stage3_script,
@@ -39,7 +37,7 @@ from hge.cli import run
 from hge.synth import ABLATIONS, OcclusionModel
 from dataclasses import replace
 
-from helpers import chord_oracle, random_plane_basis, random_unit, stream_scalars
+from helpers import chord_oracle, random_plane_basis, random_unit, sinusoid, stream_scalars
 
 
 def _finish(number, ok, detail):
@@ -86,8 +84,7 @@ def test_criterion_3_frequency_estimator():
     for fps in (100.0, 110.0):
         f = 0.8
         while f <= 3.6 + 1e-9:
-            pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=f,
-                                         amplitude_mm=30.0, duration_s=3.0, fps=fps)
+            pos, ts = sinusoid(f, 30.0, 3.0, fps)
             est = estimate_frequency(pos, ts)
             worst = max(worst, abs(est - f))
             f += 0.2

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from functools import lru_cache
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hge
 from hge import CSV_HEADER, generate, make_ablation_stream, make_canonical_script, write_csv_stream
 from hge.cli import run
 from hge.config import DEFAULT_CONFIG, config_to_text, parse_config_text
@@ -210,6 +213,24 @@ class TestValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert "line 4" in err and str(broken) in err
+
+    def test_huge_normal_component_prints_one_error_line(self, canonical_pair, tmp_path):
+        lp, rp = canonical_pair
+        lines = Path(lp).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "1e200"      # normal_x
+        lines[3] = ",".join(cells)
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join(lines) + "\n")
+        # a child process shows what a user sees: numpy's warnings print to its stderr
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(hge.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "hge.cli", "validate", "--left", str(huge), "--right", rp],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "line 4, column normal_x: |palm_normal| = inf" in err[0]
 
     def test_missing_file_exits_two(self, canonical_pair, capsys):
         lp, _ = canonical_pair

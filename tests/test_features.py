@@ -17,7 +17,6 @@ from hge import (
     NonUnitNormal,
     PalmOrientation,
     PalmShape,
-    PrimitiveKind,
     TooFewSamples,
     TrajectoryKind,
     classify_palm_shape,
@@ -26,7 +25,6 @@ from hge import (
     extract_feature_vector,
     finger_spread,
     generate,
-    generate_primitive,
     inter_palm_distance,
     make_canonical_script,
     make_stage3_script,
@@ -38,7 +36,7 @@ from hge.synth import OcclusionModel
 from dataclasses import replace
 
 from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
-                     random_unit)
+                     random_unit, sinusoid)
 
 
 class TestPalmOpposition:
@@ -227,18 +225,16 @@ class TestTrajectory:
 
 class TestFrequency:
     def test_sine_2hz(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=2.0,
-                                     amplitude_mm=30.0, duration_s=3.0, fps=100.0)
+        pos, ts = sinusoid(2.0, 30.0, 3.0, 100.0)
         est = estimate_frequency(pos, ts)
         assert est == pytest.approx(2.0, abs=0.1)
 
     def test_constant_position_has_no_frequency(self):
-        pos, ts = generate_primitive(PrimitiveKind.STATIC, duration_s=2.0, fps=100.0)
+        pos, ts = sinusoid(2.0, 0.0, 2.0, 100.0)
         assert estimate_frequency(pos, ts) is None
 
     def test_band_edge_3_6hz(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=3.6,
-                                     amplitude_mm=30.0, duration_s=3.0, fps=100.0)
+        pos, ts = sinusoid(3.6, 30.0, 3.0, 100.0)
         est = estimate_frequency(pos, ts)
         assert est == pytest.approx(3.6, abs=0.15)
         # in-band as the detector judges it: band edges widened by estimator tolerance
@@ -247,17 +243,16 @@ class TestFrequency:
         assert lo - tol <= est <= hi + tol
 
     def test_small_amplitude_absent(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=2.0,
-                                     amplitude_mm=2.0, duration_s=3.0, fps=100.0)
+        pos, ts = sinusoid(2.0, 2.0, 3.0, 100.0)
         assert estimate_frequency(pos, ts) is None
 
     def test_short_window_rejected(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, duration_s=0.5, fps=100.0)
+        pos, ts = sinusoid(2.0, 30.0, 0.5, 100.0)
         with pytest.raises(TooFewSamples):
             estimate_frequency(pos, ts)
 
     def test_low_rate_rejected(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, duration_s=3.0, fps=100.0)
+        pos, ts = sinusoid(2.0, 30.0, 3.0, 100.0)
         with pytest.raises(TooFewSamples):
             estimate_frequency(pos[::4], ts[::4])
 

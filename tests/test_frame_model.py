@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hge import (
     write_csv_stream,
 )
 
-from hge.frame_model import MERGE_WINDOW_MS
+from hge.frame_model import MERGE_WINDOW_MS, _parse_hand_lines
 
 from helpers import NAN_ROW, brute_force_max_pairs, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
@@ -185,6 +186,18 @@ class TestCsv:
         with pytest.raises(MalformedRow) as err:
             parse_hand_csv("\n".join(lines) + "\n", Handedness.LEFT)
         assert (err.value.line, err.value.column) == (5, column)
+
+    def test_huge_normal_component_is_malformed_without_a_warning(self):
+        text = self.with_cell(self.rows(range(0, 100, 10)), 5, 4, "1e200")
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for parse in (lambda: parse_hand_csv(text, Handedness.LEFT),
+                          lambda: _parse_hand_lines(text.splitlines(), Handedness.LEFT)):
+                with pytest.raises(MalformedRow) as err:
+                    parse()
+                messages.append(str(err.value))
+        assert messages == ["line 5, column normal_x: |palm_normal| = inf deviates more than 0.001"] * 2
 
     def test_earlier_row_fault_wins_over_later_value_fault(self):
         text = self.with_cell(self.rows(range(0, 100, 10)), 9, 10, "1.5")

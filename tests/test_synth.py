@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hge import (
+    FrameStream,
     Handedness,
     InvalidScript,
     PhaseKind,
@@ -16,11 +17,10 @@ from hge import (
     drop_frames,
     estimate_frequency,
     generate,
-    generate_primitive,
+    make_ablation_stream,
     make_canonical_script,
     palm_opposition,
     parse_script_text,
-    remove_phase_frames,
     write_csv_stream,
 )
 from hge.synth import GestureScript, OcclusionModel, PhaseSpec
@@ -115,16 +115,16 @@ class TestGenerate:
 
 
 class TestPerturbations:
-    def test_remove_approach_breaks_detection(self):
-        stream, labels = generate(make_canonical_script())
-        cut, cut_labels = remove_phase_frames(stream, labels, PhaseKind.APPROACH)
-        assert "approach" not in cut_labels
+    def test_no_approach_is_the_canonical_stream_without_its_approach(self):
+        canonical, _ = generate(make_canonical_script())
+        kept = FrameStream([f for f in canonical.frames if not 1000 <= f.timestamp < 2000])
+        cut = make_ablation_stream("no_approach")
+        assert np.array_equal(stream_scalars(cut), stream_scalars(kept), equal_nan=True)
         assert detect_stage2(cut).verdict == Verdict.NOT_COMPLETED
 
-    def test_remove_unknown_phase_rejected(self):
-        stream, labels = generate(make_canonical_script())
+    def test_unknown_ablation_rejected(self):
         with pytest.raises(UnknownPhase):
-            remove_phase_frames(stream, labels, "warp_drive")
+            make_ablation_stream("warp_drive")
 
     def test_drop_frames_keeps_order_and_rate(self):
         stream, _ = generate(make_canonical_script(rub_duration_s=8.0))
@@ -141,30 +141,53 @@ class TestPerturbations:
         assert detect_stage2(drop_frames(stream, 0.05, seed=3)).verdict == Verdict.COMPLETED
 
 
+def primitive_path(kind, duration_s, fps=100.0):
+    """Palm positions, palm velocities and timestamps of a noiseless `primitive` phase."""
+    script = GestureScript(phases=(PhaseSpec(PhaseKind.PRIMITIVE, duration_s, primitive_kind=kind),), fps=fps)
+    stream, _ = generate(script)
+    hands = [f.hands[0] for f in stream.frames]
+    return (np.array([h.palm_position for h in hands]), np.array([h.palm_velocity for h in hands]),
+            [f.timestamp for f in stream.frames])
+
+
+X, Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+# each primitive's positions and velocities at times t (s), about the centre (0, 200, 0) mm
+CLOSED_FORMS = {
+    PrimitiveKind.SINUSOID_1D: lambda t: (
+        np.outer(30.0 * np.sin(4.0 * np.pi * t), X),
+        np.outer(30.0 * 4.0 * np.pi * np.cos(4.0 * np.pi * t), X)),
+    PrimitiveKind.CIRCLE: lambda t: (
+        50.0 * (np.outer(np.cos(2.0 * np.pi * t), X) + np.outer(np.sin(2.0 * np.pi * t), Z)),
+        50.0 * 2.0 * np.pi * (np.outer(-np.sin(2.0 * np.pi * t), X) + np.outer(np.cos(2.0 * np.pi * t), Z))),
+    PrimitiveKind.LINE: lambda t: (np.outer(50.0 * t, X), np.outer(np.full_like(t, 50.0), X)),
+    PrimitiveKind.STATIC: lambda t: (np.zeros((len(t), 3)), np.zeros((len(t), 3))),
+}
+
+
 class TestPrimitives:
     def test_circle_classifies_circular(self):
-        pos, _ = generate_primitive(PrimitiveKind.CIRCLE, radius_mm=50.0, duration_s=1.0, fps=100.0)
+        pos, _, _ = primitive_path(PrimitiveKind.CIRCLE, 1.0)
         assert classify_trajectory(pos) == TrajectoryKind.CIRCULAR
 
     def test_sinusoid_frequency(self):
-        pos, ts = generate_primitive(PrimitiveKind.SINUSOID_1D, frequency_hz=2.0,
-                                     duration_s=3.0, fps=100.0)
+        pos, _, ts = primitive_path(PrimitiveKind.SINUSOID_1D, 3.0)
         assert estimate_frequency(pos, ts) == pytest.approx(2.0, abs=0.1)
 
     def test_static_has_no_frequency(self):
-        pos, ts = generate_primitive(PrimitiveKind.STATIC, duration_s=2.0, fps=100.0)
+        pos, _, ts = primitive_path(PrimitiveKind.STATIC, 2.0)
         assert estimate_frequency(pos, ts) is None
 
     @pytest.mark.parametrize("kind", list(PrimitiveKind))
-    def test_primitive_phase_renders_generate_primitive(self, kind):
-        script = GestureScript(phases=(PhaseSpec(PhaseKind.PRIMITIVE, 1.3, primitive_kind=kind),), fps=80.0)
-        stream, _ = generate(script)
-        pos, ts = generate_primitive(kind, duration_s=1.3, fps=80.0)
-        assert np.array_equal(np.array([f.hands[0].palm_position for f in stream.frames]), pos)
-        assert [f.timestamp for f in stream.frames] == ts.tolist()
+    def test_primitive_phase_matches_its_closed_form(self, kind):
+        pos, vel, ts = primitive_path(kind, 1.3, fps=80.0)
+        index = np.arange(104)       # 1.3 s at 80 FPS
+        want_pos, want_vel = CLOSED_FORMS[kind](index / 80.0)
+        assert ts == np.rint(index * 12.5).astype(int).tolist()
+        assert np.allclose(pos, want_pos + [0.0, 200.0, 0.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(vel, want_vel, rtol=0.0, atol=1e-9)
 
     def test_line_classifies_linear(self):
-        pos, _ = generate_primitive(PrimitiveKind.LINE, speed_mm_s=60.0, duration_s=1.0, fps=100.0)
+        pos, _, _ = primitive_path(PrimitiveKind.LINE, 1.0)
         assert classify_trajectory(pos) == TrajectoryKind.LINEAR
 
 
