@@ -56,7 +56,7 @@ class InvalidScript(EngineError):
 
 
 class UnknownPhase(EngineError):
-    """A phase name does not match any script phase kind."""
+    """An ablation name is not one of `synth.ABLATIONS`."""
 
 
 class ConfigError(EngineError):

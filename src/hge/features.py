@@ -210,10 +210,7 @@ def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -
         return TrajectoryKind.INDETERMINATE
 
     centered, evals, evecs = _principal_axes(pts)
-    total = float(evals.sum())
-    if total <= 0:
-        return TrajectoryKind.INDETERMINATE
-    if float(evals[2]) / total >= config.line_variance_min:
+    if float(evals[2]) / float(evals.sum()) >= config.line_variance_min:
         return TrajectoryKind.LINEAR
 
     uv = centered @ evecs[:, 1:3]

@@ -34,9 +34,10 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 NORMAL_TOLERANCE = 1e-3   # renormalize within this, reject beyond it
-MERGE_WINDOW_MS = 5       # one frame period at DEVICE_FPS_MAX
+MAX_MAGNITUDE = 1e16      # every value read is below this in magnitude; repr writes larger floats as 'e+'
 DEVICE_FPS_MIN = 50.0     # the tracker rates the paper covers
 DEVICE_FPS_MAX = 200.0
+MERGE_WINDOW_MS = int(1000 / DEVICE_FPS_MAX)     # one frame period
 
 
 class Handedness(str, Enum):
@@ -146,13 +147,20 @@ def merge_hand_streams(left, right) -> FrameStream:
     return FrameStream(frames)
 
 
+def _value_fault(value: float, cell: str) -> str:
+    """Why a value that is not finite, or not below MAX_MAGNITUDE in magnitude, is refused."""
+    if math.isfinite(value):
+        return f"value {cell!r} is not below {MAX_MAGNITUDE:g} in magnitude"
+    return f"non-finite value {cell!r}"
+
+
 def _parse_float(cell: str, line: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise MalformedRow(line, column, f"cannot parse {cell!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(line, column, f"non-finite value {cell!r}")
+    if not abs(value) < MAX_MAGNITUDE:
+        raise MalformedRow(line, column, _value_fault(value, cell))
     return value
 
 
@@ -165,7 +173,7 @@ def _careful_cells(cells, line: int):
     """The float cells of a row that `float` alone cannot read, checked one at a time.
 
     A fingertip triple left blank is untracked and reads as NaN; any other
-    cell that is blank, unreadable or non-finite raises MalformedRow.
+    cell that is blank, unreadable, non-finite or too large raises MalformedRow.
     """
     values = [_parse_float(cells[k], line, CSV_COLUMNS[k]) for k in range(1, _TIPS + 1)]
     for k in range(_TIPS + 1, len(CSV_COLUMNS), 3):
@@ -187,22 +195,21 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
     normal's length, as a row-by-row parse would meet them. Returns the
     palm normals' norms.
     """
-    nonfinite = ~np.isfinite(block)
-    nonfinite[careful] = False     # careful rows are checked; their NaNs are untracked fingertips
+    bad_value = ~(np.abs(block) < MAX_MAGNITUDE)     # non-finite or too large
+    bad_value[careful] = False     # careful rows are checked; their NaNs are untracked fingertips
     grab = block[:, _GRAB]
     bad_grab = ~((grab >= 0.0) & (grab <= 1.0))
     with np.errstate(over="ignore"):    # a huge component makes the norm inf, which fails the check below
         norms = row_norms(block[:, 3:6])
     bad_normal = np.abs(norms - 1.0) > NORMAL_TOLERANCE
-    bad = nonfinite.any(axis=1) | bad_grab | bad_normal
+    bad = bad_value.any(axis=1) | bad_grab | bad_normal
     if not bad.any():
         return norms
     i = int(np.argmax(bad))
     line = linenos[i]
-    if nonfinite[i].any():
-        k = int(np.argmax(nonfinite[i])) + 1
-        cell = lines[line - 1].split(",")[k]
-        raise MalformedRow(line, CSV_COLUMNS[k], f"non-finite value {cell!r}")
+    if bad_value[i].any():
+        k = int(np.argmax(bad_value[i])) + 1
+        raise MalformedRow(line, CSV_COLUMNS[k], _value_fault(block[i, k - 1], lines[line - 1].split(",")[k]))
     if bad_grab[i]:
         raise MalformedRow(line, "grab_strength", f"grab_strength {float(grab[i])} outside [0, 1]")
     raise MalformedRow(line, "normal_x",
@@ -311,10 +318,13 @@ def _observation_row(ts: int, obs: HandObservation) -> str:
         untracked = math.isnan(tip[0]) and math.isnan(tip[1]) and math.isnan(tip[2])
         cells += ["", "", ""] if untracked else [_fmt(v) for v in tip]
     row = ",".join(cells)
-    if "n" in row:      # the repr of a finite float has no 'n'; 'nan' and 'inf' do
-        k = next(k for k, cell in enumerate(cells) if "n" in cell)
+    # the repr of a finite float below MAX_MAGNITUDE has neither; 'nan' and 'inf' have an 'n', larger ones 'e+'
+    if "n" in row or "e+" in row:
+        k = next(k for k, cell in enumerate(cells) if "n" in cell or "e+" in cell)
         what = f"{CSV_COLUMNS[k]} = {cells[k]} is not finite"
-        if k > _TIPS:
+        if "e+" in cells[k]:
+            what = f"{CSV_COLUMNS[k]} = {cells[k]} is not below {MAX_MAGNITUDE:g} in magnitude"
+        elif k > _TIPS:
             finger = (k - _TIPS - 1) // 3
             what = f"{FINGER_NAMES[finger]} fingertip {obs.fingertips[finger].tolist()} must be all finite or all NaN"
         raise EngineError(f"timestamp {ts}, {obs.handedness.value} hand: {what}")
@@ -326,8 +336,9 @@ def write_csv_stream(stream: FrameStream):
 
     Floats are written in shortest round-trip form, so parse(write(s))
     reproduces every scalar exactly except the palm normals, which ingest
-    renormalises: they can move by a few ulp. A value that is not finite,
-    or a fingertip that is only partly NaN, raises EngineError.
+    renormalises: they can move by a few ulp. A value that is not finite or
+    not below MAX_MAGNITUDE in magnitude, or a fingertip that is only partly
+    NaN, raises EngineError.
     """
     out = {Handedness.LEFT: [CSV_HEADER], Handedness.RIGHT: [CSV_HEADER]}
     for frame in stream.frames:

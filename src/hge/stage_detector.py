@@ -80,19 +80,16 @@ class DetectorState:
     phase: Phase = Phase.AWAITING_TWO_HANDS
     last_ts: Optional[int] = None
     prev_hand_count: int = 0
-    seen_hand: bool = False
-    zero_since: Optional[int] = None       # start of the current run of handless frames
-    # AwaitingTwoHands
-    facing_since: Optional[int] = None
-    not_facing_since: Optional[int] = None
-    alert_armed: bool = True
+    zero_since: Optional[int] = None       # start of the current run of handless frames after a hand
+    # AwaitingTwoHands: the current run of frames with one palm-facing value
+    facing: Optional[bool] = None          # None: the frame has no left-right pair
+    run_since: Optional[int] = None
     # two-hand frames before contact
     dist_window: deque = field(default_factory=deque)   # (ts, distance), approach_window_s long
     # ContactOccluded and Rubbing: the surviving hand
     contact_ts: Optional[int] = None
     surviving: Optional[Handedness] = None
     vel_samples: list = field(default_factory=list)
-    net_sweep_deg: float = 0.0             # net velocity-direction sweep
     pos_window: deque = field(default_factory=deque)    # (ts, palm position), rub_freq_window_s long
     rub_evals: int = 0
     rub_ok: int = 0
@@ -163,20 +160,21 @@ class Stage2Detector:
             std += t * d
         return 1000.0 * (n * std - st * sd) / (n * stt - st * st)
 
-    def _update_sweep(self, obs: HandObservation):
+    def _update_sweep(self, obs: HandObservation) -> Optional[float]:
         """Net sweep of the surviving hand's velocity direction in its dominant plane.
 
         The plane and the whole angle history are recomputed from every
         post-contact velocity sample, so early non-rotational samples (the
-        approach tail) cannot lock in a bad plane estimate.
+        approach tail) cannot lock in a bad plane estimate. None until ten
+        samples are held, and on a frame too slow to add one.
         """
         v = np.asarray(obs.palm_velocity, float)
         if float(np.linalg.norm(v)) < self.config.sweep_min_speed_mm_s:
-            return
+            return None
         samples = self.state.vel_samples
         samples.append(v)
         if len(samples) < 10:
-            return
+            return None
         sample = np.asarray(samples)
         _, evecs = np.linalg.eigh(sample.T @ sample)
         angles = np.degrees(np.arctan2(sample @ evecs[:, 1], sample @ evecs[:, 2]))
@@ -184,7 +182,7 @@ class Stage2Detector:
         deltas = (deltas + 180.0) % 360.0 - 180.0
         # direction reversals show as near-180 jumps; only smooth rotation counts
         smooth = np.abs(deltas) <= self.config.sweep_max_step_deg
-        self.state.net_sweep_deg = float(deltas[smooth].sum())
+        return float(deltas[smooth].sum())
 
     def _rub_frequency(self) -> Optional[float]:
         cfg = self.config
@@ -224,9 +222,8 @@ class Stage2Detector:
         cfg, s = self.config, self.state
         elapsed = self._stage_elapsed_s()
         ok_fraction = s.rub_ok / s.rub_evals if s.rub_evals else 0.0
-        sustained = s.rub_evals > 0 and ok_fraction >= cfg.rub_sustain_fraction
         in_window = cfg.stage_min_s <= elapsed <= cfg.stage_max_s + cfg.stage_max_slack_s
-        if sustained and in_window:
+        if ok_fraction >= cfg.rub_sustain_fraction and in_window:
             self._enter(Phase.COMPLETED, ts, f"stage_duration_s={elapsed:.3f}")
         else:
             self._enter(Phase.FAILED, ts, f"{why}_elapsed={elapsed:.2f}s_ok={ok_fraction:.2f}")
@@ -235,10 +232,10 @@ class Stage2Detector:
 
     def step(self, frame: Frame) -> list:
         """Advance the detector by one frame; returns the events it produced."""
-        s, cfg, ts = self.state, self.config, frame.timestamp
-        if s.last_ts is not None and ts <= s.last_ts:
-            raise OutOfOrderFrame(f"timestamp {ts} not after previous {s.last_ts}")
-        if s.last_ts is None:
+        s, cfg, ts, prev_ts = self.state, self.config, frame.timestamp, self.state.last_ts
+        if prev_ts is not None and ts <= prev_ts:
+            raise OutOfOrderFrame(f"timestamp {ts} not after previous {prev_ts}")
+        if prev_ts is None:
             self._enter(Phase.AWAITING_TWO_HANDS, ts)
         s.last_ts = ts
         if s.phase in TERMINAL_PHASES:
@@ -246,38 +243,26 @@ class Stage2Detector:
 
         produced = len(self.events)
         hc = frame.hand_count
-        if hc:
-            s.seen_hand = True
 
         if s.phase not in CONTACT_PHASES:
-            if hc == 0 and s.seen_hand:
-                if s.zero_since is None:
-                    s.zero_since = ts
-                elif (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
-                    self._enter(Phase.FAILED, ts, "hands_lost")
-            else:
+            if hc:
                 s.zero_since = None
+            elif s.prev_hand_count:
+                s.zero_since = ts
+            elif s.zero_since is not None and (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
+                self._enter(Phase.FAILED, ts, "hands_lost")
 
         if s.phase == Phase.AWAITING_TWO_HANDS:
             opposition = self._update_two_hand_tracking(frame) if hc == 2 else None
-            if opposition is None:
-                s.facing_since = None
-                s.not_facing_since = None
-                s.alert_armed = True
-            elif opposition.facing:
-                s.not_facing_since = None
-                s.alert_armed = True
-                if s.facing_since is None:
-                    s.facing_since = ts
-                elif (ts - s.facing_since) / 1000.0 >= cfg.facing_dwell_s:
+            facing = None if opposition is None else opposition.facing
+            if facing is None or facing != s.facing:
+                s.facing, s.run_since = facing, ts
+            elif facing:
+                if (ts - s.run_since) / 1000.0 >= cfg.facing_dwell_s:
                     self._enter(Phase.PALMS_FACING, ts, f"facing_held={cfg.facing_dwell_s:.2f}s")
-            else:
-                s.facing_since = None
-                if s.not_facing_since is None:
-                    s.not_facing_since = ts
-                elif s.alert_armed and (ts - s.not_facing_since) / 1000.0 >= cfg.not_facing_alert_s:
-                    self.events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
-                    s.alert_armed = False
+            # an unopposed run alerts once, on the frame whose run time first reaches the limit
+            elif (ts - s.run_since) / 1000.0 >= cfg.not_facing_alert_s > (prev_ts - s.run_since) / 1000.0:
+                self.events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
 
         elif s.phase == Phase.PALMS_FACING:
             if hc == 2:
@@ -289,7 +274,7 @@ class Stage2Detector:
         elif s.phase == Phase.APPROACHING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
-            elif hc == 1 and s.prev_hand_count == 2 and s.dist_window:
+            elif hc == 1 and s.prev_hand_count == 2:
                 last_d = s.dist_window[-1][1]
                 if last_d < cfg.contact_distance_mm:
                     s.surviving = frame.hands[0].handedness
@@ -317,10 +302,9 @@ class Stage2Detector:
         elif self._stage_elapsed_s() > cfg.stage_max_s + cfg.stage_max_slack_s:
             self._evaluate_completion(ts, "stage_too_long")
         elif s.phase == Phase.CONTACT_OCCLUDED:
-            if obs is not None:
-                self._update_sweep(obs)
-            if abs(s.net_sweep_deg) >= cfg.rotation_sweep_deg:
-                self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(s.net_sweep_deg):.0f}")
+            sweep = self._update_sweep(obs) if obs is not None else None
+            if sweep is not None and abs(sweep) >= cfg.rotation_sweep_deg:
+                self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(sweep):.0f}")
         elif frame.hand_count == 2:
             self._evaluate_completion(ts, "hands_reappeared")
         elif obs is not None:

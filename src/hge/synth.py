@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frame_model import (DEVICE_FPS_MAX, DEVICE_FPS_MIN, Frame, FrameStream, HandObservation, Handedness,
-                          row_norms)
+from .frame_model import (DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, Frame, FrameStream, HandObservation,
+                          Handedness, row_norms)
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -291,7 +291,7 @@ _PHASE_CONVERTERS = {"opposed_normals": lambda v: _FLAGS[v.lower()], "primitive_
 
 
 def _script_value(key: str, value: str, lineno: int, convert=float):
-    """The value as `convert` reads it; a float must also be finite."""
+    """The value as `convert` reads it; a float must also be finite and below MAX_MAGNITUDE in magnitude."""
     try:
         x = convert(value)
     except (ValueError, KeyError):
@@ -299,6 +299,8 @@ def _script_value(key: str, value: str, lineno: int, convert=float):
         raise InvalidScript(f"line {lineno}: {key} value {value!r} is not {what}") from None
     if convert is float and not math.isfinite(x):
         raise InvalidScript(f"line {lineno}: {key} value {value!r} is not finite")
+    if convert is float and not abs(x) < MAX_MAGNITUDE:
+        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not below {MAX_MAGNITUDE:g} in magnitude")
     return x
 
 

@@ -174,6 +174,32 @@ BAD_INPUTS = {
                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 3", "label"]),
     "mlprep_short_row": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0\n").encode()},
                          ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 2"]),
+    "negative_timestamp": ({"neg.csv": (CSV_HEADER + "\n-5" + ",0.0,200.0,0.0,0.0,1.0,0.0" + ",0.0" * 4
+                                        + ",1.0" * 15 + "\n").encode()},
+                           ["validate", "--left", "neg.csv", "--right", "right.csv"],
+                           ["neg.csv", "line 2, column timestamp_ms: negative timestamp"]),
+    "nan_beside_blank_fingertip": ({"nan.csv": (CSV_HEADER + "\n0,nan,200.0,0.0,0.0,1.0,0.0" + ",0.0" * 4
+                                                + ",,," + ",1.0" * 12 + "\n").encode()},
+                                   ["validate", "--left", "nan.csv", "--right", "right.csv"],
+                                   ["nan.csv", "line 2, column palm_x: non-finite value 'nan'"]),
+    "noise_sigma_negative": ({"s.script": b"noise_sigma -1\nphase idle duration_s=1\n"},
+                             ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                             ["s.script", "noise_sigma must be non-negative"]),
+    "rub_radius_negative": ({"s.script": b"phase rub_circular duration_s=1 rub_radius_mm=-1\n"},
+                            ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                            ["s.script", "rub radius must be non-negative"]),
+    "phase_token_not_k_v": ({"s.script": b"phase idle duration_s=1 slowly\n"},
+                            ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                            ["s.script", "line 1: expected k=v, got 'slowly'"]),
+    "script_line_two_values": ({"s.script": b"phase idle duration_s=1\nfps 100 200\n"},
+                               ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                               ["s.script", "line 2: expected 'fps value'"]),
+    "circle_band_empty": ({"cfg.txt": b"circle_radius_min_mm 300\ncircle_radius_max_mm 250\n"},
+                          ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                          ["cfg.txt", "circle radius band is empty"]),
+    "rub_band_empty": ({"cfg.txt": b"rub_freq_min_hz 4\n"},
+                       ["detect", "--left", "left.csv", "--right", "right.csv", "--config", "cfg.txt"],
+                       ["cfg.txt", "rub frequency band is empty"]),
     "mlprep_nul_in_path": ({"m.csv": (MANIFEST_HEAD + "left\x00.csv,right.csv,0,1500,x\n").encode()},
                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["left\\x00.csv", "null"]),
 }
@@ -190,6 +216,21 @@ def test_bad_input_exits_two_with_one_error_line(canonical_pair, tmp_path, monke
     assert len(err) == 1 and err[0].startswith("error: ")
     for fragment in fragments:
         assert fragment in err[0]
+
+
+def _child_cli(argv, cwd):
+    """Run hge in a child process, which shows what a user sees: numpy's warnings print to its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(hge.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "hge.cli", *argv], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+# file, columns set in every row from line 4 on, the cell, command: each once overflowed numpy past ingest
+HUGE_CELLS = {
+    "velocity": ("right.csv", ("vel_x",), "1e200", ["detect"]),
+    "palm": ("left.csv", ("palm_x",), "-1e200", ["features", "--window-ms", "1500"]),
+    "fingertip": ("left.csv", ("index_x", "index_y"), "1e200", ["features", "--window-ms", "1500"]),
+}
 
 
 class TestValidate:
@@ -222,15 +263,35 @@ class TestValidate:
         lines[3] = ",".join(cells)
         huge = tmp_path / "huge.csv"
         huge.write_text("\n".join(lines) + "\n")
-        # a child process shows what a user sees: numpy's warnings print to its stderr
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(hge.__file__).parents[1]),
-                                                           os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-m", "hge.cli", "validate", "--left", str(huge), "--right", rp],
-                              capture_output=True, text=True, env=env)
+        done = _child_cli(["validate", "--left", str(huge), "--right", rp], tmp_path)
         assert done.returncode == 2
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "line 4, column normal_x: |palm_normal| = inf" in err[0]
+        assert "line 4, column normal_x: value '1e200' is not below 1e+16 in magnitude" in err[0]
+
+    @pytest.mark.parametrize("case", sorted(HUGE_CELLS))
+    def test_huge_value_exits_two_without_a_warning(self, canonical_pair, tmp_path, case):
+        name, columns, cell, argv = HUGE_CELLS[case]
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        for i in range(3, len(lines)):
+            cells = lines[i].split(",")
+            for column in columns:
+                cells[CSV_HEADER.split(",").index(column)] = cell
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        done = _child_cli(argv + ["--left", "left.csv", "--right", "right.csv"], tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"error: {name}: line 4, column {columns[0]}: value {cell!r} is not below 1e+16 in magnitude"]
+
+    def test_huge_script_value_exits_two_without_a_warning(self, tmp_path):
+        (tmp_path / "s.script").write_text("phase facing_hold duration_s=1 separation_mm=1e300\n")
+        done = _child_cli(["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"], tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: s.script: line 1: separation_mm value '1e300' is not below 1e+16 in magnitude"]
+        assert not (tmp_path / "l.csv").exists()
 
     def test_missing_file_exits_two(self, canonical_pair, capsys):
         lp, _ = canonical_pair

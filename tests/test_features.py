@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestTrajectory:
         with pytest.raises(TooFewSamples):
             classify_trajectory(circle_points(50.0, n=9))
 
+    @pytest.mark.parametrize("shape", [(20, 2), (60,), (20, 3, 1)])
+    def test_input_not_n_by_3_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape("palm_positions must be an (n, 3) array")):
+            classify_trajectory(np.zeros(shape))
+
+    @pytest.mark.parametrize("radius", [3.0, 300.0])      # below and above the 5-200 mm band
+    def test_circle_radius_outside_band_is_indeterminate(self, radius):
+        assert classify_trajectory(circle_points(radius)) == TrajectoryKind.INDETERMINATE
+
     def test_lines_in_all_directions(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -255,6 +265,15 @@ class TestFrequency:
         pos, ts = sinusoid(2.0, 30.0, 3.0, 100.0)
         with pytest.raises(TooFewSamples):
             estimate_frequency(pos[::4], ts[::4])
+
+    @pytest.mark.parametrize("n_pos, ts, error, message", [
+        (3, [0, 10], ValueError, "positions and timestamps must have equal length"),
+        (1, [0], TooFewSamples, "need at least 1 s of samples"),
+        (3, [500, 500, 500], TooFewSamples, "window has no time extent"),
+    ])
+    def test_malformed_input_rejected(self, n_pos, ts, error, message):
+        with pytest.raises(error, match=message):
+            estimate_frequency(np.zeros((n_pos, 3)), ts)
 
 
 def stage2_rub_window():

@@ -197,7 +197,26 @@ class TestCsv:
                 with pytest.raises(MalformedRow) as err:
                     parse()
                 messages.append(str(err.value))
-        assert messages == ["line 5, column normal_x: |palm_normal| = inf deviates more than 0.001"] * 2
+        assert messages == ["line 5, column normal_x: value '1e200' is not below 1e+16 in magnitude"] * 2
+
+    @pytest.mark.parametrize("column, cell, blank_tip", [
+        (1, "1e16", False), (9, "-1e300", False), (11, "12345678901234567", False), (2, "1e16", True),
+    ])
+    def test_value_of_1e16_or_more_is_malformed(self, column, cell, blank_tip):
+        text = self.with_cell(self.rows(range(0, 100, 10)), 5, column, cell)
+        for k in range(23, 26) if blank_tip else ():     # a blank pinky sends the row to _careful_cells
+            text = self.with_cell(text, 5, k, "")
+        for parse in (lambda: parse_hand_csv(text, Handedness.LEFT),
+                      lambda: _parse_hand_lines(text.splitlines(), Handedness.LEFT)):
+            with pytest.raises(MalformedRow) as err:
+                parse()
+            assert str(err.value) == (f"line 5, column {CSV_HEADER.split(',')[column]}: "
+                                      f"value {cell!r} is not below 1e+16 in magnitude")
+        obs = parse_hand_csv(self.with_cell(self.rows(range(0, 100, 10)), 5, column, "-9999999999999998.0"),
+                             Handedness.LEFT)[3][1]
+        values = np.concatenate([obs.palm_position, obs.palm_normal, obs.palm_velocity, [obs.grab_strength],
+                                 obs.fingertips.ravel()])
+        assert values[column - 1] == -9999999999999998.0
 
     def test_earlier_row_fault_wins_over_later_value_fault(self):
         text = self.with_cell(self.rows(range(0, 100, 10)), 9, 10, "1.5")
@@ -262,6 +281,22 @@ class TestCsv:
         stream = FrameStream([Frame(7, (make_hand(Handedness.LEFT, **{field: vector}),))])
         with pytest.raises(EngineError, match=re.escape(f"timestamp 7, Left hand: {column} = {value!r} is not finite")):
             write_csv_stream(stream)
+
+    @pytest.mark.parametrize("column", ["palm_x", "vel_y", "thumb_z"])
+    @pytest.mark.parametrize("value", [1e16, -1e300])
+    def test_value_of_1e16_or_more_is_not_written(self, column, value):
+        def stream(v):
+            vectors = {"palm": [0.0, 200.0, 0.0], "vel": [0.0, 0.0, 0.0], "thumb": [1.0, 2.0, 3.0]}
+            vectors[column[:-2]]["xyz".index(column[-1])] = v
+            hand = make_hand(Handedness.RIGHT, palm=vectors["palm"], velocity=vectors["vel"],
+                             tips=[vectors["thumb"]] * 5)
+            return FrameStream([Frame(7, (hand,))])
+
+        message = f"timestamp 7, Right hand: {column} = {value!r} is not below 1e+16 in magnitude"
+        with pytest.raises(EngineError, match=re.escape(message)):
+            write_csv_stream(stream(value))
+        largest = stream(math.copysign(9999999999999998.0, value))
+        assert np.array_equal(stream_scalars(parse_csv_stream(*write_csv_stream(largest))), stream_scalars(largest))
 
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])

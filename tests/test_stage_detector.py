@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from hge import (
     Verdict,
     detect_stage2,
     drop_frames,
+    events_to_text,
     generate,
     make_ablation_stream,
     make_canonical_script,
@@ -103,6 +105,13 @@ class TestTransitions:
             if det.state.phase == Phase.FAILED:
                 break
         assert det.state.phase == Phase.FAILED
+
+    def test_two_same_handed_hands_are_not_a_pair(self):
+        det = Stage2Detector()
+        for frame in facing_frames(300):
+            det.step(Frame(frame.timestamp, (frame.hands[0], replace(frame.hands[1], handedness=Handedness.LEFT))))
+        assert [ev.name for ev in det.report().events] == [Phase.AWAITING_TWO_HANDS.value, Phase.FAILED.value]
+        assert det.state.facing is None and not det.state.dist_window
 
     def test_leading_empty_frames_do_not_fail(self):
         det = Stage2Detector()
@@ -225,6 +234,19 @@ class TestDetectStage2:
         for (p1, s1, e1), (p2, s2, e2) in zip(base.phase_timeline, moved.phase_timeline):
             assert p1 == p2 and s2 - s1 == shift and e2 - e1 == shift
 
+    def test_survivor_below_50_fps_is_never_scored(self):
+        stream = canonical_stream(rub_duration_s=4.0)
+        contact = next(ev.timestamp_ms for ev in detect_stage2(stream).events
+                       if ev.name == Phase.CONTACT_OCCLUDED.value)
+        # the surviving hand at 33 FPS: rub windows fail estimate_frequency's rate check
+        det = Stage2Detector()
+        for frame in stream.frames:
+            if frame.timestamp < contact or (frame.timestamp - contact) % 30 == 0:
+                det.step(frame)
+        report = det.report()
+        assert Phase.RUBBING.value in [ev.name for ev in report.events] and det.state.rub_evals == 0
+        assert report.events[-1].detail.startswith("stream_ended") and report.events[-1].detail.endswith("ok=0.00")
+
     def test_short_rub_not_completed(self):
         report = detect_stage2(canonical_stream(rub_duration_s=1.2))
         assert report.verdict == Verdict.NOT_COMPLETED
@@ -336,3 +358,95 @@ def test_time_shift_moves_every_event_through_contact(script, start_ms):
     end = names.index(Phase.CONTACT_OCCLUDED.value) + 1 if Phase.CONTACT_OCCLUDED.value in names else len(base)
     assert [(ev.timestamp_ms - SHIFT_MS, ev.name, ev.detail) for ev in moved[:end]] == \
         [(ev.timestamp_ms, ev.name, ev.detail) for ev in base[:end]]
+
+
+def _walk_away():
+    """A 3 s rub, then 3 s without hands."""
+    script = make_canonical_script(noise_sigma=1.0, seed=6)
+    return generate(replace(script, phases=script.phases + (PhaseSpec(PhaseKind.IDLE, 3.0),)))[0]
+
+
+def _flicker():
+    """The surviving hand missing from one frame in the middle of the rub."""
+    frames = list(canonical_stream(noise_sigma=1.0, seed=7).frames)
+    frames[350] = Frame(frames[350].timestamp, ())
+    return FrameStream(frames)
+
+
+def _alternating_runs():
+    """Unopposed runs of 2.5, 2.0 and 2.05 s, split by a short facing run and a one-hand run, then facing."""
+    frames, t0 = [], 0
+    for opposed, n in ((False, 250), (True, 20), (False, 201), (None, 10), (False, 205), (True, 40)):
+        chunk = facing_frames(n, t0=t0, opposed=bool(opposed))
+        frames += [Frame(f.timestamp, f.hands[:1]) for f in chunk] if opposed is None else chunk
+        t0 += 10 * n
+    return FrameStream(frames)
+
+
+def _handless_gap(start_s, gap_s):
+    """The canonical stream with no hands from start_s for gap_s."""
+    lo, hi = start_s * 1000, (start_s + gap_s) * 1000
+    return FrameStream([Frame(f.timestamp, ()) if lo <= f.timestamp < hi else f
+                        for f in canonical_stream(noise_sigma=1.0, seed=8).frames])
+
+
+def _leading_gap():
+    """1.5 s of handless frames before the canonical stream."""
+    return FrameStream([Frame(t, ()) for t in range(0, 1500, 10)] + _shifted(canonical_stream(seed=9), 1500).frames)
+
+
+GOLDEN_SESSIONS = {
+    **{f"rub_{hz}hz": (lambda hz=hz: canonical_stream(rub_frequency_hz=float(hz))) for hz in (1, 2, 3)},
+    **{f"{name}_{fps}fps": (lambda name=name, fps=fps: make_ablation_stream(name, fps=float(fps), seed=1))
+       for name in ABLATIONS for fps in (50, 100, 200)},
+    **{f"rub_sigma3_seed{seed}": (lambda seed=seed: canonical_stream(noise_sigma=3.0, seed=seed)) for seed in (1, 2)},
+    "drop5": lambda: drop_frames(canonical_stream(noise_sigma=1.0, seed=3), 0.05, seed=4),
+    "walk_away": _walk_away,
+    "flicker": _flicker,
+    "alternating_runs": _alternating_runs,
+    "gap_after_hand_short": lambda: _handless_gap(0.4, 0.5),
+    "gap_after_hand_long": lambda: _handless_gap(0.4, 1.2),
+    "gap_before_any_hand": _leading_gap,
+}
+
+# sha256 of each session's event text followed by its report text
+GOLDEN_EVENT_DIGESTS = {
+    "alternating_runs": "232613727c73f7cb63e4b4d7a7edd2ac5663e2182f15154882e2fb4a0517f578",
+    "drop5": "51c1ccfa4baffff3728e201539ca90b794a7d6d1284f4ba5590c91c9a6641252",
+    "flicker": "4fb9d9a764c0951c42cde0a537706c168ea96d474e6adbe77afb71d1a99a6eba",
+    "gap_after_hand_long": "2a71c5ab8a7072cc8643b38fbd323ed1bfa280b945ea263e669d065eab23b961",
+    "gap_after_hand_short": "39652e08b46616df0322f50d1d584b7d2686c86d0585300c7f648b55b147121e",
+    "gap_before_any_hand": "86bc44fd8ce74b158ff28cb03336a6f95a111857b0d034cf7a5c566ebb6e9097",
+    "no_approach_100fps": "58e9231733b9d45fa22538cad29c7650b3e59da090fdfeda4edc25ae37f9d2e4",
+    "no_approach_200fps": "deebedbc9519f97aa9d1584654c990452e9603bbe3d35bc65a2c27705c83e594",
+    "no_approach_50fps": "4cf8c9a69e132a64c2acc447e2d5b156747f21601efb98bd13c7559374438c0b",
+    "no_facing_100fps": "567e2743340fcc8c74296156e20aea4021117868d27ccb1de57c9ffcc80caab4",
+    "no_facing_200fps": "edabc1ad2eaa0eecc7cf98d367f3241ed5562f778a25bf4ec53bb5e019095421",
+    "no_facing_50fps": "3db3c9bd41767646896e41c3d052e703a8c5c053d77478147d0efdd701b4012b",
+    "no_occlusion_100fps": "3b4df3d010f743bc27194a47eb2069c3d59579656c96ff43f06d5e9aa9cf0c29",
+    "no_occlusion_200fps": "254954214f3d4c0f4a7033667e10f9807de80a506cb5e51b8a2fe5301ae64d11",
+    "no_occlusion_50fps": "79899c97722154657d3627bfe9426352c227d4c3cf4f02eb18802def0439e4f2",
+    "no_rotation_100fps": "ab1a34fc3bb550998baa441f40085a751c8bddd9dae44bb07922ef52f8490617",
+    "no_rotation_200fps": "91a3f07466945b2dfe11cbcc4faf4f9044d2eee596f90b73ffe2325312bfa152",
+    "no_rotation_50fps": "e3f358337edd4b60c70baa2058296dffe9687fdf7c4e6646b2a5d42c4d3709cc",
+    "rub_1hz": "7c6ea82523d4253584974fb39ea2973fcb7ef007ea978f86cb79a6d0dcb6acb0",
+    "rub_2hz": "8f369aee8bb7578a5b23087f5af00989b48f1f8efbc12c6bb4de931d574839c5",
+    "rub_3hz": "669438095334e114b2e9290f3c517ec01170a09673570ba8b4ae6f5dd5f00c70",
+    "rub_sigma3_seed1": "0c8bb2a04d14c6a3b645010563c7e3245671ac373fcb3286787606590c634e7e",
+    "rub_sigma3_seed2": "13120d81f9a981bda35186ceda8e1ab5093e1006c2e9f8bdb5597e33cc8284eb",
+    "short_rub_100fps": "f51f07ae25b5edc6fedab3f557d25b9539d77ef5584f5cd153b6bdf0d357697d",
+    "short_rub_200fps": "c967cb9e3de7e8efd0b53c2bec93ec1e20d8a81f50a0c28a01a99f671ddf66aa",
+    "short_rub_50fps": "6cd78f6c7e052d1fa62fbdbf7eb66a14f50b5b41355a31e2dbb718208e8960af",
+    "walk_away": "10a8bcc788135eb8abaeb376be9af946f705e31372d7b8d385624eaa467f2f53",
+}
+
+
+def _event_digest(stream):
+    report = detect_stage2(stream)
+    return hashlib.sha256((events_to_text(report.events) + report.to_text()).encode()).hexdigest()
+
+
+class TestGoldenEvents:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SESSIONS))
+    def test_events_and_report_are_pinned(self, name):
+        assert _event_digest(GOLDEN_SESSIONS[name]()) == GOLDEN_EVENT_DIGESTS[name]

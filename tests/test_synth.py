@@ -87,6 +87,8 @@ class TestGenerate:
             generate(GestureScript(phases=(PhaseSpec(PhaseKind.IDLE, -1.0),)))
         with pytest.raises(InvalidScript):
             generate(replace(make_canonical_script(), fps=20.0))
+        with pytest.raises(InvalidScript, match="unknown primitive kind 'spiral'"):
+            generate(GestureScript(phases=(PhaseSpec(PhaseKind.PRIMITIVE, 1.0, primitive_kind="spiral"),)))
 
     @pytest.mark.parametrize("separation", ["-100", "0"])
     def test_facing_hold_at_no_positive_separation_rejected(self, separation):
