@@ -6,9 +6,8 @@ finite-state machine, generates labeled synthetic streams for testing,
 and exports feature datasets for classifier training.
 """
 
-from .config import DEFAULT_CONFIG, EngineConfig, parse_config_text
+from .config import DEFAULT_CONFIG
 from .errors import (
-    ConfigError,
     EngineError,
     GrabOutOfRange,
     HeaderMismatch,
@@ -26,10 +25,8 @@ from .features import (
     STAGE3_SIGNATURE,
     FeatureVector,
     FingerSpread,
-    OppositionResult,
     PalmOrientation,
     PalmShape,
-    StageSignature,
     TrajectoryKind,
     classify_palm_shape,
     classify_trajectory,
@@ -54,20 +51,15 @@ from .frame_model import (
 from .mlprep import build_dataset, rows_to_csv
 from .stage_detector import (
     AlertKind,
-    DetectorState,
-    Event,
     Phase,
     Stage2Detector,
-    StageReport,
     Verdict,
     detect_stage2,
     events_to_text,
 )
 from .synth import (
-    GestureScript,
     OcclusionModel,
     PhaseKind,
-    PhaseSpec,
     PrimitiveKind,
     drop_frames,
     generate,

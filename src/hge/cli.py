@@ -108,37 +108,32 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _load_config(args) -> EngineConfig:
-    path = getattr(args, "config", None) or os.environ.get("HGE_CONFIG")
-    if not path:
-        return DEFAULT_CONFIG
-    text = _read(path)
+def _named(path: str, fn, *args):
+    """fn(*args), prefixing an EngineError it raises with the input file; the parsers name the line."""
     try:
-        return parse_config_text(text)
+        return fn(*args)
     except EngineError as exc:
         raise EngineError(f"{path}: {exc}") from None
 
 
+def _load_config(args) -> EngineConfig:
+    path = getattr(args, "config", None) or os.environ.get("HGE_CONFIG")
+    if not path:
+        return DEFAULT_CONFIG
+    return _named(path, parse_config_text, _read(path))
+
+
 def _parse_pair(left_path: str, right_path: str):
-    records = []
-    for path, handedness in ((left_path, Handedness.LEFT), (right_path, Handedness.RIGHT)):
-        text = _read(path)
-        try:
-            records.append(parse_hand_csv(text, handedness))
-        except EngineError as exc:
-            # the parser reports line numbers; prefix the offending file
-            raise EngineError(f"{path}: {exc}") from None
+    records = [_named(path, parse_hand_csv, _read(path), handedness)
+               for path, handedness in ((left_path, Handedness.LEFT), (right_path, Handedness.RIGHT))]
     return merge_hand_streams(*records)
 
 
 def _cmd_synth(args) -> int:
-    text = _read(args.script)
-    try:
-        script = parse_script_text(text)
-    except EngineError as exc:
-        raise EngineError(f"{args.script}: {exc}") from None
-    stream, _ = generate(script)
-    left_text, right_text = write_csv_stream(stream)
+    script = _named(args.script, parse_script_text, _read(args.script))
+    # a script whose values each lie in range can still render a value the writer refuses
+    stream, _ = _named(args.script, generate, script)
+    left_text, right_text = _named(args.script, write_csv_stream, stream)
     _write(args.out_left, left_text)
     _write(args.out_right, right_text)
     print(f"wrote {len(stream.frames)} frames to {args.out_left} and {args.out_right}")
@@ -212,10 +207,7 @@ def _cmd_mlprep(args) -> int:
         if pair not in streams:
             streams[pair] = _parse_pair(*(os.path.join(base, name) for name in pair))
         windows.append((streams[pair].slice_ms(start, end), row["label"]))
-    try:
-        rows = build_dataset(windows, config)
-    except EngineError as exc:
-        raise EngineError(f"{args.manifest}: {exc}") from None
+    rows = _named(args.manifest, build_dataset, windows, config)
     _write(args.out, rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

@@ -124,17 +124,22 @@ def _check_unit_norm(name: str, norm: float):
         raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {NORMAL_TOLERANCE}")
 
 
+def _resultant(a, b) -> float:
+    """|a + b| of the left and right palm normals, two float triples, after each one's unit check."""
+    ax, ay, az = a
+    bx, by, bz = b
+    _check_unit_norm("normal_left", math.sqrt(ax * ax + ay * ay + az * az))
+    _check_unit_norm("normal_right", math.sqrt(bx * bx + by * by + bz * bz))
+    sx, sy, sz = ax + bx, ay + by, az + bz
+    return math.sqrt(sx * sx + sy * sy + sz * sz)
+
+
 def palm_opposition(normal_left, normal_right, config: EngineConfig = DEFAULT_CONFIG) -> OppositionResult:
     """Resultant of the two palm normals; a small magnitude means opposed palms.
 
     Facing is the strict comparison |left + right| < facing_resultant_max.
     """
-    ax, ay, az = np.asarray(normal_left, float).tolist()
-    bx, by, bz = np.asarray(normal_right, float).tolist()
-    _check_unit_norm("normal_left", math.sqrt(ax * ax + ay * ay + az * az))
-    _check_unit_norm("normal_right", math.sqrt(bx * bx + by * by + bz * bz))
-    sx, sy, sz = ax + bx, ay + by, az + bz
-    magnitude = math.sqrt(sx * sx + sy * sy + sz * sz)
+    magnitude = _resultant(np.asarray(normal_left, float).tolist(), np.asarray(normal_right, float).tolist())
     return OppositionResult(magnitude, magnitude < config.facing_resultant_max)
 
 
@@ -146,24 +151,40 @@ def classify_palm_shape(grab_strength: float, config: EngineConfig = DEFAULT_CON
     return PalmShape.FLAT if g <= config.flat_grab_max else PalmShape.CURVED
 
 
-def finger_spread(fingertips, config: EngineConfig = DEFAULT_CONFIG):
-    """Minimum adjacent fingertip gap and the open/closed verdict.
+def _tip_gaps(tips: np.ndarray):
+    """Per (5, 3) row of tips: the minimum gap between adjacent tracked tips, NaN with none, and their count.
 
-    Adjacent means thumb-index, index-middle, middle-ring, ring-pinky over the
-    tracked tips; a row holding NaN is untracked. Returns (min_distance or
-    None, spread); spread is Unknown when fewer than two adjacent tracked
-    pairs exist.
+    Adjacent means thumb-index, index-middle, middle-ring, ring-pinky; a tip holding NaN is untracked.
     """
-    tips = np.asarray(fingertips, float)
-    distances = [float(np.linalg.norm(a - b)) for a, b in zip(tips, tips[1:])
-                 if not (np.isnan(a).any() or np.isnan(b).any())]
-    if not distances:
-        return None, FingerSpread.UNKNOWN
-    min_distance = min(distances)
-    if len(distances) < 2:
-        return min_distance, FingerSpread.UNKNOWN
-    spread = FingerSpread.OPEN if min_distance >= config.open_spread_min_mm else FingerSpread.CLOSED
-    return min_distance, spread
+    tracked = ~np.isnan(tips).any(axis=2)
+    adjacent = tracked[:, 1:] & tracked[:, :-1]
+    pairs = adjacent.sum(axis=1)
+    gaps = np.where(adjacent, row_norms(tips[:, 1:] - tips[:, :-1]), np.inf).min(axis=1)
+    gaps[pairs == 0] = np.nan
+    return gaps, pairs
+
+
+def _majority_spread(gaps: np.ndarray, pairs: np.ndarray, config: EngineConfig) -> FingerSpread:
+    """Majority of the verdicts that are not Unknown over _tip_gaps' rows; over one row, finger_spread's.
+
+    A row with at least two tracked pairs is Open when its gap reaches open_spread_min_mm, else Closed.
+    """
+    known = pairs >= 2
+    opens = int((gaps[known] >= config.open_spread_min_mm).sum())
+    closed = int(known.sum()) - opens
+    if not opens + closed:
+        return FingerSpread.UNKNOWN
+    return FingerSpread.OPEN if opens >= closed else FingerSpread.CLOSED
+
+
+def finger_spread(fingertips, config: EngineConfig = DEFAULT_CONFIG):
+    """Minimum adjacent fingertip gap and the open/closed verdict of one hand's (5, 3) tips.
+
+    Returns (min_distance or None, spread): None without a tracked adjacent
+    pair, and Unknown spread with fewer than two.
+    """
+    gaps, pairs = _tip_gaps(np.asarray(fingertips, float)[None])
+    return (float(gaps[0]) if pairs[0] else None), _majority_spread(gaps, pairs, config)
 
 
 def inter_palm_distance(palm_left, palm_right) -> float:
@@ -278,21 +299,17 @@ class _HandSamples(NamedTuple):
     positions: np.ndarray      # (m, 3) palm positions
     normals: np.ndarray        # (m, 3) palm normals
     grabs: np.ndarray          # (m,)
-    gaps: np.ndarray           # (m,) finger_spread's minimum adjacent gap, NaN without a tracked pair
+    gaps: np.ndarray           # (m,) minimum adjacent gap, NaN without a tracked pair
     gap_pairs: np.ndarray      # (m,) tracked adjacent pairs behind each gap
 
 
 def _hand_samples(observations, timestamps) -> _HandSamples:
+    """A hand's samples; its gaps and gap pairs are _tip_gaps', which finger_spread reads too."""
     vectors = [np.empty(0)]     # keeps the concatenation defined for a hand never seen
     for o in observations:
         vectors += (o.palm_position, o.palm_normal, o.fingertips.reshape(-1))
     block = np.concatenate(vectors, dtype=float).reshape(-1, 7, 3)
-    tips = block[:, 2:]
-    tracked = ~np.isnan(tips).any(axis=2)
-    adjacent = tracked[:, 1:] & tracked[:, :-1]
-    gaps = np.where(adjacent, row_norms(tips[:, 1:] - tips[:, :-1]), np.inf).min(axis=1)
-    gap_pairs = adjacent.sum(axis=1)
-    gaps[gap_pairs == 0] = np.nan
+    gaps, gap_pairs = _tip_gaps(block[:, 2:])
     return _HandSamples(
         timestamps=np.array(timestamps, float),
         positions=block[:, 0],
@@ -323,16 +340,6 @@ def _mean(values: np.ndarray) -> Optional[float]:
     return float(np.mean(values)) if len(values) else None
 
 
-def _majority_spread(hand: _HandSamples, config: EngineConfig) -> FingerSpread:
-    """Majority of the per-frame finger_spread verdicts that are not Unknown."""
-    known = hand.gap_pairs >= 2
-    opens = int((hand.gaps[known] >= config.open_spread_min_mm).sum())
-    closed = int(known.sum()) - opens
-    if not opens + closed:
-        return FingerSpread.UNKNOWN
-    return FingerSpread.OPEN if opens >= closed else FingerSpread.CLOSED
-
-
 def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_CONFIG) -> FeatureVector:
     """Summarize a frame window into one FeatureVector.
 
@@ -358,16 +365,10 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     if two_hand:
         left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
         left_normals, right_normals = left.normals[pairs[:, 0]], right.normals[pairs[:, 1]]
-        # palm_opposition's unit check; row-major argmax names the first bad frame, its left hand first
-        normal_norms = np.stack([row_norms(left_normals), row_norms(right_normals)], axis=1)
-        off = np.abs(normal_norms - 1.0) > NORMAL_TOLERANCE
-        if off.any():
-            i, side = divmod(int(np.argmax(off)), 2)
-            _check_unit_norm(("normal_left", "normal_right")[side], float(normal_norms[i, side]))
+        magnitude = np.array([_resultant(a, b) for a, b in zip(left_normals.tolist(), right_normals.tolist())])
         disp = right.positions[pairs[:, 1]] - left.positions[pairs[:, 0]]
         distances = row_norms(disp)
         summed = left_normals + right_normals
-        magnitude = row_norms(summed)
         facing = magnitude < config.facing_resultant_max
         facing_votes = int(facing.sum())
         # stacked: near-parallel normals with the palms displaced along them
@@ -386,7 +387,7 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     curvatures = {h: _mean(hands[h].grabs) for h in Handedness}
     shapes = {h: None if c is None else classify_palm_shape(c, config) for h, c in curvatures.items()}
     fingertip_distances = {h: _mean(hands[h].gaps[hands[h].gap_pairs > 0]) for h in Handedness}
-    spreads = {h: _majority_spread(hands[h], config) for h in Handedness}
+    spreads = {h: _majority_spread(hands[h].gaps, hands[h].gap_pairs, config) for h in Handedness}
 
     mover = max(Handedness, key=lambda h: (_path_length(hands[h].positions), h == Handedness.RIGHT))
     positions, stamps = hands[mover].positions, hands[mover].timestamps

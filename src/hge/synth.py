@@ -82,28 +82,36 @@ class GestureScript:
     seed: int = 0
 
 
+def _check_setting(name: str, value, where: str = ""):
+    """Range check of one GestureScript field; `where` prefixes the message with the line that set it."""
+    if name == "fps" and not DEVICE_FPS_MIN <= value <= DEVICE_FPS_MAX:
+        raise InvalidScript(f"{where}fps {value} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
+    if name in ("noise_sigma", "seed") and value < 0:
+        raise InvalidScript(f"{where}{name} must be non-negative")
+
+
+def _check_phase(spec: PhaseSpec, where: str = ""):
+    if spec.duration_s <= 0:
+        raise InvalidScript(f"{where}{spec.kind.value} duration must be positive")
+    if spec.kind == PhaseKind.APPROACH:
+        end = _approach_end(spec)
+        if end < 0 or end >= spec.start_separation_mm:
+            raise InvalidScript(f"{where}approach must reduce separation toward a non-negative value")
+    if spec.kind == PhaseKind.FACING_HOLD and spec.separation_mm <= 0:
+        raise InvalidScript(f"{where}facing_hold separation must be positive, or the palms face away")
+    if spec.kind == PhaseKind.RUB_CIRCULAR and spec.rub_radius_mm < 0:
+        raise InvalidScript(f"{where}rub radius must be non-negative")
+    if spec.kind == PhaseKind.PRIMITIVE and spec.primitive_kind is None:
+        raise InvalidScript(f"{where}primitive phase needs a primitive_kind")
+
+
 def _validate_script(script: GestureScript):
     if not script.phases:
         raise InvalidScript("script has no phases")
-    if not DEVICE_FPS_MIN <= script.fps <= DEVICE_FPS_MAX:
-        raise InvalidScript(f"fps {script.fps} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
-    if script.noise_sigma < 0:
-        raise InvalidScript("noise_sigma must be non-negative")
-    if script.seed < 0:
-        raise InvalidScript("seed must be non-negative")
+    for name in ("fps", "noise_sigma", "seed"):
+        _check_setting(name, getattr(script, name))
     for spec in script.phases:
-        if spec.duration_s <= 0:
-            raise InvalidScript(f"{spec.kind.value} duration must be positive")
-        if spec.kind == PhaseKind.APPROACH:
-            end = _approach_end(spec)
-            if end < 0 or end >= spec.start_separation_mm:
-                raise InvalidScript("approach must reduce separation toward a non-negative value")
-        if spec.kind == PhaseKind.FACING_HOLD and spec.separation_mm <= 0:
-            raise InvalidScript("facing_hold separation must be positive, or the palms face away")
-        if spec.kind == PhaseKind.RUB_CIRCULAR and spec.rub_radius_mm < 0:
-            raise InvalidScript("rub radius must be non-negative")
-        if spec.kind == PhaseKind.PRIMITIVE and spec.primitive_kind is None:
-            raise InvalidScript("primitive phase needs a primitive_kind")
+        _check_phase(spec)
     total_s = sum(spec.duration_s for spec in script.phases)
     if total_s > MAX_SCRIPT_S:
         raise InvalidScript(f"script lasts {total_s:g} s, more than {MAX_SCRIPT_S:g} s")
@@ -348,6 +356,7 @@ def parse_script_text(text: str) -> GestureScript:
                 raise InvalidScript(f"line {lineno}: approach takes end_separation_mm or approach_speed_mm_s,"
                                     " not both")
             phases.append(PhaseSpec(kind=kind, **kwargs))
+            _check_phase(phases[-1], f"line {lineno}: ")
         elif key in _SCRIPT_KEYS:
             if len(parts) != 2:
                 raise InvalidScript(f"line {lineno}: expected '{key} value'")
@@ -355,6 +364,7 @@ def parse_script_text(text: str) -> GestureScript:
             if name in fields:
                 raise InvalidScript(f"line {lineno}: repeated key {key!r}")
             fields[name] = _script_value(key, parts[1], lineno, convert)
+            _check_setting(name, fields[name], f"line {lineno}: ")
         else:
             raise InvalidScript(f"line {lineno}: unknown key {key!r}")
 

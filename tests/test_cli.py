@@ -184,10 +184,21 @@ BAD_INPUTS = {
                                    ["nan.csv", "line 2, column palm_x: non-finite value 'nan'"]),
     "noise_sigma_negative": ({"s.script": b"noise_sigma -1\nphase idle duration_s=1\n"},
                              ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
-                             ["s.script", "noise_sigma must be non-negative"]),
+                             ["s.script", "line 1", "noise_sigma must be non-negative"]),
     "rub_radius_negative": ({"s.script": b"phase rub_circular duration_s=1 rub_radius_mm=-1\n"},
                             ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
-                            ["s.script", "rub radius must be non-negative"]),
+                            ["s.script", "line 1", "rub radius must be non-negative"]),
+    "fps_out_of_range": ({"s.script": b"phase idle duration_s=1\nfps 300\n"},
+                         ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                         ["s.script", "line 2", "fps 300.0 outside [50, 200]"]),
+    # each value is in range, but the rendered stream holds a value the writer refuses
+    "rub_renders_huge_velocity": ({"s.script": b"phase rub_circular duration_s=1 rub_radius_mm=9e15\n"},
+                                  ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                                  ["s.script", "vel_z", "is not below 1e+16 in magnitude"]),
+    "noise_renders_huge_tip": ({"s.script": b"noise_sigma 9e15\nphase idle duration_s=1\n"
+                                            b"phase facing_hold duration_s=1\n"},
+                               ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
+                               ["s.script", "timestamp 1000", "is not below 1e+16 in magnitude"]),
     "phase_token_not_k_v": ({"s.script": b"phase idle duration_s=1 slowly\n"},
                             ["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"],
                             ["s.script", "line 1: expected k=v, got 'slowly'"]),
