@@ -9,8 +9,8 @@ Subcommands wire the library into file pipelines:
     hge validate --left L.csv --right R.csv
 
 Exit codes: 0 success (detect: stage completed), 1 usage error, 2 I/O or
-parse error, 3 detect ran but the stage was not completed. The HGE_CONFIG
-environment variable supplies a default --config path.
+parse error, 3 detect ran but the stage was not completed. Without
+--config the built-in defaults apply.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hge", description="Two-hand frame-stream gesture engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic stream from a script")
+    p = sub.add_parser("synth", help="generate a synthetic stream from a script")
     p.add_argument("--script", required=True)
     p.add_argument("--out-left", required=True)
     p.add_argument("--out-right", required=True)
@@ -117,10 +117,9 @@ def _named(path: str, fn, *args):
 
 
 def _load_config(args) -> EngineConfig:
-    path = getattr(args, "config", None) or os.environ.get("HGE_CONFIG")
-    if not path:
+    if not args.config:
         return DEFAULT_CONFIG
-    return _named(path, parse_config_text, _read(path))
+    return _named(args.config, parse_config_text, _read(args.config))
 
 
 def _parse_pair(left_path: str, right_path: str):

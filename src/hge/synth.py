@@ -63,7 +63,6 @@ class PhaseSpec:
     separation_mm: float = 150.0          # facing_hold
     start_separation_mm: float = 150.0    # approach
     end_separation_mm: float = RUB_CONTACT_GAP_MM
-    approach_speed_mm_s: Optional[float] = None
     rub_frequency_hz: float = 2.0
     rub_radius_mm: float = 30.0
     oscillation_frequency_hz: float = 2.0
@@ -94,8 +93,7 @@ def _check_phase(spec: PhaseSpec, where: str = ""):
     if spec.duration_s <= 0:
         raise InvalidScript(f"{where}{spec.kind.value} duration must be positive")
     if spec.kind == PhaseKind.APPROACH:
-        end = _approach_end(spec)
-        if end < 0 or end >= spec.start_separation_mm:
+        if spec.end_separation_mm < 0 or spec.end_separation_mm >= spec.start_separation_mm:
             raise InvalidScript(f"{where}approach must reduce separation toward a non-negative value")
     if spec.kind == PhaseKind.FACING_HOLD and spec.separation_mm <= 0:
         raise InvalidScript(f"{where}facing_hold separation must be positive, or the palms face away")
@@ -115,12 +113,6 @@ def _validate_script(script: GestureScript):
     total_s = sum(spec.duration_s for spec in script.phases)
     if total_s > MAX_SCRIPT_S:
         raise InvalidScript(f"script lasts {total_s:g} s, more than {MAX_SCRIPT_S:g} s")
-
-
-def _approach_end(spec: PhaseSpec) -> float:
-    if spec.approach_speed_mm_s is not None:
-        return spec.start_separation_mm - spec.approach_speed_mm_s * spec.duration_s
-    return spec.end_separation_mm
 
 
 # rows of a hand block, in noise draw order, with the exact velocity last
@@ -163,7 +155,7 @@ def _phase_block(spec: PhaseSpec, t_in):
         if spec.kind == PhaseKind.FACING_HOLD:
             speed, separation = 0.0, np.full((len(t_in), 1), spec.separation_mm)
         else:
-            speed = (spec.start_separation_mm - _approach_end(spec)) / spec.duration_s
+            speed = (spec.start_separation_mm - spec.end_separation_mm) / spec.duration_s
             separation = spec.start_separation_mm - speed * t_in[:, None]
         _fill_hand(left, center - separation / 2.0 * X, X, speed / 2.0 * X, Z, Y, CLOSED_TIP_SPACING_MM)
         _fill_hand(right, center + separation / 2.0 * X, right_normal, -speed / 2.0 * X,
@@ -287,8 +279,7 @@ _SCRIPT_KEYS = {   # global key -> (GestureScript field, converter)
 _PHASE_KEYS = {   # phase kind -> the keys its rendering reads
     PhaseKind.IDLE: ("duration_s",),
     PhaseKind.FACING_HOLD: ("duration_s", "separation_mm", "opposed_normals"),
-    PhaseKind.APPROACH: ("duration_s", "start_separation_mm", "end_separation_mm", "approach_speed_mm_s",
-                         "opposed_normals"),
+    PhaseKind.APPROACH: ("duration_s", "start_separation_mm", "end_separation_mm", "opposed_normals"),
     PhaseKind.RUB_CIRCULAR: ("duration_s", "rub_frequency_hz", "rub_radius_mm", "opposed_normals"),
     PhaseKind.STAGE3_LINEAR: ("duration_s", "oscillation_frequency_hz", "oscillation_amplitude_mm"),
     PhaseKind.PRIMITIVE: ("duration_s", "primitive_kind"),
@@ -352,9 +343,6 @@ def parse_script_text(text: str) -> GestureScript:
                 kwargs[k] = _script_value(k, v, lineno, _PHASE_CONVERTERS.get(k, float))
             if "duration_s" not in kwargs:
                 raise InvalidScript(f"line {lineno}: phase needs duration_s")
-            if "end_separation_mm" in kwargs and "approach_speed_mm_s" in kwargs:
-                raise InvalidScript(f"line {lineno}: approach takes end_separation_mm or approach_speed_mm_s,"
-                                    " not both")
             phases.append(PhaseSpec(kind=kind, **kwargs))
             _check_phase(phases[-1], f"line {lineno}: ")
         elif key in _SCRIPT_KEYS:

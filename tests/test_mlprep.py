@@ -9,6 +9,7 @@ from hge import (
     FrameStream,
     Handedness,
     InsufficientWindow,
+    OcclusionModel,
     build_dataset,
     extract_feature_vector,
     finger_spread,
@@ -150,13 +151,17 @@ class TestAgainstScalarFeatures:
                 assert got == expected
 
     def test_inter_palm_distance_is_the_mean_over_two_hand_frames(self):
-        for window in synthetic_windows():
+        # unoccluded noisy rubs keep two hands in every frame, so each window has many pairs
+        unoccluded = [generate(replace(make_canonical_script(noise_sigma=1.0, seed=seed),
+                                       occlusion_model=OcclusionModel.NONE))[0] for seed in range(5)]
+        canonical = [s.slice_ms(t, t + 1500) for s in unoccluded for t in (0, 1500, 3000)]
+        for window in synthetic_windows() + canonical:
             pairs = [(f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)) for f in window.frames]
             distances = [inter_palm_distance(l.palm_position, r.palm_position)
                          for l, r in pairs if l is not None and r is not None]
             got = extract_feature_vector(window).inter_palm_distance_mm
             if distances:
-                assert got == pytest.approx(np.mean(distances), rel=1e-12)
+                assert got == np.mean(distances)
             else:
                 assert got is None
 

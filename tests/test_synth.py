@@ -233,7 +233,7 @@ phase rub_circular duration_s=3.0 rub_frequency_hz=2.0 rub_radius_mm=30
 
     # a value for each phase key other than duration_s, and its script spelling
     CHANGED = {"separation_mm": (90.0, "90"), "start_separation_mm": (120.0, "120"),
-               "end_separation_mm": (40.0, "40"), "approach_speed_mm_s": (20.0, "20"),
+               "end_separation_mm": (40.0, "40"),
                "rub_frequency_hz": (1.5, "1.5"), "rub_radius_mm": (10.0, "10"),
                "oscillation_frequency_hz": (1.5, "1.5"), "oscillation_amplitude_mm": (5.0, "5"),
                "opposed_normals": (False, "no"), "primitive_kind": (PrimitiveKind.LINE, "line")}
@@ -272,10 +272,10 @@ GOLDEN_SCRIPTS = {
                                           "phase idle duration_s=0.3\n"
                                           "phase facing_hold duration_s=0.6 separation_mm=140 opposed_normals=no\n"
                                           "phase approach duration_s=1.0 start_separation_mm=140 "
-                                          "approach_speed_mm_s=110 opposed_normals=no\n"
+                                          "end_separation_mm=30 opposed_normals=no\n"
                                           "phase rub_circular duration_s=0.8 rub_radius_mm=0\n",
     "speed_approach_drop_right": "fps 100\nseed 2\n"
-                                 "phase approach duration_s=1.0 start_separation_mm=100 approach_speed_mm_s=90\n"
+                                 "phase approach duration_s=1.0 start_separation_mm=100 end_separation_mm=10\n"
                                  "phase rub_circular duration_s=0.5 rub_frequency_hz=1.5 opposed_normals=0\n",
     # phases longer than one 256-frame render pass; contact falls in the approach's second pass
     "long_phases_noisy": "fps 100\nseed 12\nnoise_sigma 1.0\n"
