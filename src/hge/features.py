@@ -207,9 +207,14 @@ def _path_length(positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
 
 
+def _mean_rows(x: np.ndarray):
+    """x.mean(axis=0), bit for bit: the sum and division ndarray.mean runs, without its Python wrapper."""
+    return np.add.reduce(x, 0) / len(x)
+
+
 def _principal_axes(pts):
     """Mean-removed points, with the eigenvalues (ascending) and eigenvectors of their covariance."""
-    centered = pts - pts.mean(axis=0)
+    centered = pts - _mean_rows(pts)
     evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
     return centered, evals, evecs
 
@@ -271,7 +276,7 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
 
     centered, _, evecs = _principal_axes(pts)
     signal = centered @ evecs[:, 2]
-    signal = signal - signal.mean()
+    signal = signal - _mean_rows(signal)
 
     if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
         return None

@@ -35,6 +35,7 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 NORMAL_TOLERANCE = 1e-3   # renormalize within this, reject beyond it
 MAX_MAGNITUDE = 1e16      # every value read is below this in magnitude; repr writes larger floats as 'e+'
+MAX_TIMESTAMP_MS = 2**53  # every timestamp read is below this, so float64 holds it and its differences exactly
 DEVICE_FPS_MIN = 50.0     # the tracker rates the paper covers
 DEVICE_FPS_MAX = 200.0
 MERGE_WINDOW_MS = int(1000 / DEVICE_FPS_MAX)     # one frame period
@@ -243,7 +244,7 @@ def parse_hand_csv(text: str, handedness: Handedness):
     except (ValueError, DeprecationWarning):
         return _parse_hand_lines(lines, handedness)
     stamps = rows["ts"]
-    if stamps[0] < 0 or not (stamps[1:] > stamps[:-1]).all():
+    if stamps[0] < 0 or stamps[-1] >= MAX_TIMESTAMP_MS or not (stamps[1:] > stamps[:-1]).all():
         return _parse_hand_lines(lines, handedness)
     norms = _check_block(rows["v"], [], range(2, len(lines) + 1), lines)
     return _records(stamps.tolist(), rows["v"], norms, handedness)
@@ -267,6 +268,8 @@ def _parse_hand_lines(lines, handedness: Handedness):
                 raise MalformedRow(lineno, "timestamp_ms", f"cannot parse {cells[0]!r}") from None
             if ts < 0:
                 raise MalformedRow(lineno, "timestamp_ms", "negative timestamp")
+            if ts >= MAX_TIMESTAMP_MS:
+                raise MalformedRow(lineno, "timestamp_ms", f"timestamp not below {MAX_TIMESTAMP_MS}")
             if stamps and ts <= stamps[-1]:
                 raise NonMonotonicTimestamp(line=lineno)
             try:
@@ -309,6 +312,9 @@ def _fmt(x: float) -> str:
 
 
 def _observation_row(ts: int, obs: HandObservation) -> str:
+    if not 0 <= ts < MAX_TIMESTAMP_MS:
+        raise EngineError(f"timestamp {ts}, {obs.handedness.value} hand: "
+                          f"timestamp_ms is outside [0, {MAX_TIMESTAMP_MS})")
     cells = [str(int(ts))]
     cells += [_fmt(v) for v in obs.palm_position]
     cells += [_fmt(v) for v in obs.palm_normal]
@@ -336,9 +342,10 @@ def write_csv_stream(stream: FrameStream):
 
     Floats are written in shortest round-trip form, so parse(write(s))
     reproduces every scalar exactly except the palm normals, which ingest
-    renormalises: they can move by a few ulp. A value that is not finite or
-    not below MAX_MAGNITUDE in magnitude, or a fingertip that is only partly
-    NaN, raises EngineError.
+    renormalises: they can move by a few ulp. A timestamp outside
+    [0, MAX_TIMESTAMP_MS), a value that is not finite or not below
+    MAX_MAGNITUDE in magnitude, or a fingertip that is only partly NaN,
+    raises EngineError.
     """
     out = {Handedness.LEFT: [CSV_HEADER], Handedness.RIGHT: [CSV_HEADER]}
     for frame in stream.frames:

@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import OutOfOrderFrame, TooFewSamples
+from .errors import EngineError, OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, inter_palm_distance, palm_opposition
-from .frame_model import Frame, FrameStream, HandObservation, Handedness
+from .frame_model import MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness
 
 
 class Phase(str, Enum):
@@ -73,6 +73,48 @@ class Event:
         return f"{self.timestamp_ms} {self.name} {self.detail}".rstrip()
 
 
+class Trail:
+    """The (timestamp, palm position) samples of a trailing time window, held in two arrays.
+
+    Rows [start, end) of `times` and `positions` are the window, oldest
+    first. A sample is written into the next row in place, and trimming
+    advances `start`. A full buffer is compacted, or grown to one and a
+    half times the window's sample count while the window fills more than
+    two thirds of it. So the capacity stays within 1.5 times the longest
+    window held (16 rows at least), and a compaction copies at most three
+    rows per sample pushed since the previous one. `last` is the newest
+    timestamp as an int.
+    """
+
+    def __init__(self):
+        self.times = np.empty(16)
+        self.positions = np.empty((16, 3))
+        self.start = self.end = 0
+        self.last: Optional[int] = None
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def push(self, ts: int, position, span_s: float):
+        """Append a sample and drop those older than span_s before ts."""
+        if self.end == len(self.times):
+            n = len(self)
+            size = max(n + n // 2, 16)
+            if size > len(self.times):
+                times, positions = np.empty(size), np.empty((size, 3))
+            else:
+                times, positions = self.times, self.positions
+            times[:n], positions[:n] = self.times[self.start:self.end], self.positions[self.start:self.end]
+            self.times, self.positions, self.start, self.end = times, positions, 0, n
+        self.times[self.end] = ts
+        self.positions[self.end] = position
+        self.end += 1
+        self.last = ts
+        horizon = ts - span_s * 1000.0
+        while self.times[self.start] < horizon:
+            self.start += 1
+
+
 @dataclass
 class DetectorState:
     """Everything a detection run remembers between frames."""
@@ -90,7 +132,7 @@ class DetectorState:
     contact_ts: Optional[int] = None
     surviving: Optional[Handedness] = None
     vel_samples: list = field(default_factory=list)
-    pos_window: deque = field(default_factory=deque)    # (ts, palm position), rub_freq_window_s long
+    pos_window: Trail = field(default_factory=Trail)    # palm positions, rub_freq_window_s long
     rub_evals: int = 0
     rub_ok: int = 0
     rub_none_streak: int = 0
@@ -186,15 +228,13 @@ class Stage2Detector:
 
     def _rub_frequency(self) -> Optional[float]:
         cfg = self.config
-        window = self.state.pos_window     # holds at least the contact frame's sample
-        span_s = (window[-1][0] - window[0][0]) / 1000.0
+        trail = self.state.pos_window     # holds at least the contact frame's sample
+        times = trail.times[trail.start:trail.end]
         # wait for a full-length window; short windows miscount crossings
-        if span_s < 0.95 * cfg.rub_freq_window_s:
+        if (trail.last - times[0]) / 1000.0 < 0.95 * cfg.rub_freq_window_s:
             return None
         try:
-            return estimate_frequency(
-                np.asarray([p for _, p in window]), [t for t, _ in window], cfg
-            )
+            return estimate_frequency(trail.positions[trail.start:trail.end], times, cfg)
         except TooFewSamples:
             return None
 
@@ -216,7 +256,7 @@ class Stage2Detector:
 
     def _stage_elapsed_s(self) -> float:
         """Time from contact to the surviving hand's last sample, where the rub ended."""
-        return (self.state.pos_window[-1][0] - self.state.contact_ts) / 1000.0
+        return (self.state.pos_window.last - self.state.contact_ts) / 1000.0
 
     def _evaluate_completion(self, ts: int, why: str):
         cfg, s = self.config, self.state
@@ -233,6 +273,8 @@ class Stage2Detector:
     def step(self, frame: Frame) -> list:
         """Advance the detector by one frame; returns the events it produced."""
         s, cfg, ts, prev_ts = self.state, self.config, frame.timestamp, self.state.last_ts
+        if ts >= MAX_TIMESTAMP_MS:
+            raise EngineError(f"timestamp {ts} is not below {MAX_TIMESTAMP_MS} ms")
         if prev_ts is not None and ts <= prev_ts:
             raise OutOfOrderFrame(f"timestamp {ts} not after previous {prev_ts}")
         if prev_ts is None:
@@ -296,8 +338,8 @@ class Stage2Detector:
         s, cfg, ts = self.state, self.config, frame.timestamp
         obs = frame.hand(s.surviving)
         if obs is not None:
-            _push(s.pos_window, ts, np.asarray(obs.palm_position, float), cfg.rub_freq_window_s)
-        if (ts - s.pos_window[-1][0]) / 1000.0 > cfg.lost_hands_timeout_s:
+            s.pos_window.push(ts, obs.palm_position, cfg.rub_freq_window_s)
+        if (ts - s.pos_window.last) / 1000.0 > cfg.lost_hands_timeout_s:
             self._evaluate_completion(ts, "hands_lost")
         elif self._stage_elapsed_s() > cfg.stage_max_s + cfg.stage_max_slack_s:
             self._evaluate_completion(ts, "stage_too_long")

@@ -9,7 +9,7 @@ feature extractors. Everything is a pure function of the script and its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import accumulate, islice
 from typing import Optional
@@ -85,11 +85,17 @@ def _check_setting(name: str, value, where: str = ""):
     """Range check of one GestureScript field; `where` prefixes the message with the line that set it."""
     if name == "fps" and not DEVICE_FPS_MIN <= value <= DEVICE_FPS_MAX:
         raise InvalidScript(f"{where}fps {value} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
+    if name == "noise_sigma" and not math.isfinite(value):
+        raise InvalidScript(f"{where}noise_sigma {value} is not finite")
     if name in ("noise_sigma", "seed") and value < 0:
         raise InvalidScript(f"{where}{name} must be non-negative")
 
 
 def _check_phase(spec: PhaseSpec, where: str = ""):
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidScript(f"{where}{spec.kind.value} {f.name} {value} is not finite")
     if spec.duration_s <= 0:
         raise InvalidScript(f"{where}{spec.kind.value} duration must be positive")
     if spec.kind == PhaseKind.APPROACH:

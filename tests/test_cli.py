@@ -103,6 +103,14 @@ class TestSynthAndDetect:
 
 MANIFEST_HEAD = "left_file,right_file,start_ms,end_ms,label\n"
 
+
+def _late_canonical_pair(offset):
+    """late_l.csv and late_r.csv: the canonical pair with offset added to every timestamp_ms."""
+    texts = write_csv_stream(generate(make_canonical_script())[0])
+    return {name: re.sub(r"^\d+", lambda m: str(int(m.group()) + offset), text, flags=re.M).encode()
+            for name, text in zip(("late_l.csv", "late_r.csv"), texts)}
+
+
 # file name -> bytes, argv, fragments the one error line must hold
 BAD_INPUTS = {
     "csv_not_utf8": ({"bad.csv": CSV_HEADER.encode() + b"\n0,\xff\n"},
@@ -178,6 +186,12 @@ BAD_INPUTS = {
                                         + ",1.0" * 15 + "\n").encode()},
                            ["validate", "--left", "neg.csv", "--right", "right.csv"],
                            ["neg.csv", "line 2, column timestamp_ms: negative timestamp"]),
+    # at 2**53 and above, float time arithmetic in the detector rounds: a window horizon can pass its newest sample
+    "timestamp_past_2_63": (_late_canonical_pair(2**63), ["detect", "--left", "late_l.csv", "--right", "late_r.csv"],
+                            ["late_l.csv", "line 2", "timestamp_ms"]),
+    "timestamp_past_1e400": (_late_canonical_pair(10**400),
+                             ["detect", "--left", "late_l.csv", "--right", "late_r.csv"],
+                             ["late_l.csv", "line 2", "timestamp_ms"]),
     "nan_beside_blank_fingertip": ({"nan.csv": (CSV_HEADER + "\n0,nan,200.0,0.0,0.0,1.0,0.0" + ",0.0" * 4
                                                 + ",,," + ",1.0" * 12 + "\n").encode()},
                                    ["validate", "--left", "nan.csv", "--right", "right.csv"],

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hge import (
     DEFAULT_CONFIG,
@@ -32,12 +34,14 @@ from hge import (
     match_signature,
     palm_opposition,
 )
+from hge.features import _mean_rows, _principal_axes
 from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel
 from dataclasses import replace
 
 from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
                      random_unit, sinusoid)
+from test_ingest_properties import PROPERTY
 
 
 class TestPalmOpposition:
@@ -274,6 +278,39 @@ class TestFrequency:
     def test_malformed_input_rejected(self, n_pos, ts, error, message):
         with pytest.raises(error, match=message):
             estimate_frequency(np.zeros((n_pos, 3)), ts)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(70, 400), lead=st.integers(0, 40),
+       start_ms=st.one_of(st.integers(0, 10**6), st.integers(2**52, 2**53 - 10**5)),
+       offset=st.sampled_from([0.0, 200.0, 1e6]), amplitude=st.sampled_from([0.0, 3.0, 30.0]),
+       noise=st.sampled_from([0.05, 1.0]))
+def test_frequency_of_a_buffer_view_is_that_of_row_copies(seed, n, lead, start_ms, offset, amplitude, noise):
+    """The detector passes row-slice views of its window buffers; the rule gives the same bits as on fresh rows."""
+    rng = np.random.default_rng(seed)
+    stamps = (start_ms + np.cumsum(rng.integers(1, 25, n))).tolist()
+    t = (np.array(stamps) - stamps[0]) / 1000.0
+    wave = np.sin(2 * np.pi * rng.uniform(0.3, 5.0) * t)[:, None] * rng.normal(size=3)
+    pts = offset + amplitude * wave + rng.normal(0.0, noise, (n, 3))
+    # the window sits between rows of other values in larger buffers
+    positions, times = rng.normal(size=(lead + n + 7, 3)), rng.normal(size=lead + n + 7)
+    positions[lead:lead + n], times[lead:lead + n] = pts, stamps
+    view, view_times = positions[lead:lead + n], times[lead:lead + n]
+
+    def frequency(p, ts):
+        try:
+            return estimate_frequency(p, ts)
+        except TooFewSamples as exc:
+            return str(exc)
+
+    assert frequency(view, view_times) == frequency(np.asarray([row.copy() for row in pts]), stamps)
+    centered, evals, evecs = _principal_axes(view)
+    reference = pts - pts.mean(axis=0)
+    reference_evals, reference_evecs = np.linalg.eigh(reference.T @ reference / n)
+    assert np.array_equal(centered, reference)
+    assert np.array_equal(evals, reference_evals) and np.array_equal(evecs, reference_evecs)
+    signal = centered @ evecs[:, 2]     # the 1-D mean estimate_frequency takes
+    assert _mean_rows(signal) == signal.mean()
 
 
 def stage2_rub_window():

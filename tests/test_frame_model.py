@@ -26,7 +26,7 @@ from hge import (
     write_csv_stream,
 )
 
-from hge.frame_model import MERGE_WINDOW_MS, _parse_hand_lines
+from hge.frame_model import MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, _parse_hand_lines
 
 from helpers import NAN_ROW, brute_force_max_pairs, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
@@ -218,6 +218,27 @@ class TestCsv:
                                  obs.fingertips.ravel()])
         assert values[column - 1] == -9999999999999998.0
 
+    @pytest.mark.parametrize("blank_tip", [False, True])
+    def test_timestamp_of_2_53_or_more_is_malformed(self, blank_tip):
+        start = MAX_TIMESTAMP_MS - 30
+        text = self.rows(range(start, start + 50, 10))
+        for k in range(23, 26) if blank_tip else ():     # a blank pinky sends the file to the line-by-line reader
+            text = self.with_cell(text, 2, k, "")
+        for parse in (lambda: parse_hand_csv(text, Handedness.LEFT),
+                      lambda: _parse_hand_lines(text.splitlines(), Handedness.LEFT)):
+            with pytest.raises(MalformedRow) as err:
+                parse()
+            assert str(err.value) == f"line 5, column timestamp_ms: timestamp not below {2**53}"
+
+    @pytest.mark.parametrize("blank_tip", [False, True])
+    def test_largest_timestamp_round_trips(self, blank_tip):
+        tips = [(1.0, 2.0, 3.0)] * 4 + [NAN_ROW if blank_tip else (4.0, 5.0, 6.0)]
+        stamps = [0, 2**52, 2**53 - 1]
+        stream = FrameStream([Frame(t, (make_hand(Handedness.RIGHT, tips=tips),)) for t in stamps])
+        back = parse_csv_stream(*write_csv_stream(stream))
+        assert [f.timestamp for f in back.frames] == stamps
+        assert np.array_equal(stream_scalars(back), stream_scalars(stream), equal_nan=True)
+
     def test_earlier_row_fault_wins_over_later_value_fault(self):
         text = self.with_cell(self.rows(range(0, 100, 10)), 9, 10, "1.5")
         text = self.with_cell(text, 5, 0, "x")
@@ -297,6 +318,13 @@ class TestCsv:
             write_csv_stream(stream(value))
         largest = stream(math.copysign(9999999999999998.0, value))
         assert np.array_equal(stream_scalars(parse_csv_stream(*write_csv_stream(largest))), stream_scalars(largest))
+
+    @pytest.mark.parametrize("ts", [2**53, 10**400, -1], ids=["2**53", "10**400", "-1"])
+    def test_timestamp_the_reader_rejects_is_not_written(self, ts):
+        stream = FrameStream([Frame(ts, (make_hand(Handedness.LEFT),))])
+        message = f"timestamp {ts}, Left hand: timestamp_ms is outside [0, {2**53})"
+        with pytest.raises(EngineError, match=re.escape(message)):
+            write_csv_stream(stream)
 
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hge import (
     write_csv_stream,
 )
 from hge.synth import GestureScript, OcclusionModel, PhaseSpec
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from helpers import stream_scalars
 
@@ -89,6 +90,18 @@ class TestGenerate:
             generate(replace(make_canonical_script(), fps=20.0))
         with pytest.raises(InvalidScript, match="unknown primitive kind 'spiral'"):
             generate(GestureScript(phases=(PhaseSpec(PhaseKind.PRIMITIVE, 1.0, primitive_kind="spiral"),)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        # NaN passes every range comparison, and a script built in code skips the parser's finiteness check
+        base = PhaseSpec(PhaseKind.APPROACH, 1.0)
+        names = [f.name for f in fields(PhaseSpec) if isinstance(getattr(base, f.name), float)]
+        assert len(names) == 8
+        for name in names:
+            with pytest.raises(InvalidScript, match=f"approach {name} {value} is not finite"):
+                generate(GestureScript(phases=(replace(base, **{name: value}),)))
+        with pytest.raises(InvalidScript, match=f"noise_sigma {value} is not finite"):
+            generate(GestureScript(phases=(base,), noise_sigma=value))
 
     @pytest.mark.parametrize("separation", ["-100", "0"])
     def test_facing_hold_at_no_positive_separation_rejected(self, separation):
