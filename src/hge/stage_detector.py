@@ -74,40 +74,39 @@ class Event:
 
 
 class Trail:
-    """The (timestamp, palm position) samples of a trailing time window, held in two arrays.
+    """(timestamp, 3-vector) samples over a trailing time span, held in two arrays.
 
-    Rows [start, end) of `times` and `positions` are the window, oldest
+    Rows [start, end) of `times` and `values` are the samples, oldest
     first. A sample is written into the next row in place, and trimming
     advances `start`. A full buffer is compacted, or grown to one and a
-    half times the window's sample count while the window fills more than
-    two thirds of it. So the capacity stays within 1.5 times the longest
-    window held (16 rows at least), and a compaction copies at most three
-    rows per sample pushed since the previous one. `last` is the newest
+    half times the sample count while the samples fill more than two
+    thirds of it. So the capacity stays within 1.5 times the most samples
+    held (16 rows at least), and a compaction copies at most three rows
+    per sample pushed since the previous one. `last` is the newest
     timestamp as an int.
     """
 
     def __init__(self):
-        self.times = np.empty(16)
-        self.positions = np.empty((16, 3))
+        self.times, self.values = np.empty(16), np.empty((16, 3))
         self.start = self.end = 0
         self.last: Optional[int] = None
 
     def __len__(self) -> int:
         return self.end - self.start
 
-    def push(self, ts: int, position, span_s: float):
-        """Append a sample and drop those older than span_s before ts."""
+    def push(self, ts: int, value, span_s: float):
+        """Append a sample and drop those older than span_s before ts; an infinite span drops none."""
         if self.end == len(self.times):
             n = len(self)
             size = max(n + n // 2, 16)
             if size > len(self.times):
-                times, positions = np.empty(size), np.empty((size, 3))
+                times, values = np.empty(size), np.empty((size, 3))
             else:
-                times, positions = self.times, self.positions
-            times[:n], positions[:n] = self.times[self.start:self.end], self.positions[self.start:self.end]
-            self.times, self.positions, self.start, self.end = times, positions, 0, n
+                times, values = self.times, self.values
+            times[:n], values[:n] = self.times[self.start:self.end], self.values[self.start:self.end]
+            self.times, self.values, self.start, self.end = times, values, 0, n
         self.times[self.end] = ts
-        self.positions[self.end] = position
+        self.values[self.end] = value
         self.end += 1
         self.last = ts
         horizon = ts - span_s * 1000.0
@@ -131,7 +130,7 @@ class DetectorState:
     # ContactOccluded and Rubbing: the surviving hand
     contact_ts: Optional[int] = None
     surviving: Optional[Handedness] = None
-    vel_samples: list = field(default_factory=list)
+    vel_history: Trail = field(default_factory=Trail)   # fast palm velocities since contact, untrimmed
     pos_window: Trail = field(default_factory=Trail)    # palm positions, rub_freq_window_s long
     rub_evals: int = 0
     rub_ok: int = 0
@@ -202,22 +201,23 @@ class Stage2Detector:
             std += t * d
         return 1000.0 * (n * std - st * sd) / (n * stt - st * st)
 
-    def _update_sweep(self, obs: HandObservation) -> Optional[float]:
+    def _update_sweep(self, ts: int, obs: HandObservation) -> Optional[float]:
         """Net sweep of the surviving hand's velocity direction in its dominant plane.
 
         The plane and the whole angle history are recomputed from every
-        post-contact velocity sample, so early non-rotational samples (the
-        approach tail) cannot lock in a bad plane estimate. None until ten
-        samples are held, and on a frame too slow to add one.
+        fast velocity sample since contact, so early non-rotational samples
+        (the approach tail) cannot lock in a bad plane estimate; the stage
+        time limit bounds that history. None until ten samples are held, and
+        on a frame too slow to add one.
         """
         v = np.asarray(obs.palm_velocity, float)
         if float(np.linalg.norm(v)) < self.config.sweep_min_speed_mm_s:
             return None
-        samples = self.state.vel_samples
-        samples.append(v)
-        if len(samples) < 10:
+        trail = self.state.vel_history
+        trail.push(ts, v, float("inf"))
+        if len(trail) < 10:
             return None
-        sample = np.asarray(samples)
+        sample = trail.values[trail.start:trail.end]
         _, evecs = np.linalg.eigh(sample.T @ sample)
         angles = np.degrees(np.arctan2(sample @ evecs[:, 1], sample @ evecs[:, 2]))
         deltas = np.diff(angles)
@@ -234,7 +234,7 @@ class Stage2Detector:
         if (trail.last - times[0]) / 1000.0 < 0.95 * cfg.rub_freq_window_s:
             return None
         try:
-            return estimate_frequency(trail.positions[trail.start:trail.end], times, cfg)
+            return estimate_frequency(trail.values[trail.start:trail.end], times, cfg)
         except TooFewSamples:
             return None
 
@@ -344,7 +344,7 @@ class Stage2Detector:
         elif self._stage_elapsed_s() > cfg.stage_max_s + cfg.stage_max_slack_s:
             self._evaluate_completion(ts, "stage_too_long")
         elif s.phase == Phase.CONTACT_OCCLUDED:
-            sweep = self._update_sweep(obs) if obs is not None else None
+            sweep = self._update_sweep(ts, obs) if obs is not None else None
             if sweep is not None and abs(sweep) >= cfg.rotation_sweep_deg:
                 self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(sweep):.0f}")
         elif frame.hand_count == 2:

@@ -81,14 +81,22 @@ class GestureScript:
     seed: int = 0
 
 
+_ENUM_SETTINGS = {"occlusion_model": OcclusionModel, "surviving_hand": Handedness}
+
+
 def _check_setting(name: str, value, where: str = ""):
-    """Range check of one GestureScript field; `where` prefixes the message with the line that set it."""
+    """Type and range check of one GestureScript field; `where` prefixes the message with the line that set it."""
     if name == "fps" and not DEVICE_FPS_MIN <= value <= DEVICE_FPS_MAX:
         raise InvalidScript(f"{where}fps {value} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
     if name == "noise_sigma" and not math.isfinite(value):
         raise InvalidScript(f"{where}noise_sigma {value} is not finite")
+    if name == "seed" and not isinstance(value, (int, np.integer)):
+        raise InvalidScript(f"{where}seed {value!r} is not an integer")
     if name in ("noise_sigma", "seed") and value < 0:
         raise InvalidScript(f"{where}{name} must be non-negative")
+    if name in _ENUM_SETTINGS and not isinstance(value, _ENUM_SETTINGS[name]):
+        members = ", ".join(m.value for m in _ENUM_SETTINGS[name])
+        raise InvalidScript(f"{where}{name} {value!r} is not one of {members}")
 
 
 def _check_phase(spec: PhaseSpec, where: str = ""):
@@ -112,7 +120,7 @@ def _check_phase(spec: PhaseSpec, where: str = ""):
 def _validate_script(script: GestureScript):
     if not script.phases:
         raise InvalidScript("script has no phases")
-    for name in ("fps", "noise_sigma", "seed"):
+    for name in ("fps", "noise_sigma", "occlusion_model", "surviving_hand", "seed"):
         _check_setting(name, getattr(script, name))
     for spec in script.phases:
         _check_phase(spec)

@@ -188,9 +188,39 @@ class TestBoundedVerdict:
             trail = det.state.pos_window
             assert len(trail) <= pos_max
             # the buffers the window's rows live in, not only the rows in use
-            assert len(trail.times) == len(trail.positions) <= 1.5 * pos_max
+            assert len(trail.times) == len(trail.values) <= 1.5 * pos_max
             assert len(det.state.dist_window) <= config.approach_window_s * fps + 1
         assert det.state.phase == Phase.RUBBING     # rubbing to the end of the stream
+
+    def test_velocity_history_holds_the_fast_samples_since_contact(self):
+        config = replace(DEFAULT_CONFIG, stage_max_s=60.0)
+        # 20 s of a lone hand on a line, with a 1 s pause whose zero velocities the history skips
+        line = PhaseSpec(PhaseKind.PRIMITIVE, 10.5, primitive_kind=PrimitiveKind.LINE)
+        pause = PhaseSpec(PhaseKind.PRIMITIVE, 1.0, primitive_kind=PrimitiveKind.STATIC)
+        script = GestureScript((PhaseSpec(PhaseKind.FACING_HOLD, 1.0), PhaseSpec(PhaseKind.APPROACH, 1.0),
+                                line, pause, line), fps=200.0)
+        frames = generate(script)[0].frames
+        det = Stage2Detector(config)
+        times, velocities = np.empty(len(frames)), np.empty((len(frames), 3))
+        n = slow = 0
+        for frame in frames:
+            det.step(frame)
+            if det.state.phase != Phase.CONTACT_OCCLUDED:
+                continue
+            v = frame.hand(det.state.surviving).palm_velocity
+            if np.linalg.norm(v) >= config.sweep_min_speed_mm_s:
+                times[n], velocities[n] = frame.timestamp, v
+                n += 1
+            else:
+                slow += 1
+            trail = det.state.vel_history
+            assert len(trail) == n
+            np.testing.assert_array_equal(trail.times[trail.start:trail.end], times[:n])
+            np.testing.assert_array_equal(trail.values[trail.start:trail.end], velocities[:n])
+            # the buffers the samples live in, not only the rows in use
+            assert len(trail.times) == len(trail.values) <= max(16, 1.5 * n)
+        assert det.state.phase == Phase.CONTACT_OCCLUDED     # a line never sweeps 180 degrees
+        assert (frames[-1].timestamp - det.state.contact_ts) / 1000.0 >= 20.0 and slow >= 190
 
 
 class TestDetectStage2:
@@ -409,8 +439,18 @@ def _leading_gap():
     return FrameStream([Frame(t, ()) for t in range(0, 1500, 10)] + _shifted(canonical_stream(seed=9), 1500).frames)
 
 
+def _lone_line_after_contact():
+    """A facing hold and an approach, then 8 s of a lone hand on `primitive line`, which never sweeps 180 degrees."""
+    return generate(GestureScript((PhaseSpec(PhaseKind.FACING_HOLD, 1.0), PhaseSpec(PhaseKind.APPROACH, 1.0),
+                                   PhaseSpec(PhaseKind.PRIMITIVE, 8.0, primitive_kind=PrimitiveKind.LINE))))[0]
+
+
+# rub_0.3hz_6s sweeps for longer than rub_freq_window_s before Rubbing, so it pins the sweep over every
+# fast sample since contact; lone_line_after_contact never sweeps enough and ends at the stage limit
 GOLDEN_SESSIONS = {
     **{f"rub_{hz}hz": (lambda hz=hz: canonical_stream(rub_frequency_hz=float(hz))) for hz in (1, 2, 3)},
+    "rub_0.3hz_6s": lambda: canonical_stream(rub_frequency_hz=0.3, rub_duration_s=6.0),
+    "lone_line_after_contact": _lone_line_after_contact,
     **{f"{name}_{fps}fps": (lambda name=name, fps=fps: make_ablation_stream(name, fps=float(fps), seed=1))
        for name in ABLATIONS for fps in (50, 100, 200)},
     **{f"rub_sigma3_seed{seed}": (lambda seed=seed: canonical_stream(noise_sigma=3.0, seed=seed)) for seed in (1, 2)},
@@ -431,6 +471,7 @@ GOLDEN_EVENT_DIGESTS = {
     "gap_after_hand_long": "2a71c5ab8a7072cc8643b38fbd323ed1bfa280b945ea263e669d065eab23b961",
     "gap_after_hand_short": "39652e08b46616df0322f50d1d584b7d2686c86d0585300c7f648b55b147121e",
     "gap_before_any_hand": "86bc44fd8ce74b158ff28cb03336a6f95a111857b0d034cf7a5c566ebb6e9097",
+    "lone_line_after_contact": "e99ac92305f26ff7a2d387336a6d25e616e81a2b4b075f4d936a25d9c763d699",
     "no_approach_100fps": "58e9231733b9d45fa22538cad29c7650b3e59da090fdfeda4edc25ae37f9d2e4",
     "no_approach_200fps": "deebedbc9519f97aa9d1584654c990452e9603bbe3d35bc65a2c27705c83e594",
     "no_approach_50fps": "4cf8c9a69e132a64c2acc447e2d5b156747f21601efb98bd13c7559374438c0b",
@@ -443,6 +484,7 @@ GOLDEN_EVENT_DIGESTS = {
     "no_rotation_100fps": "ab1a34fc3bb550998baa441f40085a751c8bddd9dae44bb07922ef52f8490617",
     "no_rotation_200fps": "91a3f07466945b2dfe11cbcc4faf4f9044d2eee596f90b73ffe2325312bfa152",
     "no_rotation_50fps": "e3f358337edd4b60c70baa2058296dffe9687fdf7c4e6646b2a5d42c4d3709cc",
+    "rub_0.3hz_6s": "3f14bc22465df590c952e214e99d9bed1d73aa0971c07369a3b5c25fc69ac489",
     "rub_1hz": "7c6ea82523d4253584974fb39ea2973fcb7ef007ea978f86cb79a6d0dcb6acb0",
     "rub_2hz": "8f369aee8bb7578a5b23087f5af00989b48f1f8efbc12c6bb4de931d574839c5",
     "rub_3hz": "669438095334e114b2e9290f3c517ec01170a09673570ba8b4ae6f5dd5f00c70",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestGenerate:
                 generate(GestureScript(phases=(replace(base, **{name: value}),)))
         with pytest.raises(InvalidScript, match=f"noise_sigma {value} is not finite"):
             generate(GestureScript(phases=(base,), noise_sigma=value))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("surviving_hand", "x", "surviving_hand 'x' is not one of Left, Right"),
+        ("surviving_hand", "Right", "surviving_hand 'Right' is not one of Left, Right"),
+        ("occlusion_model", "bogus", "occlusion_model 'bogus' is not one of drop_on_contact, none"),
+        ("seed", 1.5, "seed 1.5 is not an integer"),
+        ("seed", math.nan, "seed nan is not an integer"),
+    ])
+    def test_setting_of_the_wrong_type_rejected(self, name, value, message):
+        # the script parser converts these; a script built in code must not render a left survivor or both hands
+        with pytest.raises(InvalidScript, match=f"^{re.escape(message)}$"):
+            generate(replace(make_canonical_script(), **{name: value}))
 
     @pytest.mark.parametrize("separation", ["-100", "0"])
     def test_facing_hold_at_no_positive_separation_rejected(self, separation):
