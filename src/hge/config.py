@@ -2,12 +2,15 @@
 
 Every tunable constant used by the feature extractors and the stage
 detector lives in one record so it can be inspected, overridden from a
-key-value text file, and reported alongside results.
+key-value text file, and reported alongside results. The record checks its
+values when built, from a file, in code or by `dataclasses.replace`, and
+raises ConfigError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 from .errors import ConfigError
 
@@ -62,7 +65,7 @@ class EngineConfig:
     stage_max_s: float = _ranged(7.0, 0.1, 60.0)
     stage_max_slack_s: float = _ranged(0.5, 0.0, 5.0)        # covers the occlusion-before-rub lead-in
 
-    def validate(self) -> "EngineConfig":
+    def __post_init__(self):
         for name in _RANGES:
             _check_range(name, getattr(self, name))
         if self.circle_radius_min_mm >= self.circle_radius_max_mm:
@@ -71,7 +74,6 @@ class EngineConfig:
             raise ConfigError("rub frequency band is empty")
         if self.stage_min_s >= self.stage_max_s:
             raise ConfigError("stage duration band is empty")
-        return self
 
 
 _RANGES = {f.name: f.metadata["range"] for f in fields(EngineConfig)}
@@ -79,11 +81,13 @@ _RANGES = {f.name: f.metadata["range"] for f in fields(EngineConfig)}
 
 def _check_range(name: str, value: float, where: str = ""):
     lo, hi = _RANGES[name]
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{where}{name} {value!r} is not a number")
     if not (lo <= value <= hi):
         raise ConfigError(f"{where}{name}={value} outside valid range [{lo}, {hi}]")
 
 
-DEFAULT_CONFIG = EngineConfig().validate()
+DEFAULT_CONFIG = EngineConfig()
 
 
 def parse_config_text(text: str) -> EngineConfig:
@@ -109,7 +113,7 @@ def parse_config_text(text: str) -> EngineConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} value {value!r} is not numeric") from None
         _check_range(key, overrides[key], f"line {lineno}: ")
-    return replace(DEFAULT_CONFIG, **overrides).validate()
+    return replace(DEFAULT_CONFIG, **overrides)
 
 
 def config_to_text(cfg: EngineConfig) -> str:

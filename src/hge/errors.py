@@ -60,4 +60,4 @@ class UnknownPhase(EngineError):
 
 
 class ConfigError(EngineError):
-    """A threshold-config file has an unknown key or out-of-range value."""
+    """A threshold config has an unknown key, a value out of range or an empty band."""

@@ -4,6 +4,8 @@ Scripts describe a gesture as a list of timed phases (hold, approach, rub,
 stacked-palms oscillation, primitives). Streams come with per-frame phase
 labels, so generated data doubles as ground truth for the detector and the
 feature extractors. Everything is a pure function of the script and its seed.
+A PhaseSpec or GestureScript checks its values when built, from a file or in
+code, and raises InvalidScript.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import accumulate, islice
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -56,6 +59,21 @@ class PrimitiveKind(str, Enum):
     STATIC = "static"
 
 
+def _check_number(what: str, value):
+    """A decimal value of a script: a real number, finite and below MAX_MAGNITUDE in magnitude."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidScript(f"{what} {value!r} is not a number")
+    if not isinstance(value, int) and not math.isfinite(value):
+        raise InvalidScript(f"{what} {value} is not finite")
+    if not abs(value) < MAX_MAGNITUDE:
+        raise InvalidScript(f"{what} {value} is not below {MAX_MAGNITUDE:g} in magnitude")
+
+
+def _check_member(what: str, value, enum):
+    if not isinstance(value, enum):
+        raise InvalidScript(f"{what} {value!r} is not one of {', '.join(m.value for m in enum)}")
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     kind: PhaseKind
@@ -70,6 +88,26 @@ class PhaseSpec:
     opposed_normals: bool = True          # False keeps both palms pointing one way
     primitive_kind: Optional[PrimitiveKind] = None
 
+    def __post_init__(self):
+        _check_member("phase kind", self.kind, PhaseKind)
+        for f in fields(self):
+            if f.type == "float":
+                _check_number(f"{self.kind.value} {f.name}", getattr(self, f.name))
+        if not isinstance(self.opposed_normals, bool):
+            raise InvalidScript(f"{self.kind.value} opposed_normals {self.opposed_normals!r} is not a bool")
+        if self.primitive_kind is not None:
+            _check_member("unknown primitive kind", self.primitive_kind, PrimitiveKind)
+        if self.duration_s <= 0:
+            raise InvalidScript(f"{self.kind.value} duration must be positive")
+        if self.kind == PhaseKind.APPROACH and not 0 <= self.end_separation_mm < self.start_separation_mm:
+            raise InvalidScript("approach must reduce separation toward a non-negative value")
+        if self.kind == PhaseKind.FACING_HOLD and self.separation_mm <= 0:
+            raise InvalidScript("facing_hold separation must be positive, or the palms face away")
+        if self.kind == PhaseKind.RUB_CIRCULAR and self.rub_radius_mm < 0:
+            raise InvalidScript("rub radius must be non-negative")
+        if self.kind == PhaseKind.PRIMITIVE and self.primitive_kind is None:
+            raise InvalidScript("primitive phase needs a primitive_kind")
+
 
 @dataclass(frozen=True)
 class GestureScript:
@@ -80,53 +118,33 @@ class GestureScript:
     surviving_hand: Handedness = Handedness.RIGHT
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.phases:
+            raise InvalidScript("script has no phases")
+        if not isinstance(self.phases, tuple) or not all(isinstance(spec, PhaseSpec) for spec in self.phases):
+            raise InvalidScript("phases must be a tuple of PhaseSpec")
+        for f in fields(self)[1:]:      # the settings after `phases`
+            _check_setting(f.name, getattr(self, f.name))
+        total_s = sum(spec.duration_s for spec in self.phases)
+        if total_s > MAX_SCRIPT_S:
+            raise InvalidScript(f"script lasts {total_s:g} s, more than {MAX_SCRIPT_S:g} s")
+
 
 _ENUM_SETTINGS = {"occlusion_model": OcclusionModel, "surviving_hand": Handedness}
 
 
-def _check_setting(name: str, value, where: str = ""):
-    """Type and range check of one GestureScript field; `where` prefixes the message with the line that set it."""
+def _check_setting(name: str, value):
+    """Type and range check of one GestureScript setting."""
+    if name in _ENUM_SETTINGS:
+        _check_member(name, value, _ENUM_SETTINGS[name])
+    elif name != "seed":
+        _check_number(name, value)
+    elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidScript(f"seed {value!r} is not an integer")
     if name == "fps" and not DEVICE_FPS_MIN <= value <= DEVICE_FPS_MAX:
-        raise InvalidScript(f"{where}fps {value} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
-    if name == "noise_sigma" and not math.isfinite(value):
-        raise InvalidScript(f"{where}noise_sigma {value} is not finite")
-    if name == "seed" and not isinstance(value, (int, np.integer)):
-        raise InvalidScript(f"{where}seed {value!r} is not an integer")
+        raise InvalidScript(f"fps {value} outside [{DEVICE_FPS_MIN:g}, {DEVICE_FPS_MAX:g}]")
     if name in ("noise_sigma", "seed") and value < 0:
-        raise InvalidScript(f"{where}{name} must be non-negative")
-    if name in _ENUM_SETTINGS and not isinstance(value, _ENUM_SETTINGS[name]):
-        members = ", ".join(m.value for m in _ENUM_SETTINGS[name])
-        raise InvalidScript(f"{where}{name} {value!r} is not one of {members}")
-
-
-def _check_phase(spec: PhaseSpec, where: str = ""):
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidScript(f"{where}{spec.kind.value} {f.name} {value} is not finite")
-    if spec.duration_s <= 0:
-        raise InvalidScript(f"{where}{spec.kind.value} duration must be positive")
-    if spec.kind == PhaseKind.APPROACH:
-        if spec.end_separation_mm < 0 or spec.end_separation_mm >= spec.start_separation_mm:
-            raise InvalidScript(f"{where}approach must reduce separation toward a non-negative value")
-    if spec.kind == PhaseKind.FACING_HOLD and spec.separation_mm <= 0:
-        raise InvalidScript(f"{where}facing_hold separation must be positive, or the palms face away")
-    if spec.kind == PhaseKind.RUB_CIRCULAR and spec.rub_radius_mm < 0:
-        raise InvalidScript(f"{where}rub radius must be non-negative")
-    if spec.kind == PhaseKind.PRIMITIVE and spec.primitive_kind is None:
-        raise InvalidScript(f"{where}primitive phase needs a primitive_kind")
-
-
-def _validate_script(script: GestureScript):
-    if not script.phases:
-        raise InvalidScript("script has no phases")
-    for name in ("fps", "noise_sigma", "occlusion_model", "surviving_hand", "seed"):
-        _check_setting(name, getattr(script, name))
-    for spec in script.phases:
-        _check_phase(spec)
-    total_s = sum(spec.duration_s for spec in script.phases)
-    if total_s > MAX_SCRIPT_S:
-        raise InvalidScript(f"script lasts {total_s:g} s, more than {MAX_SCRIPT_S:g} s")
+        raise InvalidScript(f"{name} must be non-negative")
 
 
 # rows of a hand block, in noise draw order, with the exact velocity last
@@ -205,7 +223,6 @@ def generate(script: GestureScript):
     are renormalized. Velocities and grab values stay exact. Observations
     hold writeable, non-overlapping row views of their block.
     """
-    _validate_script(script)
     rng = np.random.default_rng(script.seed)
     sigma = script.noise_sigma
     scales = np.array([sigma / 100.0] * 3 + [sigma] * 18)     # normal, palm, tips
@@ -265,9 +282,7 @@ def _primitive_point(kind: PrimitiveKind, t):
         return base + 50.0 * (cos * X + sin * Z), 50.0 * omega * (-sin * X + cos * Z)
     if kind == PrimitiveKind.LINE:
         return base + 50.0 * t[:, None] * X, np.broadcast_to(50.0 * X, (len(t), 3))
-    if kind == PrimitiveKind.STATIC:
-        return np.broadcast_to(base, (len(t), 3)), np.zeros((len(t), 3))
-    raise InvalidScript(f"unknown primitive kind {kind!r}")
+    return np.broadcast_to(base, (len(t), 3)), np.zeros((len(t), 3))     # static
 
 
 # -- perturbations ----------------------------------------------------------
@@ -303,25 +318,54 @@ _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 _PHASE_CONVERTERS = {"opposed_normals": lambda v: _FLAGS[v.lower()], "primitive_kind": PrimitiveKind}
 
 
-def _script_value(key: str, value: str, lineno: int, convert=float):
-    """The value as `convert` reads it; a float must also be finite and below MAX_MAGNITUDE in magnitude."""
+def _script_value(key: str, value: str, convert=float):
+    """The value as `convert` reads it; the record it goes into checks its range."""
     try:
-        x = convert(value)
+        return convert(value)
     except (ValueError, KeyError):
-        what = "numeric" if convert is float else "valid"
-        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not {what}") from None
-    if convert is float and not math.isfinite(x):
-        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not finite")
-    if convert is float and not abs(x) < MAX_MAGNITUDE:
-        raise InvalidScript(f"line {lineno}: {key} value {value!r} is not below {MAX_MAGNITUDE:g} in magnitude")
-    return x
+        raise InvalidScript(f"{key} value {value!r} is not {'numeric' if convert is float else 'valid'}") from None
+
+
+def _read_line(parts, settings: dict, phases: list):
+    """Add one script line's setting or phase; a fault raises InvalidScript without the line number."""
+    key = parts[0]
+    if key == "phase":
+        if len(parts) < 3:
+            raise InvalidScript("phase needs a kind and a duration")
+        try:
+            kind = PhaseKind(parts[1])
+        except ValueError:
+            raise InvalidScript(f"unknown phase kind {parts[1]!r}") from None
+        kwargs = {}
+        for token in parts[2:]:
+            if "=" not in token:
+                raise InvalidScript(f"expected k=v, got {token!r}")
+            k, v = token.split("=", 1)
+            if k not in _PHASE_KEYS[kind]:
+                raise InvalidScript(f"phase {kind.value} reads no key {k!r}, only {', '.join(_PHASE_KEYS[kind])}")
+            if k in kwargs:
+                raise InvalidScript(f"repeated key {k!r}")
+            kwargs[k] = _script_value(k, v, _PHASE_CONVERTERS.get(k, float))
+        if "duration_s" not in kwargs:
+            raise InvalidScript("phase needs duration_s")
+        phases.append(PhaseSpec(kind=kind, **kwargs))
+    elif key in _SCRIPT_KEYS:
+        if len(parts) != 2:
+            raise InvalidScript(f"expected '{key} value'")
+        name, convert = _SCRIPT_KEYS[key]
+        if name in settings:
+            raise InvalidScript(f"repeated key {key!r}")
+        settings[name] = _script_value(key, parts[1], convert)
+        _check_setting(name, settings[name])
+    else:
+        raise InvalidScript(f"unknown key {key!r}")
 
 
 def parse_script_text(text: str) -> GestureScript:
     """Parse the key-value script format.
 
     Global lines are `key value`; each `phase <kind> k=v ...` line appends a
-    phase. Example::
+    phase. A fault in one line is reported with that line. Example::
 
         fps 100
         seed 7
@@ -329,50 +373,15 @@ def parse_script_text(text: str) -> GestureScript:
         phase approach duration_s=1.0 start_separation_mm=150
         phase rub_circular duration_s=3.0 rub_frequency_hz=2.0
     """
-    fields = {}
-    phases = []
+    settings, phases = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-        if key == "phase":
-            if len(parts) < 3:
-                raise InvalidScript(f"line {lineno}: phase needs a kind and a duration")
+        if line:
             try:
-                kind = PhaseKind(parts[1])
-            except ValueError:
-                raise InvalidScript(f"line {lineno}: unknown phase kind {parts[1]!r}") from None
-            kwargs = {}
-            for token in parts[2:]:
-                if "=" not in token:
-                    raise InvalidScript(f"line {lineno}: expected k=v, got {token!r}")
-                k, v = token.split("=", 1)
-                if k not in _PHASE_KEYS[kind]:
-                    raise InvalidScript(f"line {lineno}: phase {kind.value} reads no key {k!r},"
-                                        f" only {', '.join(_PHASE_KEYS[kind])}")
-                if k in kwargs:
-                    raise InvalidScript(f"line {lineno}: repeated key {k!r}")
-                kwargs[k] = _script_value(k, v, lineno, _PHASE_CONVERTERS.get(k, float))
-            if "duration_s" not in kwargs:
-                raise InvalidScript(f"line {lineno}: phase needs duration_s")
-            phases.append(PhaseSpec(kind=kind, **kwargs))
-            _check_phase(phases[-1], f"line {lineno}: ")
-        elif key in _SCRIPT_KEYS:
-            if len(parts) != 2:
-                raise InvalidScript(f"line {lineno}: expected '{key} value'")
-            name, convert = _SCRIPT_KEYS[key]
-            if name in fields:
-                raise InvalidScript(f"line {lineno}: repeated key {key!r}")
-            fields[name] = _script_value(key, parts[1], lineno, convert)
-            _check_setting(name, fields[name], f"line {lineno}: ")
-        else:
-            raise InvalidScript(f"line {lineno}: unknown key {key!r}")
-
-    script = GestureScript(phases=tuple(phases), **fields)
-    _validate_script(script)
-    return script
+                _read_line(line.split(), settings, phases)
+            except InvalidScript as err:
+                raise InvalidScript(f"line {lineno}: {err}") from None
+    return GestureScript(phases=tuple(phases), **settings)
 
 
 # -- canonical scripts -------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import hge
 from hge import CSV_HEADER, generate, make_ablation_stream, make_canonical_script, write_csv_stream
 from hge.cli import run
 from hge.config import DEFAULT_CONFIG, EngineConfig, config_to_text, parse_config_text
+from hge.errors import ConfigError
 
 from test_ingest_properties import PROPERTY, _csv_like
 
@@ -315,7 +317,7 @@ class TestValidate:
         done = _child_cli(["synth", "--script", "s.script", "--out-left", "l.csv", "--out-right", "r.csv"], tmp_path)
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
-            "error: s.script: line 1: separation_mm value '1e300' is not below 1e+16 in magnitude"]
+            "error: s.script: line 1: facing_hold separation_mm 1e+300 is not below 1e+16 in magnitude"]
         assert not (tmp_path / "l.csv").exists()
 
     def test_missing_file_exits_two(self, canonical_pair, capsys):
@@ -360,6 +362,22 @@ class TestUsageAndConfig:
         # the environment names no config: a stale variable leaves the defaults in force
         monkeypatch.setenv("HGE_CONFIG", str(cfg))
         assert run(["detect", "--left", lp, "--right", rp]) == 0
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(EngineConfig)])
+    def test_config_built_in_code_checks_every_field(self, name):
+        # replace() runs the checks a config file meets, so a code-built config cannot run out of range
+        for value in (math.nan, "1"):
+            with pytest.raises(ConfigError, match=rf"^{name}\b"):
+                replace(DEFAULT_CONFIG, **{name: value})
+
+    @pytest.mark.parametrize("band, message", [
+        ({"circle_radius_min_mm": 300.0, "circle_radius_max_mm": 250.0}, "circle radius band is empty"),
+        ({"rub_freq_min_hz": 5.0}, "rub frequency band is empty"),
+        ({"stage_min_s": 7.0}, "stage duration band is empty"),
+    ])
+    def test_config_built_in_code_rejects_an_empty_band(self, band, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(DEFAULT_CONFIG, **band)
 
     def test_every_config_field_is_read(self):
         # no knob is parsed but never read: each field is read as `.name` outside config.py

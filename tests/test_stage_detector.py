@@ -1,6 +1,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,7 +311,8 @@ class TestDetectStage2:
 
 
 def _slope(stamps, distances, window_s):
-    det = Stage2Detector(replace(DEFAULT_CONFIG, approach_window_s=window_s))
+    # a stand-in config: the windows below are shorter than a real config's 0.1 s floor
+    det = Stage2Detector(SimpleNamespace(approach_window_s=window_s))
     det.state.dist_window.extend(zip(stamps, distances))
     return det._approach_slope()
 

@@ -110,11 +110,30 @@ class TestGenerate:
         ("occlusion_model", "bogus", "occlusion_model 'bogus' is not one of drop_on_contact, none"),
         ("seed", 1.5, "seed 1.5 is not an integer"),
         ("seed", math.nan, "seed nan is not an integer"),
+        ("seed", True, "seed True is not an integer"),
+        ("fps", "100", "fps '100' is not a number"),
+        ("noise_sigma", "1", "noise_sigma '1' is not a number"),
     ])
     def test_setting_of_the_wrong_type_rejected(self, name, value, message):
-        # the script parser converts these; a script built in code must not render a left survivor or both hands
+        # the script parser converts these; a script built in code is checked when built, as a parsed one is
         with pytest.raises(InvalidScript, match=f"^{re.escape(message)}$"):
-            generate(replace(make_canonical_script(), **{name: value}))
+            replace(make_canonical_script(), **{name: value})
+
+    @pytest.mark.parametrize("kind, values, message", [
+        (PhaseKind.IDLE, {"duration_s": "1"}, "idle duration_s '1' is not a number"),
+        (PhaseKind.RUB_CIRCULAR, {"rub_frequency_hz": "2"}, "rub_circular rub_frequency_hz '2' is not a number"),
+        (PhaseKind.RUB_CIRCULAR, {"rub_radius_mm": 1e308},
+         "rub_circular rub_radius_mm 1e+308 is not below 1e+16 in magnitude"),
+        (PhaseKind.FACING_HOLD, {"opposed_normals": "no"}, "facing_hold opposed_normals 'no' is not a bool"),
+        ("idle", {}, "phase kind 'idle' is not one of idle, facing_hold, approach, rub_circular, stage3_linear,"
+                     " primitive"),
+        (PhaseKind.PRIMITIVE, {"primitive_kind": "line"},
+         "unknown primitive kind 'line' is not one of sinusoid_1d, circle, line, static"),
+    ])
+    def test_phase_value_of_the_wrong_type_rejected(self, kind, values, message):
+        # each once rendered NaN or opposed palms, or failed with a TypeError or an AttributeError
+        with pytest.raises(InvalidScript, match=f"^{re.escape(message)}$"):
+            PhaseSpec(kind, **{"duration_s": 1.0, **values})
 
     @pytest.mark.parametrize("separation", ["-100", "0"])
     def test_facing_hold_at_no_positive_separation_rejected(self, separation):
