@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, inter_palm_distance, palm_opposition
-from .frame_model import MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness
+from .frame_model import DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness
 
 
 class Phase(str, Enum):
@@ -47,6 +47,7 @@ WORKING_PHASES = (
 CONTACT_PHASES = (Phase.CONTACT_OCCLUDED, Phase.RUBBING)
 TERMINAL_PHASES = (Phase.COMPLETED, Phase.FAILED)
 _ENTRY_NAMES = frozenset(p.value for p in WORKING_PHASES)
+RUB_GRID_MS = 1000.0 / DEVICE_FPS_MIN   # the rub is scored at most this often: every frame at the slowest device rate
 
 
 class AlertKind(str, Enum):
@@ -132,9 +133,11 @@ class DetectorState:
     surviving: Optional[Handedness] = None
     vel_history: Trail = field(default_factory=Trail)   # fast palm velocities since contact, untrimmed
     pos_window: Trail = field(default_factory=Trail)    # palm positions, rub_freq_window_s long
-    rub_evals: int = 0
-    rub_ok: int = 0
-    rub_none_streak: int = 0
+    # Rubbing: the window is scored on a RUB_GRID_MS grid of the surviving hand's samples
+    last_scored: Optional[int] = None      # timestamp of the last grid point
+    rub_evals: int = 0                     # grid points whose window gave a frequency
+    rub_ok: int = 0                        # of those, frequencies in the rub band
+    rub_none_streak: int = 0               # grid points in a row without a frequency, after an in-band one
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,7 @@ class Stage2Detector:
         return float(deltas[smooth].sum())
 
     def _rub_frequency(self) -> Optional[float]:
+        """The position window's oscillation rate; None until it spans the window, or if it is too sparse or still."""
         cfg = self.config
         trail = self.state.pos_window     # holds at least the contact frame's sample
         times = trail.times[trail.start:trail.end]
@@ -239,8 +243,17 @@ class Stage2Detector:
             return None
 
     def _score_rub(self, ts: int):
-        """Score the rub frequency over the position window that just gained a sample."""
+        """Score the rub frequency over the position window at a grid point.
+
+        A grid point is a sample of the surviving hand at least RUB_GRID_MS
+        after the previous one: every frame at 50 FPS, every second at 100
+        and every fourth at 200, and under 2 * RUB_GRID_MS apart at any rate
+        in between. After an in-band window, three grid points in a row
+        without a frequency end the rub, 60 ms after the last window that
+        gave one at 50, 100 and 200 FPS.
+        """
         cfg, s = self.config, self.state
+        s.last_scored = ts
         freq = self._rub_frequency()
         if freq is not None:
             s.rub_none_streak = 0
@@ -249,7 +262,7 @@ class Stage2Detector:
             hi = cfg.rub_freq_max_hz + cfg.rub_freq_tolerance_hz
             if lo <= freq <= hi:
                 s.rub_ok += 1
-        elif s.rub_ok:     # an in-band rub was seen; three unscored windows in a row end it
+        elif s.rub_ok:     # an in-band rub was seen; three unscored grid points in a row end it
             s.rub_none_streak += 1
             if s.rub_none_streak >= 3:
                 self._evaluate_completion(ts, "oscillation_stopped")
@@ -349,7 +362,7 @@ class Stage2Detector:
                 self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(sweep):.0f}")
         elif frame.hand_count == 2:
             self._evaluate_completion(ts, "hands_reappeared")
-        elif obs is not None:
+        elif obs is not None and (s.last_scored is None or ts - s.last_scored >= RUB_GRID_MS):
             self._score_rub(ts)
 
     def finish(self) -> list:

@@ -288,9 +288,11 @@ def _primitive_point(kind: PrimitiveKind, t):
 # -- perturbations ----------------------------------------------------------
 
 def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
-    """Remove frames independently with the given probability, keeping order."""
+    """Remove frames independently with the given probability, keeping order; InvalidScript for a bad rate or seed."""
+    _check_number("drop rate", rate)
     if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1)")
+        raise InvalidScript(f"drop rate {rate} outside [0, 1)")
+    _check_setting("seed", seed)
     rng = np.random.default_rng(seed)
     keep = rng.random(len(stream.frames)) >= rate
     return FrameStream([f for f, k in zip(stream.frames, keep) if k])

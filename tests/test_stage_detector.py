@@ -26,7 +26,8 @@ from hge import (
     make_ablation_stream,
     make_canonical_script,
 )
-from hge.stage_detector import WORKING_PHASES
+import hge.stage_detector
+from hge.stage_detector import RUB_GRID_MS, WORKING_PHASES
 from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec, PrimitiveKind
 
 from helpers import facing_frames, make_hand
@@ -222,6 +223,46 @@ class TestBoundedVerdict:
             assert len(trail.times) == len(trail.values) <= max(16, 1.5 * n)
         assert det.state.phase == Phase.CONTACT_OCCLUDED     # a line never sweeps 180 degrees
         assert (frames[-1].timestamp - det.state.contact_ts) / 1000.0 >= 20.0 and slow >= 190
+
+
+def _rub_then_still(fps, seed):
+    """A 1 s facing hold, a 1 s approach, a 4 s rub at 2 Hz, then 3 s of a still lone hand, at sigma 0.5 mm."""
+    return generate(GestureScript((PhaseSpec(PhaseKind.FACING_HOLD, 1.0), PhaseSpec(PhaseKind.APPROACH, 1.0),
+                                   PhaseSpec(PhaseKind.RUB_CIRCULAR, 4.0, rub_frequency_hz=2.0),
+                                   PhaseSpec(PhaseKind.PRIMITIVE, 3.0, primitive_kind=PrimitiveKind.STATIC)),
+                                  fps=fps, noise_sigma=0.5, seed=seed))[0]
+
+
+class TestRubGrid:
+    """The rub is scored on a grid of RUB_GRID_MS, so a faster device pays no more fits per second of rub."""
+
+    @pytest.mark.parametrize("fps", [50.0, 100.0, 200.0])
+    def test_frequency_is_fitted_at_most_once_per_grid_step(self, fps, monkeypatch):
+        fitted, estimate = [], hge.stage_detector.estimate_frequency     # the newest timestamp of each fit
+
+        def counting(positions, stamps, config):
+            fitted.append(int(stamps[-1]))
+            return estimate(positions, stamps, config)
+
+        monkeypatch.setattr(hge.stage_detector, "estimate_frequency", counting)
+        det = Stage2Detector()
+        frames = canonical_stream(rub_duration_s=4.0, fps=fps).frames
+        for frame in frames:
+            det.step(frame)
+        rubbing = next(ev.timestamp_ms for ev in det.events if ev.name == Phase.RUBBING.value)
+        assert det.state.phase == Phase.RUBBING and len(fitted) > 100
+        if fps == 50.0:     # every frame is a grid point: one fit per frame once the window is full
+            assert fitted == [f.timestamp for f in frames if f.timestamp >= fitted[0]]
+        else:
+            assert min(np.diff(fitted)) >= RUB_GRID_MS
+            assert len(fitted) <= (frames[-1].timestamp - rubbing) / RUB_GRID_MS + 1
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_rub_ends_at_the_same_time_at_every_frame_rate(self, seed):
+        # 50 FPS scores every frame; 100 and 200 FPS must stop the rub within one grid step of it
+        ends = {fps: detect_stage2(_rub_then_still(fps, seed)).events[-1] for fps in (50.0, 100.0, 200.0)}
+        assert {ev.name for ev in ends.values()} == {Phase.COMPLETED.value}
+        assert all(abs(ev.timestamp_ms - ends[50.0].timestamp_ms) <= RUB_GRID_MS for ev in ends.values())
 
 
 class TestDetectStage2:

@@ -187,6 +187,20 @@ class TestPerturbations:
         stream, _ = generate(make_canonical_script(seed=2))
         assert detect_stage2(drop_frames(stream, 0.05, seed=3)).verdict == Verdict.COMPLETED
 
+    @pytest.mark.parametrize("rate,seed,message", [
+        (math.nan, 0, "drop rate nan is not finite"),
+        (1.5, 0, "drop rate 1.5 outside [0, 1)"),
+        ("0.1", 0, "drop rate '0.1' is not a number"),
+        (0.1, 1.5, "seed 1.5 is not an integer"),
+        (0.1, "x", "seed 'x' is not an integer"),
+        (0.1, True, "seed True is not an integer"),
+        (0.1, -1, "seed must be non-negative"),
+    ])
+    def test_drop_frames_rejects_a_bad_rate_or_seed(self, rate, seed, message):
+        stream, _ = generate(make_canonical_script())
+        with pytest.raises(InvalidScript, match=re.escape(message)):
+            drop_frames(stream, rate, seed)
+
 
 def primitive_path(kind, duration_s, fps=100.0):
     """Palm positions, palm velocities and timestamps of a noiseless `primitive` phase."""
