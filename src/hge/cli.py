@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache     # one tree per process; parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hge", description="Two-hand frame-stream gesture engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,9 +221,8 @@ def _cmd_validate(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

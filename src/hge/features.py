@@ -212,11 +212,182 @@ def _mean_rows(x: np.ndarray):
     return np.add.reduce(x, 0) / len(x)
 
 
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_ROOT_2 = math.sqrt(2.0)
+_ROOT_6 = math.sqrt(6.0)
+_EPS = 2.0 ** -53            # LAPACK's relative machine precision, dlamch('E')
+_SAFMIN = 2.0 ** -1022       # dlamch('S')
+
+
+def _eigen2(a: float, b: float, c: float):
+    """LAPACK's dlaev2 on [[a, b], [b, c]]: (rt1, rt2, cs, sn), rt1 the eigenvalue of larger magnitude and (cs, sn) its vector.
+
+    The same operations in the same order as the reference Fortran, so the same bits.
+    """
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = abs(df), abs(tb)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
+    elif adf < ab:
+        rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1, sgn1 = 0.5 * (sm - rt), -1
+    elif sm > 0.0:
+        rt1, sgn1 = 0.5 * (sm + rt), 1
+    else:
+        rt1, sgn1 = 0.5 * rt, 1
+    rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
+    cs, sgn2 = (df + rt, 1) if df >= 0.0 else (df - rt, -1)
+    if abs(cs) > ab:
+        ct = -tb / cs
+        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
+        cs1 = ct * sn1
+    elif ab == 0.0:
+        cs1, sn1 = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
+        sn1 = tn * cs1
+    if sgn1 == sgn2:
+        cs1, sn1 = -sn1, cs1
+    return rt1, rt2, cs1, sn1
+
+
+def _split_eigen3(a00: float, a10: float, a11: float, a21: float, a22: float):
+    """symmetric_eigen3 of a tridiagonal matrix with a10 or a21 zero, as LAPACK's dsyevd computes it.
+
+    Such a matrix is its own tridiagonal form, so dsyevd hands it to dsteqr
+    unchanged: each off-diagonal that is zero or negligible next to its two
+    diagonal neighbours splits it; a remaining 2x2 block is solved by
+    dlaev2 and its rotation applied to the identity's columns; and a
+    selection sort orders the values. The same steps here give LAPACK's bits.
+    """
+    d = [a00, a11, a22]
+    z = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]     # z[j] is column j
+    for m, b in ((0, a10), (1, a21)):
+        lo, hi = d[m], d[m + 1]
+        if b == 0.0 or abs(b) <= math.sqrt(abs(lo)) * math.sqrt(abs(hi)) * _EPS:
+            continue
+        # dsteqr's second test, in the order of the QL or the QR sweep it picks
+        bound = _EPS * _EPS * abs(hi) * abs(lo) if abs(hi) < abs(lo) else _EPS * _EPS * abs(lo) * abs(hi)
+        if b * b <= bound + _SAFMIN:
+            continue
+        d[m], d[m + 1], c, s = _eigen2(lo, b, hi)
+        left, right = z[m], z[m + 1]
+        z[m + 1] = [c * r - s * l for l, r in zip(left, right)]
+        z[m] = [s * r + c * l for l, r in zip(left, right)]
+    for i in (0, 1):
+        k = i
+        for j in range(i + 1, 3):
+            if d[j] < d[k]:
+                k = j
+        if k != i:
+            d[i], d[k], z[i], z[k] = d[k], d[i], z[k], z[i]
+    return tuple(d), tuple(map(tuple, z))
+
+
+def symmetric_eigen3(a):
+    """Eigenvalues (ascending) and unit eigenvectors of a symmetric 3x3 matrix, in closed form.
+
+    `a` is the matrix as three rows of floats; only its lower triangle is
+    read, as np.linalg.eigh reads it. Returns (evals, evecs), two 3-tuples:
+    evecs[i] is the eigenvector of evals[i]. Each value is within about
+    1e-15 of the matrix norm of the exact one, and so is each residual.
+
+    A matrix that splits into a 1x1 and a 2x2 block (one axis uncoupled
+    from the other two, as with motion confined to a coordinate plane) gets
+    LAPACK's own result bit for bit from _split_eigen3, within the range of
+    magnitudes where LAPACK does not rescale. Sums that land exactly on a
+    threshold, which exact synthetic motion produces, then fall the same way.
+
+    Any other matrix: with B = (A - qI) / p, q the mean eigenvalue and p the
+    eigenvalues' RMS spread about it, B's eigenvalues are 2 cos(phi + 2k pi/3)
+    with cos(3 phi) = det(B) / 2 (Smith, CACM 4(4) 1961). As in Eberly's robust
+    solver (Geometric Tools, 2014), the eigenvalue farther from the other two
+    is taken from that formula, where it is accurate, and its vector is the
+    longest cross product of two rows of B - beta I. The other two come from one
+    Jacobi rotation of B restricted to the plane orthogonal to it, so a
+    repeated or nearly repeated pair gets accurate values and an orthonormal
+    basis of its plane. Nothing is divided by zero: p is 0 only for a multiple
+    of the identity, which is returned as it is.
+    """
+    (a00, _, _), (a01, a11, _), (a02, a12, a22) = a
+    if a02 == 0.0 and (a01 == 0.0 or a12 == 0.0) \
+            and 1e-100 <= max(abs(a00), abs(a01), abs(a11), abs(a12), abs(a22)) <= 1e100:
+        return _split_eigen3(a00, a01, a11, a12, a22)
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    # hypot scales internally, so squares of tiny or huge entries neither underflow nor overflow
+    p = math.hypot(b00, b11, b22, _ROOT_2 * a01, _ROOT_2 * a02, _ROOT_2 * a12) / _ROOT_6
+    if p == 0.0:
+        return (q, q, q), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, a01 / p, a02 / p, a12 / p
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
+    if half_det >= 0.0:       # the largest eigenvalue is the isolated one; else the smallest
+        beta = 2.0 * math.cos(math.acos(min(half_det, 1.0)) / 3.0)
+    else:
+        beta = 2.0 * math.cos(math.acos(max(half_det, -1.0)) / 3.0 + _TWO_THIRDS_PI)
+    # B - beta I has rank 2; its null vector is the cross product of the two rows that are least parallel
+    r00, r11, r22 = b00 - beta, b11 - beta, b22 - beta
+    x0, x1, x2 = b01 * b12 - b02 * r11, b02 * b01 - r00 * b12, r00 * r11 - b01 * b01
+    y0, y1, y2 = b01 * r22 - b02 * b12, b02 * b02 - r00 * r22, r00 * b12 - b01 * b02
+    z0, z1, z2 = r11 * r22 - b12 * b12, b12 * b02 - b01 * r22, b01 * b12 - r11 * b02
+    dx, dy, dz = x0 * x0 + x1 * x1 + x2 * x2, y0 * y0 + y1 * y1 + y2 * y2, z0 * z0 + z1 * z1 + z2 * z2
+    if dx >= dy and dx >= dz:
+        d = math.sqrt(dx)
+        w0, w1, w2 = x0 / d, x1 / d, x2 / d
+    elif dy >= dz:
+        d = math.sqrt(dy)
+        w0, w1, w2 = y0 / d, y1 / d, y2 / d
+    else:
+        d = math.sqrt(dz)
+        w0, w1, w2 = z0 / d, z1 / d, z2 / d
+    # u, v: an orthonormal basis of the plane orthogonal to w, u built from w's two largest components
+    if abs(w0) > abs(w1):
+        d = math.sqrt(w0 * w0 + w2 * w2)
+        u0, u1, u2 = -w2 / d, 0.0, w0 / d
+    else:
+        d = math.sqrt(w1 * w1 + w2 * w2)
+        u0, u1, u2 = 0.0, w2 / d, -w1 / d
+    v0, v1, v2 = w1 * u2 - w2 * u1, w2 * u0 - w0 * u2, w0 * u1 - w1 * u0
+    bv0, bv1, bv2 = b00 * v0 + b01 * v1 + b02 * v2, b01 * v0 + b11 * v1 + b12 * v2, b02 * v0 + b12 * v1 + b22 * v2
+    s00 = u0 * (b00 * u0 + b01 * u1 + b02 * u2) + u1 * (b01 * u0 + b11 * u1 + b12 * u2) \
+        + u2 * (b02 * u0 + b12 * u1 + b22 * u2)
+    s01 = u0 * bv0 + u1 * bv1 + u2 * bv2
+    s11 = v0 * bv0 + v1 * bv1 + v2 * bv2
+    # the rotation by atan(t) that zeroes s01, with |t| <= 1 (Golub and Van Loan, section 8.5)
+    t = 0.0
+    if s01 != 0.0:
+        tau = (s11 - s00) / (2.0 * s01)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    lo, hi = s00 - t * s01, s11 + t * s01
+    e_lo, e_hi = (c * u0 - s * v0, c * u1 - s * v1, c * u2 - s * v2), (s * u0 + c * v0, s * u1 + c * v1, s * u2 + c * v2)
+    if lo > hi:
+        lo, hi, e_lo, e_hi = hi, lo, e_hi, e_lo
+    # beta lies above (or below) the pair, or a hair inside it where rounding blurs three near-equal values
+    w = (w0, w1, w2)
+    if beta >= hi:
+        betas, evecs = (lo, hi, beta), (e_lo, e_hi, w)
+    elif beta >= lo:
+        betas, evecs = (lo, beta, hi), (e_lo, w, e_hi)
+    else:
+        betas, evecs = (beta, lo, hi), (w, e_lo, e_hi)
+    return (q + p * betas[0], q + p * betas[1], q + p * betas[2]), evecs
+
+
 def _principal_axes(pts):
-    """Mean-removed points, with the eigenvalues (ascending) and eigenvectors of their covariance."""
+    """Mean-removed points, with the eigenvalues (ascending) and unit eigenvectors of their covariance.
+
+    The eigenpairs come from symmetric_eigen3 as tuples: axes[2] is the principal axis.
+    """
     centered = pts - _mean_rows(pts)
-    evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
-    return centered, evals, evecs
+    evals, axes = symmetric_eigen3((centered.T @ centered / len(pts)).tolist())
+    return centered, evals, axes
 
 
 def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
@@ -236,11 +407,11 @@ def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -
     if _path_length(pts) < config.stationary_path_mm:
         return TrajectoryKind.INDETERMINATE
 
-    centered, evals, evecs = _principal_axes(pts)
-    if float(evals[2]) / float(evals.sum()) >= config.line_variance_min:
+    centered, evals, axes = _principal_axes(pts)
+    if evals[2] / sum(evals) >= config.line_variance_min:
         return TrajectoryKind.LINEAR
 
-    uv = centered @ evecs[:, 1:3]
+    uv = centered @ np.array(axes[1:]).T     # coordinates along the middle and principal axes
     cx, cy, radius = _fit_circle_2d(uv)
     if not (config.circle_radius_min_mm <= radius <= config.circle_radius_max_mm):
         return TrajectoryKind.INDETERMINATE
@@ -274,23 +445,25 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
         raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
 
-    centered, _, evecs = _principal_axes(pts)
-    signal = centered @ evecs[:, 2]
+    centered, _, axes = _principal_axes(pts)
+    signal = centered @ axes[2]
+    # re-centred, though the rows are: where the covariance splits, the axis is np.linalg.eigh's to the bit, and
+    # this step then rounds a sample whose exact projection is 0 to the side the eigh-based rule rounds it to
     signal = signal - _mean_rows(signal)
 
     if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
         return None
 
     positive = signal >= 0
-    change = np.nonzero(positive[:-1] != positive[1:])[0]
+    change = np.flatnonzero(positive[:-1] != positive[1:])
     if change.size < 2:
         return None
 
-    t_s = ts / 1000.0
+    # each sign change's interpolated time, as whole arrays: elementwise the same arithmetic as one at a time
+    before, after = signal[change], signal[change + 1]
+    t0 = ts[change] / 1000.0
     crossings = []
-    for k in change:
-        frac = signal[k] / (signal[k] - signal[k + 1])
-        z = t_s[k] + frac * (t_s[k + 1] - t_s[k])
+    for z in (t0 + before / (before - after) * (ts[change + 1] / 1000.0 - t0)).tolist():
         if not crossings or z - crossings[-1] >= config.min_crossing_gap_s:
             crossings.append(z)
     if len(crossings) < 2:

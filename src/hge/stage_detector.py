@@ -14,6 +14,7 @@ oscillation, complete the stage.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
-from .features import estimate_frequency, inter_palm_distance, palm_opposition
+from .features import estimate_frequency, palm_opposition, symmetric_eigen3
 from .frame_model import DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness
 
 
@@ -115,9 +116,78 @@ class Trail:
             self.start += 1
 
 
+def _scaled(d: float) -> int:
+    """d * 2**1074 as an exact integer: every finite float is a whole multiple of 2**-1074."""
+    num, den = d.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+class DistanceWindow:
+    """(timestamp, inter-palm distance) samples over a trailing time span, with their exact least-squares slope.
+
+    `samples` holds the (ts, distance) pairs, oldest first; a push trims
+    those older than the span. The first slope() call builds five sums over
+    them as exact integers: the count, and the sums of t, t**2, D and t*D,
+    with t the whole ms since `anchor` (the oldest sample then held) and D
+    the distance times 2**1074. Every later push adds its sample to the sums
+    and takes each trimmed one out, so slope() costs the same at any window
+    length and rounds only once, in its final integer division. Until the
+    first slope() call, and after drop_sums(), a push is a deque append
+    and trim.
+    """
+
+    def __init__(self):
+        self.samples: deque = deque()
+        self.sums: Optional[list] = None    # [n, sum t, sum t**2, sum D, sum t*D]
+        self.anchor = 0
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def push(self, ts: int, d: float, span_s: float):
+        """Append a sample and drop those older than span_s before ts."""
+        samples = self.samples
+        samples.append((ts, d))
+        horizon = ts - span_s * 1000.0
+        if self.sums is None:
+            while samples[0][0] < horizon:
+                samples.popleft()
+            return
+        self._count(ts, d, 1)
+        while samples[0][0] < horizon:
+            self._count(*samples.popleft(), -1)
+
+    def _count(self, ts: int, d: float, sign: int):
+        """Add a sample to the sums (sign 1) or take it out (sign -1)."""
+        t, big = ts - self.anchor, _scaled(d)
+        sums = self.sums
+        sums[0] += sign
+        sums[1] += sign * t
+        sums[2] += sign * t * t
+        sums[3] += sign * big
+        sums[4] += sign * t * big
+
+    def drop_sums(self):
+        """Stop keeping the sums; pushes go back to an append and a trim."""
+        self.sums = None
+
+    def slope(self) -> float:
+        """Least-squares slope of distance over time in mm/s, the exact value rounded once; needs two timestamps."""
+        if self.sums is None:
+            self.anchor, self.sums = self.samples[0][0], [0, 0, 0, 0, 0]
+            for ts, d in self.samples:
+                self._count(ts, d, 1)
+        n, st, stt, sd, std = self.sums
+        return 1000 * (n * std - st * sd) / ((n * stt - st * st) << 1074)
+
+
 @dataclass
 class DetectorState:
-    """Everything a detection run remembers between frames."""
+    """Everything a detection run remembers between frames.
+
+    The distance window keeps the exact sums behind the approach slope only
+    while the run is in PalmsFacing, the one phase that reads the slope.
+    """
 
     phase: Phase = Phase.AWAITING_TWO_HANDS
     last_ts: Optional[int] = None
@@ -126,8 +196,8 @@ class DetectorState:
     # AwaitingTwoHands: the current run of frames with one palm-facing value
     facing: Optional[bool] = None          # None: the frame has no left-right pair
     run_since: Optional[int] = None
-    # two-hand frames before contact
-    dist_window: deque = field(default_factory=deque)   # (ts, distance), approach_window_s long
+    # two-hand frames before contact; its slope sums are kept only in PalmsFacing
+    dist_window: DistanceWindow = field(default_factory=DistanceWindow)   # approach_window_s long
     # ContactOccluded and Rubbing: the surviving hand
     contact_ts: Optional[int] = None
     surviving: Optional[Handedness] = None
@@ -159,14 +229,6 @@ class StageReport:
         return "\n".join(lines) + "\n"
 
 
-def _push(window: deque, ts: int, value, span_s: float):
-    """Append (ts, value) and drop the samples older than span_s before ts."""
-    window.append((ts, value))
-    horizon = ts - span_s * 1000.0
-    while window[0][0] < horizon:
-        window.popleft()
-
-
 class Stage2Detector:
     """Sequential detector; feed frames in timestamp order via step()."""
 
@@ -182,27 +244,25 @@ class Stage2Detector:
     # -- per-phase helpers ------------------------------------------------
 
     def _update_two_hand_tracking(self, frame: Frame):
-        left, right = frame.hand(Handedness.LEFT), frame.hand(Handedness.RIGHT)
-        if left is None or right is None:
+        """On a two-hand frame holding a left and a right hand: push their distance and return their opposition."""
+        a, b = frame.hands
+        if a.handedness == b.handedness:
             return None
-        d = inter_palm_distance(left.palm_position, right.palm_position)
-        _push(self.state.dist_window, frame.timestamp, d, self.config.approach_window_s)
+        left, right = (a, b) if a.handedness == Handedness.LEFT else (b, a)
+        # math.dist of the palms, inter_palm_distance's rule
+        d = math.dist(left.palm_position.tolist(), right.palm_position.tolist())
+        self.state.dist_window.push(frame.timestamp, d, self.config.approach_window_s)
         return palm_opposition(left.palm_normal, right.palm_normal, self.config)
 
     def _approach_slope(self) -> Optional[float]:
-        window = self.state.dist_window
-        if len(window) < 5 or (window[-1][0] - window[0][0]) / 1000.0 < 0.9 * self.config.approach_window_s:
+        """The distance window's exact least-squares slope in mm/s, once it holds five samples over 90% of its span.
+
+        O(1) per frame: the window keeps integer sums from its first slope on.
+        """
+        samples = self.state.dist_window.samples
+        if len(samples) < 5 or (samples[-1][0] - samples[0][0]) / 1000.0 < 0.9 * self.config.approach_window_s:
             return None
-        # least squares over times in whole ms from the first sample, whose sums are exact integers
-        n, t0, st, stt = len(window), window[0][0], 0, 0
-        sd = std = 0.0
-        for t, d in window:
-            t -= t0
-            st += t
-            stt += t * t
-            sd += d
-            std += t * d
-        return 1000.0 * (n * std - st * sd) / (n * stt - st * st)
+        return self.state.dist_window.slope()
 
     def _update_sweep(self, ts: int, obs: HandObservation) -> Optional[float]:
         """Net sweep of the surviving hand's velocity direction in its dominant plane.
@@ -221,8 +281,8 @@ class Stage2Detector:
         if len(trail) < 10:
             return None
         sample = trail.values[trail.start:trail.end]
-        _, evecs = np.linalg.eigh(sample.T @ sample)
-        angles = np.degrees(np.arctan2(sample @ evecs[:, 1], sample @ evecs[:, 2]))
+        _, (_, middle, principal) = symmetric_eigen3((sample.T @ sample).tolist())
+        angles = np.degrees(np.arctan2(sample @ middle, sample @ principal))
         deltas = np.diff(angles)
         deltas = (deltas + 180.0) % 360.0 - 180.0
         # direction reversals show as near-180 jumps; only smooth rotation counts
@@ -324,13 +384,14 @@ class Stage2Detector:
                 self._update_two_hand_tracking(frame)
                 slope = self._approach_slope()
                 if slope is not None and slope <= cfg.approach_slope_mm_s:
+                    s.dist_window.drop_sums()       # Approaching reads only the newest distance
                     self._enter(Phase.APPROACHING, ts, f"slope_mm_s={slope:.1f}")
 
         elif s.phase == Phase.APPROACHING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
             elif hc == 1 and s.prev_hand_count == 2:
-                last_d = s.dist_window[-1][1]
+                last_d = s.dist_window.samples[-1][1]
                 if last_d < cfg.contact_distance_mm:
                     s.surviving = frame.hands[0].handedness
                     s.contact_ts = ts

@@ -34,7 +34,7 @@ from hge import (
     match_signature,
     palm_opposition,
 )
-from hge.features import _mean_rows, _principal_axes
+from hge.features import _mean_rows, _principal_axes, symmetric_eigen3
 from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel
 from dataclasses import replace
@@ -280,6 +280,98 @@ class TestFrequency:
             estimate_frequency(np.zeros((n_pos, 3)), ts)
 
 
+def assert_eigenpairs(a, evals, evecs):
+    """np.linalg.eigh is the reference: values ascending and within 1e-12 of ||a|| of its, residuals as small."""
+    a = np.asarray(a, float)
+    tol = 1e-12 * np.linalg.norm(a, 2)
+    values, vectors = np.array(evals), np.array(evecs)
+    assert np.isfinite(values).all() and np.isfinite(vectors).all()
+    assert values.tolist() == sorted(values.tolist())
+    assert np.abs(values - np.linalg.eigh(a)[0]).max() <= tol
+    for value, vector in zip(values, vectors):
+        assert np.linalg.norm(a @ vector - value * vector) <= tol
+    assert np.abs(vectors @ vectors.T - np.eye(3)).max() <= 1e-12
+
+
+def random_symmetric(rng, kind):
+    """A symmetric 3x3 matrix of the named kind, at a scale drawn from 1e-6 to 1e12."""
+    scale = 10.0 ** rng.uniform(-6.0, 12.0)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    values = rng.normal(size=3)
+    if kind == "repeated_pair":
+        values[1] = values[rng.choice([0, 2])]
+    elif kind == "nearly_repeated_pair":
+        values[1] = values[0] * (1.0 + 10.0 ** rng.uniform(-16.0, -4.0))
+    elif kind == "rank_one":
+        values[:2] = 0.0
+    elif kind == "near_identity":
+        values = 1.0 + values * 10.0 ** rng.uniform(-17.0, -5.0)
+    elif kind == "covariance":
+        pts = rng.normal(size=(60, 3)) * rng.uniform(0.0, 5.0, 3) @ rotation.T + rng.uniform(-300.0, 300.0, 3)
+        centered = pts - pts.mean(axis=0)
+        return centered.T @ centered / 60 * scale
+    a = (rotation * values) @ rotation.T * scale
+    return (a + a.T) / 2.0
+
+
+class TestSymmetricEigen3:
+    @pytest.mark.parametrize("kind", ["general", "repeated_pair", "nearly_repeated_pair", "rank_one",
+                                      "near_identity", "covariance"])
+    def test_matches_lapack_on_random_matrices(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(400):
+            a = random_symmetric(rng, kind)
+            assert_eigenpairs(a, *symmetric_eigen3(a.tolist()))
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((3, 3)),
+        *(c * np.eye(3) for c in (1e-6, -3.0, 1e12)),
+        np.diag([2.0, -1.0, 2.0]),
+        np.diag([5.0, 1.0, 3.0]),
+        np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]),
+    ], ids=["zero", "1e-6_I", "-3_I", "1e12_I", "diagonal_repeated", "diagonal", "rank_one"])
+    def test_degenerate_matrices(self, a):
+        assert_eigenpairs(a, *symmetric_eigen3(a.tolist()))
+
+    def test_zero_and_scalar_matrices_are_returned_as_they_are(self):
+        for c in (0.0, 7.5):
+            evals, evecs = symmetric_eigen3((c * np.eye(3)).tolist())
+            assert evals == (c, c, c) and np.array_equal(evecs, np.eye(3))
+
+    @pytest.mark.parametrize("uncoupled", [0, 2])
+    def test_matrices_that_split_get_lapacks_bits(self, uncoupled):
+        # exact synthetic motion in a coordinate plane gives such matrices, and its rotation sweeps can land
+        # exactly on the threshold: the detector's events then depend on the last bit, as they did with eigh
+        rng = np.random.default_rng(41 + uncoupled)
+        others = [k for k in range(3) if k != uncoupled]
+        for k in range(2000):
+            m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-6.0, 12.0)
+            a = m + m.T
+            a[uncoupled, others] = a[others, uncoupled] = 0.0
+            if k % 4 == 1:      # a block LAPACK splits: near-equal diagonal, negligible coupling
+                a[others[1], others[1]] = a[others[0], others[0]]
+                a[others[0], others[1]] = a[others[1], others[0]] = a[others[0], others[0]] * 1e-17
+            elif k % 4 == 2:    # diagonal, with a repeated value
+                a = np.diag(rng.permutation([a[0, 0], a[0, 0], a[2, 2]]))
+            elif k % 4 == 3:    # only the uncoupled axis moves, as on a line
+                a[np.ix_(others, others)] = 0.0
+            evals, evecs = symmetric_eigen3(a.tolist())
+            reference_evals, reference_evecs = np.linalg.eigh(a)
+            assert np.array(evals).tobytes() == reference_evals.tobytes()
+            assert np.array(evecs).T.tobytes() == reference_evecs.tobytes()
+
+    @pytest.mark.parametrize("u,v", [((1, 0, 0), (0, 0, 1)), ((0.6, 0.8, 0), (0, 0, 1)),
+                                     ((1 / math.sqrt(3),) * 3, (1 / math.sqrt(2), -1 / math.sqrt(2), 0))])
+    def test_noiseless_circle_covariance(self, u, v):
+        # a sigma = 0 circle over whole turns: a repeated top pair and a zero in the normal direction
+        _, evals, axes = _principal_axes(circle_points(50.0, n=150, u=u, v=v))
+        centered = circle_points(50.0, n=150, u=u, v=v)
+        centered = centered - centered.mean(axis=0)
+        assert_eigenpairs(centered.T @ centered / 150, evals, axes)
+        assert evals[2] == pytest.approx(1250.0, rel=1e-12) and evals[1] == pytest.approx(1250.0, rel=1e-12)
+        assert abs(float(np.dot(axes[0], np.cross(u, v)))) == pytest.approx(1.0, rel=1e-12)
+
+
 @settings(PROPERTY, max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(70, 400), lead=st.integers(0, 40),
        start_ms=st.one_of(st.integers(0, 10**6), st.integers(2**52, 2**53 - 10**5)),
@@ -303,13 +395,16 @@ def test_frequency_of_a_buffer_view_is_that_of_row_copies(seed, n, lead, start_m
         except TooFewSamples as exc:
             return str(exc)
 
-    assert frequency(view, view_times) == frequency(np.asarray([row.copy() for row in pts]), stamps)
-    centered, evals, evecs = _principal_axes(view)
+    rows = np.asarray([row.copy() for row in pts])
+    assert frequency(view, view_times) == frequency(rows, stamps)
+    centered, evals, axes = _principal_axes(view)
+    row_centered, row_evals, row_axes = _principal_axes(rows)
+    assert np.array_equal(centered, row_centered) and evals == row_evals and axes == row_axes
     reference = pts - pts.mean(axis=0)
-    reference_evals, reference_evecs = np.linalg.eigh(reference.T @ reference / n)
     assert np.array_equal(centered, reference)
-    assert np.array_equal(evals, reference_evals) and np.array_equal(evecs, reference_evecs)
-    signal = centered @ evecs[:, 2]     # the 1-D mean estimate_frequency takes
+    # the closed form is not LAPACK bit for bit: it agrees with eigh to within 1e-12 of the covariance's norm
+    assert_eigenpairs(reference.T @ reference / n, evals, axes)
+    signal = centered @ axes[2]     # the 1-D mean estimate_frequency takes
     assert _mean_rows(signal) == signal.mean()
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
+from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,7 @@ from hge import (
     make_canonical_script,
 )
 import hge.stage_detector
-from hge.stage_detector import RUB_GRID_MS, WORKING_PHASES
+from hge.stage_detector import RUB_GRID_MS, WORKING_PHASES, DistanceWindow
 from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec, PrimitiveKind
 
 from helpers import facing_frames, make_hand
@@ -73,7 +75,7 @@ class TestTransitions:
         for frame in frames:
             det.step(frame)
         assert det.state.phase == Phase.APPROACHING
-        assert det.state.dist_window[-1][1] == pytest.approx(26.0, abs=0.1)
+        assert det.state.dist_window.samples[-1][1] == pytest.approx(26.0, abs=0.1)
         det.step(Frame(1750, (make_hand(Handedness.RIGHT, palm=(12.5, 200, 0), normal=(-1, 0, 0)),)))
         assert det.state.phase == Phase.CONTACT_OCCLUDED
 
@@ -354,8 +356,30 @@ class TestDetectStage2:
 def _slope(stamps, distances, window_s):
     # a stand-in config: the windows below are shorter than a real config's 0.1 s floor
     det = Stage2Detector(SimpleNamespace(approach_window_s=window_s))
-    det.state.dist_window.extend(zip(stamps, distances))
+    det.state.dist_window.samples.extend(zip(stamps, distances))
     return det._approach_slope()
+
+
+def _loop_slope(samples):
+    """The float loop the detector ran before its window kept exact sums: times in whole ms from the first sample."""
+    n, t0, st, stt = len(samples), samples[0][0], 0, 0
+    sd = std = 0.0
+    for t, d in samples:
+        t -= t0
+        st += t
+        stt += t * t
+        sd += d
+        std += t * d
+    return 1000.0 * (n * std - st * sd) / (n * stt - st * st)
+
+
+def _exact_slope(samples):
+    """The least-squares slope in mm/s computed in rationals, rounded once to a float."""
+    n = len(samples)
+    ts, ds = [Fraction(t) for t, _ in samples], [Fraction(d) for _, d in samples]
+    st, sd = sum(ts), sum(ds)
+    stt, std = sum(t * t for t in ts), sum(t * d for t, d in zip(ts, ds))
+    return float(1000 * (n * std - st * sd) / (n * stt - st * st))
 
 
 class TestApproachSlope:
@@ -371,6 +395,42 @@ class TestApproachSlope:
             slope = _slope(stamps.tolist(), distances.tolist(), elapsed_s[-1])
             assert slope == pytest.approx(float(np.polyfit(stamps / 1000.0, distances, 1)[0]), rel=1e-9)
 
+    def test_matches_the_float_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(5, 1001))
+            stamps = (int(rng.integers(0, 10**9)) + np.cumsum(rng.integers(1, 21, n))).tolist()
+            distances = (150.0 + rng.uniform(-300.0, 50.0) * np.arange(n) / 100.0 + rng.normal(0.0, 1.0, n)).tolist()
+            window = DistanceWindow()
+            for t, d in zip(stamps, distances):
+                window.push(t, d, 3600.0)
+            assert window.slope() == pytest.approx(_loop_slope(list(zip(stamps, distances))), rel=1e-12)
+
+    def test_slope_does_not_iterate_the_samples_once_it_has_sums(self):
+        class NoIteration(deque):
+            def __iter__(self):
+                raise AssertionError("slope() walked the samples")
+
+        window = DistanceWindow()
+        for k in range(1000):
+            window.push(10 * k, 500.0 - 0.25 * k, 5.0)
+        first = window.slope()
+        window.samples = NoIteration(window.samples)
+        for k in range(1000, 3000):
+            window.push(10 * k, 500.0 - 0.25 * k, 5.0)
+            assert window.slope() == pytest.approx(first, rel=1e-12) and len(window) == 501
+
+    def test_sums_are_kept_only_in_palms_facing(self):
+        det = Stage2Detector()
+        frames = facing_frames(50) + facing_frames(60, t0=500, separation=150, closing_mm_s=100.0)
+        held = []
+        for frame in frames:
+            det.step(frame)
+            held.append((det.state.phase, det.state.dist_window.sums is not None))
+        assert (Phase.PALMS_FACING, True) in held
+        assert {phase for phase, kept in held if kept} == {Phase.PALMS_FACING}
+        assert det.state.phase == Phase.APPROACHING and len(det.state.dist_window) > 5
+
     @pytest.mark.parametrize("t0", [0, 1, 7, 990, 123457, 987654321])
     def test_span_gate_counts_whole_ms_at_any_start(self, t0):
         stamps = [t0 + 10 * k for k in range(46)]          # 450 ms, exactly 90% of the 0.5 s window
@@ -378,6 +438,33 @@ class TestApproachSlope:
         assert _slope(stamps, distances, 0.5) == pytest.approx(-50.0, rel=1e-12)
         assert _slope(stamps[:-1], distances[:-1], 0.5) is None
         assert _slope(stamps[:4], distances[:4], 0.01) is None     # fewer than five samples
+
+
+_DISTANCES = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e15]),
+                       st.floats(0.0, 1e15, allow_subnormal=True))
+_WINDOW_OPS = st.lists(st.one_of(st.tuples(st.just("push"), st.integers(1, 400), _DISTANCES),
+                                 st.just(("slope",)), st.just(("drop",))), min_size=1, max_size=60)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(ops=_WINDOW_OPS, span_ms=st.integers(1, 5000), start=st.one_of(st.integers(0, 10**6), st.just(2**53 - 1)))
+def test_distance_window_slope_is_the_exact_least_squares_slope(ops, span_ms, start):
+    """Over any pushes, trims and drops of the sums, slope() is the rational least-squares slope rounded once."""
+    # the pushes end at `start` where they can, so the last stamp can be 2**53 - 1
+    ts = max(start - sum(op[1] for op in ops if op[0] == "push"), 0)
+    window, reference = DistanceWindow(), []
+    for op in ops:
+        if op[0] == "push":
+            ts += op[1]
+            window.push(ts, op[2], span_ms / 1000.0)
+            reference = [(t, d) for t, d in reference + [(ts, op[2])] if t >= ts - span_ms / 1000.0 * 1000.0]
+            assert list(window.samples) == reference
+        elif op[0] == "drop":
+            window.drop_sums()
+        elif len(reference) >= 2:
+            assert window.slope() == _exact_slope(reference)
+    if len(reference) >= 2:
+        assert window.slope() == _exact_slope(reference)
 
 
 _DURATION = st.floats(0.1, 3.0)
