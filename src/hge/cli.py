@@ -193,7 +193,7 @@ def _cmd_mlprep(args) -> int:
         raise EngineError(f"{args.manifest}: manifest header must contain {sorted(required)}")
     base = os.path.dirname(os.path.abspath(args.manifest))
     streams = {}
-    windows = []
+    rows = []
     for row in reader:
         where = f"{args.manifest}: line {reader.line_num}"
         if any(row[key] is None for key in required):
@@ -207,8 +207,10 @@ def _cmd_mlprep(args) -> int:
         pair = (row["left_file"], row["right_file"])
         if pair not in streams:
             streams[pair] = _parse_pair(*(os.path.join(base, name) for name in pair))
-        windows.append((streams[pair].slice_ms(start, end), row["label"]))
-    rows = _named(args.manifest, build_dataset, windows, config)
+        try:
+            rows += build_dataset([(streams[pair].slice_ms(start, end), row["label"])], config)
+        except InsufficientWindow as exc:   # the manifest line, not build_dataset's "window 0", names the window
+            raise EngineError(f"{where}: {exc.__cause__}") from None
     _write(args.out, rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

@@ -215,93 +215,21 @@ def _mean_rows(x: np.ndarray):
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _ROOT_2 = math.sqrt(2.0)
 _ROOT_6 = math.sqrt(6.0)
-_EPS = 2.0 ** -53            # LAPACK's relative machine precision, dlamch('E')
-_SAFMIN = 2.0 ** -1022       # dlamch('S')
-
-
-def _eigen2(a: float, b: float, c: float):
-    """LAPACK's dlaev2 on [[a, b], [b, c]]: (rt1, rt2, cs, sn), rt1 the eigenvalue of larger magnitude and (cs, sn) its vector.
-
-    The same operations in the same order as the reference Fortran, so the same bits.
-    """
-    sm, df, tb = a + c, a - c, b + b
-    adf, ab = abs(df), abs(tb)
-    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-    if adf > ab:
-        rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
-    elif adf < ab:
-        rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
-    else:
-        rt = ab * math.sqrt(2.0)
-    if sm < 0.0:
-        rt1, sgn1 = 0.5 * (sm - rt), -1
-    elif sm > 0.0:
-        rt1, sgn1 = 0.5 * (sm + rt), 1
-    else:
-        rt1, sgn1 = 0.5 * rt, 1
-    rt2 = -0.5 * rt if sm == 0.0 else (acmx / rt1) * acmn - (b / rt1) * b
-    cs, sgn2 = (df + rt, 1) if df >= 0.0 else (df - rt, -1)
-    if abs(cs) > ab:
-        ct = -tb / cs
-        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
-        cs1 = ct * sn1
-    elif ab == 0.0:
-        cs1, sn1 = 1.0, 0.0
-    else:
-        tn = -cs / tb
-        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
-        sn1 = tn * cs1
-    if sgn1 == sgn2:
-        cs1, sn1 = -sn1, cs1
-    return rt1, rt2, cs1, sn1
-
-
-def _split_eigen3(a00: float, a10: float, a11: float, a21: float, a22: float):
-    """symmetric_eigen3 of a tridiagonal matrix with a10 or a21 zero, as LAPACK's dsyevd computes it.
-
-    Such a matrix is its own tridiagonal form, so dsyevd hands it to dsteqr
-    unchanged: each off-diagonal that is zero or negligible next to its two
-    diagonal neighbours splits it; a remaining 2x2 block is solved by
-    dlaev2 and its rotation applied to the identity's columns; and a
-    selection sort orders the values. The same steps here give LAPACK's bits.
-    """
-    d = [a00, a11, a22]
-    z = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]     # z[j] is column j
-    for m, b in ((0, a10), (1, a21)):
-        lo, hi = d[m], d[m + 1]
-        if b == 0.0 or abs(b) <= math.sqrt(abs(lo)) * math.sqrt(abs(hi)) * _EPS:
-            continue
-        # dsteqr's second test, in the order of the QL or the QR sweep it picks
-        bound = _EPS * _EPS * abs(hi) * abs(lo) if abs(hi) < abs(lo) else _EPS * _EPS * abs(lo) * abs(hi)
-        if b * b <= bound + _SAFMIN:
-            continue
-        d[m], d[m + 1], c, s = _eigen2(lo, b, hi)
-        left, right = z[m], z[m + 1]
-        z[m + 1] = [c * r - s * l for l, r in zip(left, right)]
-        z[m] = [s * r + c * l for l, r in zip(left, right)]
-    for i in (0, 1):
-        k = i
-        for j in range(i + 1, 3):
-            if d[j] < d[k]:
-                k = j
-        if k != i:
-            d[i], d[k], z[i], z[k] = d[k], d[i], z[k], z[i]
-    return tuple(d), tuple(map(tuple, z))
 
 
 def symmetric_eigen3(a):
-    """Eigenvalues (ascending) and unit eigenvectors of a symmetric 3x3 matrix, in closed form.
+    """Eigenvalues (ascending) and unit eigenvectors of a symmetric 3x3 matrix.
 
     `a` is the matrix as three rows of floats; only its lower triangle is
-    read, as np.linalg.eigh reads it. Returns (evals, evecs), two 3-tuples:
+    read, as LAPACK's eigh reads it. Returns (evals, evecs), two 3-tuples:
     evecs[i] is the eigenvector of evals[i]. Each value is within about
     1e-15 of the matrix norm of the exact one, and so is each residual.
 
     A matrix that splits into a 1x1 and a 2x2 block (one axis uncoupled
-    from the other two, as with motion confined to a coordinate plane) gets
-    LAPACK's own result bit for bit from _split_eigen3, within the range of
-    magnitudes where LAPACK does not rescale. Sums that land exactly on a
-    threshold, which exact synthetic motion produces, then fall the same way.
+    from the other two, as with motion confined to a coordinate plane) goes
+    to LAPACK's eigh and gets its bits at any magnitude. Sums that land
+    exactly on a threshold, which exact synthetic motion produces, then fall
+    the same way.
 
     Any other matrix: with B = (A - qI) / p, q the mean eigenvalue and p the
     eigenvalues' RMS spread about it, B's eigenvalues are 2 cos(phi + 2k pi/3)
@@ -312,12 +240,13 @@ def symmetric_eigen3(a):
     Jacobi rotation of B restricted to the plane orthogonal to it, so a
     repeated or nearly repeated pair gets accurate values and an orthonormal
     basis of its plane. Nothing is divided by zero: p is 0 only for a multiple
-    of the identity, which is returned as it is.
+    of the identity, which splits first; one that got here would be returned
+    as it is.
     """
     (a00, _, _), (a01, a11, _), (a02, a12, a22) = a
-    if a02 == 0.0 and (a01 == 0.0 or a12 == 0.0) \
-            and 1e-100 <= max(abs(a00), abs(a01), abs(a11), abs(a12), abs(a22)) <= 1e100:
-        return _split_eigen3(a00, a01, a11, a12, a22)
+    if a02 == 0.0 and (a01 == 0.0 or a12 == 0.0):
+        evals, evecs = np.linalg.eigh(a)
+        return tuple(evals.tolist()), tuple(map(tuple, evecs.T.tolist()))
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     # hypot scales internally, so squares of tiny or huge entries neither underflow nor overflow
@@ -447,7 +376,7 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
 
     centered, _, axes = _principal_axes(pts)
     signal = centered @ axes[2]
-    # re-centred, though the rows are: where the covariance splits, the axis is np.linalg.eigh's to the bit, and
+    # re-centred, though the rows are: where the covariance splits, the axis is LAPACK's to the bit, and
     # this step then rounds a sample whose exact projection is 0 to the side the eigh-based rule rounds it to
     signal = signal - _mean_rows(signal)
 

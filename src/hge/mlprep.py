@@ -39,7 +39,7 @@ def build_dataset(labeled_windows: Sequence, config: EngineConfig = DEFAULT_CONF
         try:
             vector = extract_feature_vector(window, config)
         except InsufficientWindow as exc:
-            raise InsufficientWindow(f"window {index}: {exc}") from None
+            raise InsufficientWindow(f"window {index}: {exc}") from exc
         rows.append((vector, label))
     return rows
 

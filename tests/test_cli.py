@@ -182,6 +182,10 @@ BAD_INPUTS = {
     "mlprep_empty_label": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0,1500,x\n"
                                       "left.csv,right.csv,0,1500,\n").encode()},
                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 3", "label"]),
+    "mlprep_short_window": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0,1500,x\n"
+                                       "left.csv,right.csv,0,500,y\n").encode()},
+                            ["mlprep", "--manifest", "m.csv", "--out", "d.csv"],
+                            ["m.csv", "line 3", "need at least 1 s"]),
     "mlprep_short_row": ({"m.csv": (MANIFEST_HEAD + "left.csv,right.csv,0\n").encode()},
                          ["mlprep", "--manifest", "m.csv", "--out", "d.csv"], ["m.csv", "line 2"]),
     "negative_timestamp": ({"neg.csv": (CSV_HEADER + "\n-5" + ",0.0,200.0,0.0,0.0,1.0,0.0" + ",0.0" * 4

@@ -344,8 +344,10 @@ class TestSymmetricEigen3:
         # exactly on the threshold: the detector's events then depend on the last bit, as they did with eigh
         rng = np.random.default_rng(41 + uncoupled)
         others = [k for k in range(3) if k != uncoupled]
-        for k in range(2000):
-            m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-6.0, 12.0)
+        for k in range(2400):
+            m = rng.normal(size=(3, 3))
+            # the last 400 lie where LAPACK scales a matrix before solving it, at 1e-150 and 1e150
+            m *= 10.0 ** rng.uniform(-6.0, 12.0) if k < 2000 else (1e-150, 1e150)[k // 4 % 2]
             a = m + m.T
             a[uncoupled, others] = a[others, uncoupled] = 0.0
             if k % 4 == 1:      # a block LAPACK splits: near-equal diagonal, negligible coupling
