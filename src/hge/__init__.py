@@ -43,6 +43,7 @@ from .frame_model import (
     FrameStream,
     HandObservation,
     Handedness,
+    HandRecords,
     merge_hand_streams,
     parse_csv_stream,
     parse_hand_csv,

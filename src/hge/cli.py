@@ -158,15 +158,15 @@ def _cmd_features(args) -> int:
         raise EngineError("--window-ms must be positive")
     config = _load_config(args)
     stream = _parse_pair(args.left, args.right)
-    frames = stream.frames
+    stamps = stream.table.timestamps.tolist()
     i = 0
-    while i < len(frames):
+    while i < len(stamps):
         # windows lie on a grid from the first frame; a window holding no frame is skipped
-        index = (frames[i].timestamp - frames[0].timestamp) // args.window_ms
-        start = frames[0].timestamp + index * args.window_ms
+        index = (stamps[i] - stamps[0]) // args.window_ms
+        start = stamps[0] + index * args.window_ms
         end = start + args.window_ms
         window = stream.slice_ms(start, end)
-        i += len(window.frames)
+        i += len(window)
         try:
             v = extract_feature_vector(window, config)
             freq = "none" if v.movement_frequency_hz is None else f"{v.movement_frequency_hz:.3f}"

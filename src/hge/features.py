@@ -16,7 +16,18 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import GrabOutOfRange, InsufficientWindow, NonUnitNormal, TooFewSamples
-from .frame_model import DEVICE_FPS_MIN, NORMAL_TOLERANCE, FrameStream, Handedness, row_dots, row_norms
+from .frame_model import (
+    _GRAB,
+    _TIPS,
+    DEVICE_FPS_MIN,
+    NORMAL_TOLERANCE,
+    SIDES,
+    FrameStream,
+    FrameTable,
+    Handedness,
+    row_dots,
+    row_norms,
+)
 
 
 class PalmOrientation(str, Enum):
@@ -239,20 +250,19 @@ def symmetric_eigen3(a):
     longest cross product of two rows of B - beta I. The other two come from one
     Jacobi rotation of B restricted to the plane orthogonal to it, so a
     repeated or nearly repeated pair gets accurate values and an orthonormal
-    basis of its plane. Nothing is divided by zero: p is 0 only for a multiple
-    of the identity, which splits first; one that got here would be returned
-    as it is.
+    basis of its plane. Nothing is divided by zero: p is 0 for a multiple of
+    the identity, which splits, and where every entry of A - qI is so near
+    the smallest subnormal that the division by sqrt(6) rounds p to 0; that
+    matrix goes to eigh as well.
     """
     (a00, _, _), (a01, a11, _), (a02, a12, a22) = a
-    if a02 == 0.0 and (a01 == 0.0 or a12 == 0.0):
-        evals, evecs = np.linalg.eigh(a)
-        return tuple(evals.tolist()), tuple(map(tuple, evecs.T.tolist()))
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     # hypot scales internally, so squares of tiny or huge entries neither underflow nor overflow
     p = math.hypot(b00, b11, b22, _ROOT_2 * a01, _ROOT_2 * a02, _ROOT_2 * a12) / _ROOT_6
-    if p == 0.0:
-        return (q, q, q), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    if a02 == 0.0 and (a01 == 0.0 or a12 == 0.0) or p == 0.0:
+        evals, evecs = np.linalg.eigh(a)
+        return tuple(evals.tolist()), tuple(map(tuple, evecs.T.tolist()))
     b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, a01 / p, a02 / p, a12 / p
     half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02))
     if half_det >= 0.0:       # the largest eigenvalue is the isolated one; else the smallest
@@ -405,43 +415,39 @@ class _HandSamples(NamedTuple):
 
     timestamps: np.ndarray     # (m,) ms
     positions: np.ndarray      # (m, 3) palm positions
-    normals: np.ndarray        # (m, 3) palm normals
     grabs: np.ndarray          # (m,)
     gaps: np.ndarray           # (m,) minimum adjacent gap, NaN without a tracked pair
     gap_pairs: np.ndarray      # (m,) tracked adjacent pairs behind each gap
 
 
-def _hand_samples(observations, timestamps) -> _HandSamples:
+def _hand_samples(table: FrameTable, side: int) -> _HandSamples:
     """A hand's samples; its gaps and gap pairs are _tip_gaps', which finger_spread reads too."""
-    vectors = [np.empty(0)]     # keeps the concatenation defined for a hand never seen
-    for o in observations:
-        vectors += (o.palm_position, o.palm_normal, o.fingertips.reshape(-1))
-    block = np.concatenate(vectors, dtype=float).reshape(-1, 7, 3)
-    gaps, gap_pairs = _tip_gaps(block[:, 2:])
+    held = table.rows[:, side] >= 0
+    rows, block = table.rows[held, side], table.blocks[side]
+    gaps, gap_pairs = _tip_gaps(block[rows, _TIPS:].reshape(-1, 5, 3))
     return _HandSamples(
-        timestamps=np.array(timestamps, float),
-        positions=block[:, 0],
-        normals=block[:, 1],
-        grabs=np.array([o.grab_strength for o in observations], float),
+        timestamps=table.timestamps[held].astype(float),
+        positions=block[rows, 0:3],
+        grabs=block[rows, _GRAB],
         gaps=gaps,
         gap_pairs=gap_pairs,
     )
 
 
-def _window_hands(frames):
-    """Each hand's samples, and for every two-hand frame the rows of its left and right hand."""
-    seen = {h: ([], []) for h in Handedness}
-    pairs = []
-    for f in frames:
-        rows = {}
-        for obs in f.hands:
-            observations, stamps = seen[obs.handedness]
-            rows.setdefault(obs.handedness, len(observations))
-            observations.append(obs)
-            stamps.append(f.timestamp)
-        if len(rows) == 2:
-            pairs.append((rows[Handedness.LEFT], rows[Handedness.RIGHT]))
-    return {h: _hand_samples(*seen[h]) for h in Handedness}, np.array(pairs, int).reshape(-1, 2)
+def _resultants(left: np.ndarray, right: np.ndarray):
+    """_resultant of each pair of rows of two (m, 3) normal arrays, bit for bit, and the sums behind it.
+
+    Raises _check_unit_norm's NonUnitNormal for the first pair with a normal
+    off unit length, its left normal checked before its right.
+    """
+    norms = [np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]) for v in (left, right)]
+    off = (np.abs(norms[0] - 1.0) > NORMAL_TOLERANCE) | (np.abs(norms[1] - 1.0) > NORMAL_TOLERANCE)
+    if off.any():
+        k = int(np.argmax(off))
+        for name, norm in zip(("normal_left", "normal_right"), norms):
+            _check_unit_norm(name, float(norm[k]))
+    summed = left + right
+    return summed, np.sqrt(summed[:, 0] * summed[:, 0] + summed[:, 1] * summed[:, 1] + summed[:, 2] * summed[:, 2])
 
 
 def _mean(values: np.ndarray) -> Optional[float]:
@@ -455,29 +461,30 @@ def extract_feature_vector(window: FrameStream, config: EngineConfig = DEFAULT_C
     frames. Orientation is a majority vote over two-hand frames; trajectory
     and frequency come from the hand that moved the most.
     """
-    frames = window.frames
-    if len(frames) < 2:
+    table = window.table
+    stamps, rows = table.timestamps, table.rows
+    if len(stamps) < 2:
         raise InsufficientWindow("window has fewer than 2 frames")
     # covered duration: first-to-last plus one mean frame gap
-    raw_span = frames[-1].timestamp - frames[0].timestamp
-    span_s = (raw_span + raw_span / (len(frames) - 1)) / 1000.0
+    raw_span = stamps[-1].item() - stamps[0].item()
+    span_s = (raw_span + raw_span / (len(stamps) - 1)) / 1000.0
     if span_s < 1.0:
         raise InsufficientWindow(f"window spans {span_s:.3f} s, need at least 1 s")
-    with_hand = sum(1 for f in frames if f.hand_count >= 1)
-    if with_hand / len(frames) < 0.8:
+    held = rows >= 0
+    if held.any(axis=1).sum() / len(stamps) < 0.8:
         raise InsufficientWindow("a hand is visible in fewer than 80% of frames")
 
-    hands, pairs = _window_hands(frames)
+    hands = {side: _hand_samples(table, k) for k, side in enumerate(SIDES)}
+    pairs = rows[held.all(axis=1)]
     two_hand = len(pairs)
     facing_votes = stacked_votes = 0
     if two_hand:
-        left, right = hands[Handedness.LEFT], hands[Handedness.RIGHT]
-        left_normals, right_normals = left.normals[pairs[:, 0]], right.normals[pairs[:, 1]]
-        magnitude = np.array([_resultant(a, b) for a, b in zip(left_normals.tolist(), right_normals.tolist())])
-        disp = right.positions[pairs[:, 1]] - left.positions[pairs[:, 0]]
+        left_block, right_block = table.blocks
+        left_rows, right_rows = pairs.T
+        summed, magnitude = _resultants(left_block[left_rows, 3:6], right_block[right_rows, 3:6])
+        disp = right_block[right_rows, 0:3] - left_block[left_rows, 0:3]
         # math.hypot of a difference is math.dist bit for bit, at half its cost here
         distances = np.array(list(map(math.hypot, *disp.T.tolist())))
-        summed = left_normals + right_normals
         facing = magnitude < config.facing_resultant_max
         facing_votes = int(facing.sum())
         # stacked: near-parallel normals with the palms displaced along them

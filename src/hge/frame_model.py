@@ -1,9 +1,10 @@
 """Two-hand frame-stream data model with CSV ingestion and export.
 
 Per-hand records arrive as separate left/right CSV files sharing one clock;
-`merge_hand_streams` aligns them into two-hand frames. Coordinate convention
-(documented, not enforced): right-handed, y axis up away from the sensor,
-origin at the sensor center, millimeters and mm/s.
+`merge_hand_streams` aligns them into a table of two-hand frames, from which
+a stream builds Frame objects only when they are asked for. Coordinate
+convention (documented, not enforced): right-handed, y axis up away from the
+sensor, origin at the sensor center, millimeters and mm/s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,24 +77,132 @@ class Frame:
         return None
 
 
-@dataclass(eq=False)
-class FrameStream:
-    """Frames in time order."""
+SIDES = tuple(Handedness)      # a frame table's row columns: Left, then Right
 
-    frames: list
+
+@dataclass(frozen=True, eq=False)
+class HandRecords:
+    """One hand's records as ingest reads them, one row of `block` per timestamp.
+
+    `block` holds each record's 25 values in CSV column order after the
+    timestamp: palm position, palm normal (unit), palm velocity, grab
+    strength, then the five fingertips, an untracked one as three NaN.
+    """
+
+    handedness: Handedness
+    timestamps: np.ndarray         # (n,) int64 ms, strictly increasing
+    block: np.ndarray              # (n, 25) float64
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+class FrameTable(NamedTuple):
+    """Frames as arrays: frame k, at timestamps[k], holds row rows[k, s] of blocks[s] for each side s of SIDES.
+
+    A row of -1 marks a hand absent from that frame.
+    """
+
+    timestamps: np.ndarray         # (m,) ms
+    rows: np.ndarray               # (m, 2) intp
+    blocks: tuple                  # Left and Right (n, 25) value blocks, as HandRecords holds them
+
+
+class FrameStream:
+    """Frames in time order, held as a frame table, as Frame objects, or both.
+
+    A stream from `merge_hand_streams` is a table; `frames` builds its
+    Frame and HandObservation row views on first access and keeps them.
+    A stream built from frames keeps them and derives its table on first
+    use, which needs at most one hand of each side per frame.
+    """
+
+    def __init__(self, frames: Optional[list] = None, table: Optional[FrameTable] = None):
+        if frames is None and table is None:
+            raise TypeError("a FrameStream needs its frames or its table")
+        self._frames = frames
+        self._table = table
+
+    @property
+    def frames(self) -> list:
+        if self._frames is None:
+            self._frames = _table_frames(self._table)
+        return self._frames
+
+    @property
+    def table(self) -> FrameTable:
+        if self._table is None:
+            self._table = _frames_table(self._frames)
+        return self._table
+
+    def __len__(self) -> int:
+        return len(self._frames) if self._table is None else len(self._table.timestamps)
 
     def slice_ms(self, start_ms: int, end_ms: int) -> "FrameStream":
         """Frames with start_ms <= timestamp < end_ms.
 
-        Bisects the frames, which must be in time order, as merge_hand_streams
-        and the synthesiser produce them.
+        Bisects the frames, or without them the table's timestamps, which
+        must be in time order, as merge_hand_streams and the synthesiser
+        produce them. The slice holds what this stream holds of the table
+        and the frames.
         """
-        lo = bisect_left(self.frames, start_ms, key=_timestamp)
-        hi = bisect_left(self.frames, end_ms, lo=lo, key=_timestamp)
-        return FrameStream(self.frames[lo:hi])
+        frames, table = self._frames, self._table
+        if frames is not None:
+            lo = bisect_left(frames, start_ms, key=_timestamp)
+            hi = bisect_left(frames, end_ms, lo=lo, key=_timestamp)
+            frames = frames[lo:hi]
+        else:
+            # ingest's timestamps are int64, so the bounds are clamped to that range
+            lo, hi = np.searchsorted(table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
+                                                        for b in (start_ms, end_ms)]).tolist()
+        if table is not None:
+            table = FrameTable(table.timestamps[lo:hi], table.rows[lo:hi], table.blocks)
+        return FrameStream(frames, table)
 
 
 _timestamp = attrgetter("timestamp")
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _observations(handedness: Handedness, block: np.ndarray) -> list:
+    """HandObservations holding row views of the block."""
+    positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
+    grabs = block[:, _GRAB].tolist()
+    tips = list(block[:, _TIPS:].reshape(-1, 5, 3))
+    return [HandObservation(handedness, positions[i], normals[i], velocities[i], grabs[i], tips[i])
+            for i in range(len(grabs))]
+
+
+def _table_frames(table: FrameTable) -> list:
+    """The table's frames, each observation a view of its block row; a frame lists Left before Right."""
+    left, right = (_observations(side, block) for side, block in zip(SIDES, table.blocks))
+    frames = []
+    for t, l, r in zip(table.timestamps.tolist(), *table.rows.T.tolist()):
+        if l >= 0:
+            hands = (left[l], right[r]) if r >= 0 else (left[l],)
+        else:
+            hands = (right[r],) if r >= 0 else ()
+        frames.append(Frame(t, hands))
+    return frames
+
+
+def _frames_table(frames) -> FrameTable:
+    """The table of frames built in code, each hand's values gathered into a block in frame order."""
+    values = ([np.empty(0)], [np.empty(0)])     # keeps each concatenation defined for a hand never seen
+    counts, rows = [0, 0], []
+    for f in frames:
+        row = [-1, -1]
+        for obs in f.hands:
+            side = SIDES.index(obs.handedness)
+            if row[side] >= 0:
+                raise EngineError(f"frame at {f.timestamp} ms holds more than one {obs.handedness.value} hand")
+            row[side] = counts[side]
+            counts[side] += 1
+            values[side].extend((obs.palm_position, obs.palm_normal, obs.palm_velocity, [obs.grab_strength],
+                                 obs.fingertips.reshape(-1)))
+        rows.append(row)
+    blocks = tuple(np.concatenate(v, dtype=float).reshape(-1, _FLOAT_COLUMNS) for v in values)
+    return FrameTable(np.array([f.timestamp for f in frames]), np.array(rows, np.intp).reshape(-1, 2), blocks)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -110,8 +219,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def merge_hand_streams(left, right) -> FrameStream:
-    """Align per-hand (timestamp, observation) records into two-hand frames.
+def merge_hand_streams(left: HandRecords, right: HandRecords) -> FrameStream:
+    """Align the left and right hands' records into a table of two-hand frames.
 
     A left and a right record with equal timestamps always share a frame.
     Every other left record takes the earliest unused right record within
@@ -120,32 +229,47 @@ def merge_hand_streams(left, right) -> FrameStream:
     [5, 9] and right [0, 5] pair once, 5 with 5. Unmatched records become
     single-hand frames.
     """
+    if (left.handedness, right.handedness) != SIDES:
+        raise ValueError("merge_hand_streams takes the Left hand's records, then the Right hand's")
     for name, records in (("left", left), ("right", right)):
-        for k in range(1, len(records)):
-            if records[k][0] <= records[k - 1][0]:
-                raise NonMonotonicTimestamp(f"{name} records not strictly increasing at index {k}")
+        stamps = records.timestamps
+        later = np.flatnonzero(stamps[1:] <= stamps[:-1])
+        if len(later):
+            raise NonMonotonicTimestamp(f"{name} records not strictly increasing at index {later[0] + 1}")
 
-    exact = {t: j for j, (t, _) in enumerate(right)}
-    left_times = {t for t, _ in left}
-    used = [t in left_times for t, _ in right]    # reserved for the left record at its time
-    frames = []
-    lo = 0
-    for tl, ol in left:
-        pick = exact.get(tl)
-        if pick is None:
-            while lo < len(right) and right[lo][0] < tl - MERGE_WINDOW_MS:
+    tl, tr = left.timestamps, right.timestamps
+    pick = np.searchsorted(tr, tl)
+    exact = pick < len(tr)
+    exact[exact] = tr[pick[exact]] == tl[exact]
+    pick[~exact] = -1
+    used = np.zeros(len(tr), bool)
+    used[pick[exact]] = True     # reserved for the left record at its time
+    rest = np.flatnonzero(~exact)
+    if len(rest) and len(tr):
+        times, taken = tr.tolist(), used.tolist()
+        lo = 0
+        for i, t in zip(rest.tolist(), tl[rest].tolist()):
+            while lo < len(times) and times[lo] < t - MERGE_WINDOW_MS:
                 lo += 1
             j = lo
-            while j < len(right) and right[j][0] <= tl + MERGE_WINDOW_MS:
-                if not used[j]:
-                    used[j] = True
-                    pick = j
+            while j < len(times) and times[j] <= t + MERGE_WINDOW_MS:
+                if not taken[j]:
+                    taken[j] = True
+                    pick[i] = j
                     break
                 j += 1
-        frames.append(Frame(tl, (ol,) if pick is None else (ol, right[pick][1])))
-    frames.extend(Frame(t, (o,)) for (t, o), was_used in zip(right, used) if not was_used)
-    frames.sort(key=_timestamp)
-    return FrameStream(frames)
+        used = np.array(taken, bool)
+    # left frames and lone right frames in time order: their times differ, so each one's place is its index
+    # plus the count of the other kind's earlier times
+    lone = np.flatnonzero(~used)
+    lone_times = tr[lone]
+    at_left = np.arange(len(tl)) + np.searchsorted(lone_times, tl)
+    at_lone = np.arange(len(lone)) + np.searchsorted(tl, lone_times)
+    stamps = np.empty(len(tl) + len(lone), np.int64)
+    rows = np.full((len(stamps), 2), -1, np.intp)
+    stamps[at_left], stamps[at_lone] = tl, lone_times
+    rows[at_left, 0], rows[at_left, 1], rows[at_lone, 1] = np.arange(len(tl)), pick, lone
+    return FrameStream(table=FrameTable(stamps, rows, (left.block, right.block)))
 
 
 def _value_fault(value: float, cell: str) -> str:
@@ -217,15 +341,14 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
                        f"|palm_normal| = {norms[i]:.6f} deviates more than {NORMAL_TOLERANCE}")
 
 
-def parse_hand_csv(text: str, handedness: Handedness):
-    """Parse one per-hand CSV into validated (timestamp, observation) records.
+def parse_hand_csv(text: str, handedness: Handedness) -> HandRecords:
+    """Parse one per-hand CSV into its validated records.
 
     An ASCII file without blank fingertip cells is read in one pass of numpy's
     C tokenizer. Any other file, or one that pass rejects, is read line by
     line by `_parse_hand_lines`, which gives the same records and raises every
     error; a file with several faults reports the one on the earliest line.
-    Observations hold row views of one (n, 25) block, with palm normals
-    renormalised in place.
+    Palm normals are renormalised in place.
     """
     handedness = Handedness(handedness)
     lines = text.splitlines()
@@ -247,10 +370,10 @@ def parse_hand_csv(text: str, handedness: Handedness):
     if stamps[0] < 0 or stamps[-1] >= MAX_TIMESTAMP_MS or not (stamps[1:] > stamps[:-1]).all():
         return _parse_hand_lines(lines, handedness)
     norms = _check_block(rows["v"], [], range(2, len(lines) + 1), lines)
-    return _records(stamps.tolist(), rows["v"], norms, handedness)
+    return _records(handedness, np.ascontiguousarray(stamps), rows["v"], norms)
 
 
-def _parse_hand_lines(lines, handedness: Handedness):
+def _parse_hand_lines(lines, handedness: Handedness) -> HandRecords:
     """The records of a header and its data lines, read line by line with `int` and `float`."""
     stamps, linenos, careful = [], [], []
     values = array("d")
@@ -287,17 +410,13 @@ def _parse_hand_lines(lines, handedness: Handedness):
     norms = _check_block(block, careful, linenos, lines)
     if fault is not None:
         raise fault
-    return _records(stamps, block, norms, handedness)
+    return _records(handedness, np.array(stamps, np.int64), block, norms)
 
 
-def _records(stamps, block: np.ndarray, norms: np.ndarray, handedness: Handedness):
-    """Records holding row views of a checked block, its palm normals renormalised in place."""
+def _records(handedness: Handedness, stamps: np.ndarray, block: np.ndarray, norms: np.ndarray) -> HandRecords:
+    """The records of a checked block, its palm normals renormalised in place."""
     block[:, 3:6] /= norms[:, None]
-    positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
-    grabs = block[:, _GRAB].tolist()
-    tips = list(block[:, _TIPS:].reshape(-1, 5, 3))
-    return [(ts, HandObservation(handedness, positions[i], normals[i], velocities[i], grabs[i], tips[i]))
-            for i, ts in enumerate(stamps)]
+    return HandRecords(handedness, stamps, block)
 
 
 def parse_csv_stream(left_text: str, right_text: str) -> FrameStream:

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hge import Frame, FrameStream, HandObservation, Handedness
+from hge import Frame, FrameStream, HandObservation, Handedness, HandRecords
 
 
 NAN_ROW = (np.nan, np.nan, np.nan)   # an untracked fingertip
@@ -26,6 +26,16 @@ def make_hand(handedness, palm=(0.0, 200.0, 0.0), normal=(0.0, 1.0, 0.0),
         grab_strength=grab,
         fingertips=np.array(tips, float),
     )
+
+
+def hand_records(handedness, timestamps) -> HandRecords:
+    """Records of make_hand's values, each palm's x set to its record's timestamp so a frame names its records."""
+    obs = make_hand(handedness)
+    values = np.concatenate([obs.palm_position, obs.palm_normal, obs.palm_velocity, [obs.grab_strength],
+                             obs.fingertips.reshape(-1)])
+    block = np.tile(values, (len(timestamps), 1))
+    block[:, 0] = timestamps
+    return HandRecords(handedness, np.array(timestamps, np.int64), block)
 
 
 def facing_frames(n, dt_ms=10, t0=0, separation=150.0, closing_mm_s=0.0, opposed=True):

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import math
 import os
 import re
@@ -9,12 +12,24 @@ from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hge
-from hge import CSV_HEADER, generate, make_ablation_stream, make_canonical_script, write_csv_stream
+from hge import (
+    CSV_HEADER,
+    Frame,
+    FrameStream,
+    HandObservation,
+    Handedness,
+    generate,
+    make_ablation_stream,
+    make_canonical_script,
+    parse_script_text,
+    write_csv_stream,
+)
 from hge.cli import run
 from hge.config import DEFAULT_CONFIG, EngineConfig, config_to_text, parse_config_text
 from hge.errors import ConfigError
@@ -410,6 +425,116 @@ class TestFeaturesCommand:
         assert len(out) == 51
         assert [line.split()[1:4] for line in out[:2]] == [["0", "0", "100"], ["1", "100", "200"]]
         assert out[-1].startswith("window 1000000 100000000 100000100 insufficient")
+
+
+# recordings for the analysis commands: the default occlusion leaves one hand through the rub
+ANALYSIS_SCRIPTS = {
+    "rub_100fps": "fps 100\nseed 21\nnoise_sigma 1.0\n"
+                  "phase facing_hold duration_s=2.0 separation_mm=150\n"
+                  "phase approach duration_s=1.5 start_separation_mm=150\n"
+                  "phase rub_circular duration_s=4.0 rub_frequency_hz=2.0\n",
+    "stage3_rub_unoccluded_200fps": "fps 200\nseed 22\nnoise_sigma 1.5\nocclusion none\n"
+                                    "phase stage3_linear duration_s=3.0\n"
+                                    "phase rub_circular duration_s=3.0 rub_frequency_hz=1.5\n"
+                                    "phase idle duration_s=1.0\n",
+    "primitives_left_50fps": "fps 50\nseed 23\nsurviving_hand left\n"
+                             "phase approach duration_s=1.0 start_separation_mm=120\n"
+                             "phase primitive duration_s=2.0 primitive_kind=circle\n"
+                             "phase facing_hold duration_s=2.0 separation_mm=100\n",
+}
+ANALYSIS_MANIFEST = [(name, start, start + length) for name in sorted(ANALYSIS_SCRIPTS)
+                     for start, length in ((0, 1500), (1200, 3000), (2500, 2000), (4000, 1100))]
+
+# sha256 of `hge features` stdout at each window size, and of `hge mlprep`'s dataset over ANALYSIS_MANIFEST
+ANALYSIS_DIGESTS = {
+    'features primitives_left_50fps 1000': 'b35691df0061c677ddcc5f1336cfe48d09dfac91cd1957fcfe7a5b6b095eda8c',
+    'features primitives_left_50fps 1500': 'bd94a8c7486bd5f4b46249819fda0c1306bc9f1a3e1253efa949978e2d746408',
+    'features rub_100fps 1000': '15aa763e75fe9408d221a814d25158d9fd113972c28689a731127811926f4575',
+    'features rub_100fps 1500': '56abf13d6fd3db211aaeb4b30293f90495bfae362197a0a3a1f91980eb81dedc',
+    'features stage3_rub_unoccluded_200fps 1000': '6722855247dca2ca3d9f1adf204a30c79e70dde591724fbe13745a76bac5ab23',
+    'features stage3_rub_unoccluded_200fps 1500': 'a2c213fd2f65dc1e560e6236c0c87f5aeaf5a37371420501ec5f8a46e71390c2',
+    'mlprep': '18d369cbe58b11485ba799443e61c746e33ec1301ac8566aba0b9812688eec94',
+}
+
+
+def _analysis_pair(name):
+    """The script's left and right CSV texts, with frames and single records dropped and fingertips untracked.
+
+    5% of frames are dropped from both files and 5% of the other two-hand frames lose one record; one
+    record in ten has two fingertips untracked; each right record moves up to 3 ms off its frame's time.
+    """
+    stream, _ = generate(parse_script_text(ANALYSIS_SCRIPTS[name]))
+    rng = np.random.default_rng(sum(map(ord, name)))
+    records = {Handedness.LEFT: [], Handedness.RIGHT: []}
+    for f in stream.frames:
+        if rng.random() < 0.05:
+            continue
+        lost = rng.integers(len(f.hands)) if len(f.hands) == 2 and rng.random() < 0.05 else None
+        for k, obs in enumerate(f.hands):
+            if k == lost:
+                continue
+            if rng.random() < 0.1:
+                tips = obs.fingertips.copy()
+                tips[rng.integers(5, size=2)] = np.nan
+                obs = replace(obs, fingertips=tips)
+            records[obs.handedness].append((f.timestamp, obs))
+    moved, last = [], -1
+    for t, obs in records[Handedness.RIGHT]:
+        last = max(last + 1, t + int(rng.integers(-3, 4)))
+        moved.append((last, obs))
+    left, _ = write_csv_stream(FrameStream([Frame(t, (obs,)) for t, obs in records[Handedness.LEFT]]))
+    _, right = write_csv_stream(FrameStream([Frame(t, (obs,)) for t, obs in moved]))
+    return left, right
+
+
+@pytest.fixture(scope="module")
+def analysis_dir(tmp_path_factory):
+    """The analysis recordings as name_l.csv and name_r.csv, with ANALYSIS_MANIFEST as m.csv."""
+    directory = tmp_path_factory.mktemp("analysis")
+    for name in ANALYSIS_SCRIPTS:
+        for side, text in zip("lr", _analysis_pair(name)):
+            (directory / f"{name}_{side}.csv").write_text(text)
+    (directory / "m.csv").write_text(MANIFEST_HEAD + "".join(f"{name}_l.csv,{name}_r.csv,{start},{end},{name}\n"
+                                                             for name, start, end in ANALYSIS_MANIFEST))
+    return directory
+
+
+def _analysis_outputs(directory):
+    """Each analysis command's digest, keyed as ANALYSIS_DIGESTS is; `hge features` and `hge mlprep` must pass."""
+    digests = {}
+    for name in sorted(ANALYSIS_SCRIPTS):
+        for window_ms in (1000, 1500):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(["features", "--left", str(directory / f"{name}_l.csv"),
+                            "--right", str(directory / f"{name}_r.csv"), "--window-ms", str(window_ms)]) == 0
+            digests[f"features {name} {window_ms}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["mlprep", "--manifest", str(directory / "m.csv"), "--out", str(directory / "d.csv")]) == 0
+    digests["mlprep"] = hashlib.sha256((directory / "d.csv").read_bytes()).hexdigest()
+    return digests
+
+
+class TestAnalysisGoldenBytes:
+    def test_features_and_mlprep_output_is_pinned(self, analysis_dir):
+        assert _analysis_outputs(analysis_dir) == ANALYSIS_DIGESTS
+
+    def test_analysis_commands_build_no_frame_or_observation(self, analysis_dir, monkeypatch):
+        name = sorted(ANALYSIS_SCRIPTS)[0]
+        pair = ["--left", str(analysis_dir / f"{name}_l.csv"), "--right", str(analysis_dir / f"{name}_r.csv")]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(HandObservation, "__init__", refuse)
+        monkeypatch.setattr(Frame, "__init__", refuse)
+        assert _analysis_outputs(analysis_dir) == ANALYSIS_DIGESTS
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["validate"] + pair) == 0
+        assert out.getvalue() == "ok\n"
+        with pytest.raises(AssertionError, match="built a HandObservation"):   # the detector steps frames
+            run(["detect"] + pair)
 
 
 class TestMlprepCommand:

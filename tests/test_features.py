@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,15 +34,18 @@ from hge import (
     make_stage3_script,
     match_signature,
     palm_opposition,
+    parse_csv_stream,
+    write_csv_stream,
 )
-from hge.features import _mean_rows, _principal_axes, symmetric_eigen3
+from hge.features import _mean_rows, _principal_axes, _resultant, _resultants, symmetric_eigen3
 from hge.frame_model import NORMAL_TOLERANCE
-from hge.synth import OcclusionModel
+from hge.synth import OcclusionModel, drop_frames
 from dataclasses import replace
 
 from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
                      random_unit, sinusoid)
-from test_ingest_properties import PROPERTY
+from test_ingest_properties import PROPERTY, _untrack
+from test_stage_detector import _SCRIPTS
 
 
 class TestPalmOpposition:
@@ -95,6 +99,48 @@ class TestPalmOpposition:
             b /= np.linalg.norm(b)
             r = palm_opposition(a, b)
             assert r.resultant_magnitude == pytest.approx(float(np.linalg.norm(a + b)), rel=1e-12, abs=1e-12)
+
+
+class TestResultants:
+    """extract_feature_vector's |A+B| over all two-hand frames at once, against _resultant one pair at a time."""
+
+    def normals(self, rng, kind, n=400):
+        if kind == "negative_zero":     # unit normals along an axis or in a coordinate plane, zeros of both signs
+            v = np.zeros((n, 3))
+            for row in v:
+                axes = rng.permutation(3)[:rng.integers(1, 3)]
+                row[axes] = rng.normal(size=len(axes))
+                row /= math.sqrt(float(row @ row))
+                row[[a for a in range(3) if a not in axes]] = rng.choice([0.0, -0.0], size=3 - len(axes))
+            return v
+        v = np.array([random_unit(rng) for _ in range(n)])
+        if kind == "near_unit":
+            v *= 1.0 + rng.uniform(-0.99, 0.99, size=(n, 1)) * NORMAL_TOLERANCE
+        return v
+
+    @pytest.mark.parametrize("kind", ["unit", "near_unit", "negative_zero"])
+    def test_equals_the_per_pair_resultant(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        left = self.normals(rng, kind)
+        right = np.where(rng.random((len(left), 1)) < 0.5, -left, self.normals(rng, kind))   # facing pairs too
+        summed, magnitude = _resultants(left, right)
+        assert magnitude.tolist() == [_resultant(a, b) for a, b in zip(left.tolist(), right.tolist())]
+        assert summed.tolist() == [[x + y for x, y in zip(a, b)] for a, b in zip(left.tolist(), right.tolist())]
+
+    @pytest.mark.parametrize("bad", ["left", "right", "both"])
+    def test_first_non_unit_pair_is_named_as_the_per_pair_check_names_it(self, bad):
+        rng = np.random.default_rng(5)
+        left, right = self.normals(rng, "unit", 50), self.normals(rng, "unit", 50)
+        scale = 1.0 + 1.5 * NORMAL_TOLERANCE
+        left[20] *= scale if bad in ("left", "both") else 1.0
+        right[20] *= scale if bad in ("right", "both") else 1.0
+        left[30] *= scale      # a later pair's left normal must not be the one named
+        with pytest.raises(NonUnitNormal) as direct:
+            _resultant(left[20].tolist(), right[20].tolist())
+        with pytest.raises(NonUnitNormal) as vectorised:
+            _resultants(left, right)
+        assert str(vectorised.value) == str(direct.value)
+        assert str(direct.value).startswith("normal_right" if bad == "right" else "normal_left")
 
 
 class TestPalmShape:
@@ -338,6 +384,15 @@ class TestSymmetricEigen3:
             evals, evecs = symmetric_eigen3((c * np.eye(3)).tolist())
             assert evals == (c, c, c) and np.array_equal(evecs, np.eye(3))
 
+    def test_spread_that_rounds_to_zero_goes_to_eigh(self):
+        # coupled, so the matrix does not split, but hypot(...) / sqrt(6) of the smallest subnormal rounds to 0
+        t = 5e-324
+        for c in (0.0, 1.0):
+            a = np.array([[c, t, 0.0], [t, c, t], [0.0, t, c]])
+            evals, evecs = symmetric_eigen3(a.tolist())
+            reference_evals, reference_evecs = np.linalg.eigh(a)
+            assert evals == tuple(reference_evals.tolist()) and np.array_equal(evecs, reference_evecs.T)
+
     @pytest.mark.parametrize("uncoupled", [0, 2])
     def test_matrices_that_split_get_lapacks_bits(self, uncoupled):
         # exact synthetic motion in a coordinate plane gives such matrices, and its rotation sweeps can land
@@ -505,6 +560,32 @@ class TestExtractFeatureVector:
                   for t in range(0, 2000, 10)]
         with pytest.raises(InsufficientWindow):
             extract_feature_vector(FrameStream(frames))
+
+
+def _features(window):
+    """A window's feature values, field by field, or the text of its InsufficientWindow."""
+    try:
+        v = extract_feature_vector(window)
+    except InsufficientWindow as exc:
+        return str(exc)
+    return [getattr(v, f.name) for f in fields(FeatureVector)]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(script=_SCRIPTS, drop_rate=st.sampled_from([0.0, 0.05, 0.3]), drop_seed=st.integers(0, 1000),
+       untracked=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1), st.integers(0, 4)), max_size=40),
+       window_ms=st.sampled_from([700, 1000, 1500, 2500]))
+def test_features_of_the_ingested_table_are_those_of_its_frames(script, drop_rate, drop_seed, untracked, window_ms):
+    """extract_feature_vector reads a CSV pair's frame table as it reads the same frames built as objects."""
+    stream = drop_frames(generate(script)[0], drop_rate, drop_seed)
+    stream = _untrack(FrameStream([f for f in stream.frames if f.hands]), untracked)   # idle frames hold no hand
+    ingested = parse_csv_stream(*write_csv_stream(stream))
+    built = FrameStream(ingested.frames)
+    if not len(ingested):
+        return
+    first, last = ingested.table.timestamps[[0, -1]].tolist()
+    for start in range(first, last + 1, window_ms):
+        assert _features(ingested.slice_ms(start, start + window_ms)) == _features(built.slice_ms(start, start + window_ms))
 
 
 def vector(**overrides):

@@ -26,15 +26,15 @@ from hge import (
     write_csv_stream,
 )
 
-from hge.frame_model import MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, _parse_hand_lines
+from hge.frame_model import _TIPS, MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, _parse_hand_lines
 
-from helpers import NAN_ROW, brute_force_max_pairs, make_hand, stream_scalars
+from helpers import NAN_ROW, brute_force_max_pairs, hand_records, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
 
 
 class TestMerge:
     def records(self, timestamps, handedness):
-        return [(t, make_hand(handedness)) for t in timestamps]
+        return hand_records(handedness, timestamps)
 
     def test_equal_timestamps_merge(self):
         stream = merge_hand_streams(self.records([0, 10, 20], Handedness.LEFT),
@@ -79,13 +79,12 @@ class TestMerge:
 
     def test_non_monotonic_input_rejected(self):
         with pytest.raises(NonMonotonicTimestamp):
-            merge_hand_streams(self.records([10, 10], Handedness.LEFT), [])
+            merge_hand_streams(self.records([10, 10], Handedness.LEFT), self.records([], Handedness.RIGHT))
 
     def merged_times(self, left, right):
         """Each frame as (left timestamp or None, right timestamp or None)."""
         left, right = self.records(left, Handedness.LEFT), self.records(right, Handedness.RIGHT)
-        stamp = {id(o): t for t, o in left + right}
-        return [tuple(stamp[id(o)] if o else None for o in (f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)))
+        return [tuple(int(o.palm_position[0]) if o else None for o in (f.hand(Handedness.LEFT), f.hand(Handedness.RIGHT)))
                 for f in merge_hand_streams(left, right).frames]
 
     def test_missing_right_record_does_not_shift_later_pairs(self):
@@ -104,22 +103,23 @@ _STAMPS = st.lists(st.integers(0, 120), max_size=25, unique=True).map(sorted)
 @PROPERTY
 @given(left=_STAMPS, right=_STAMPS)
 def test_merge_keeps_its_rule_on_any_sorted_timestamps(left, right):
-    left = [(t, make_hand(Handedness.LEFT)) for t in left]
-    right = [(t, make_hand(Handedness.RIGHT)) for t in right]
-    frames = merge_hand_streams(left, right).frames
+    """Checked on the frames built from the merged table; a palm's x is its record's timestamp."""
+    frames = merge_hand_streams(hand_records(Handedness.LEFT, left), hand_records(Handedness.RIGHT, right)).frames
     stamps = [f.timestamp for f in frames]
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
     frame_of = {}
     for f in frames:
+        assert [obs.handedness for obs in f.hands] in ([Handedness.LEFT], [Handedness.RIGHT], list(Handedness))
         for obs in f.hands:
-            assert id(obs) not in frame_of
-            frame_of[id(obs)] = f
+            record = (obs.handedness, int(obs.palm_position[0]))
+            assert record not in frame_of
+            frame_of[record] = f
     assert len(frame_of) == len(left) + len(right)
-    right_at = {t: obs for t, obs in right}
-    for t, obs in left:
-        if t in right_at:
-            assert frame_of[id(obs)] is frame_of[id(right_at[t])]
-    unused = [t for t, obs in right if frame_of[id(obs)].hand_count == 1]
+    for t in left:
+        assert frame_of[Handedness.LEFT, t].timestamp == t
+        if t in right:
+            assert frame_of[Handedness.LEFT, t] is frame_of[Handedness.RIGHT, t]
+    unused = [t for t in right if frame_of[Handedness.RIGHT, t].hand_count == 1]
     for f in frames:
         if f.hand_count == 1 and f.hands[0].handedness == Handedness.LEFT:
             assert all(abs(t - f.timestamp) > MERGE_WINDOW_MS for t in unused)
@@ -212,11 +212,9 @@ class TestCsv:
                 parse()
             assert str(err.value) == (f"line 5, column {CSV_HEADER.split(',')[column]}: "
                                       f"value {cell!r} is not below 1e+16 in magnitude")
-        obs = parse_hand_csv(self.with_cell(self.rows(range(0, 100, 10)), 5, column, "-9999999999999998.0"),
-                             Handedness.LEFT)[3][1]
-        values = np.concatenate([obs.palm_position, obs.palm_normal, obs.palm_velocity, [obs.grab_strength],
-                                 obs.fingertips.ravel()])
-        assert values[column - 1] == -9999999999999998.0
+        records = parse_hand_csv(self.with_cell(self.rows(range(0, 100, 10)), 5, column, "-9999999999999998.0"),
+                                 Handedness.LEFT)
+        assert records.block[3, column - 1] == -9999999999999998.0
 
     @pytest.mark.parametrize("blank_tip", [False, True])
     def test_timestamp_of_2_53_or_more_is_malformed(self, blank_tip):
@@ -257,13 +255,11 @@ class TestCsv:
         text = self.with_cell(self.rows([0, 10, 20]), 3, 14, "")
         text = self.with_cell(text, 3, 15, " ")
         text = self.with_cell(text, 3, 16, "")
-        records = parse_hand_csv(text, Handedness.LEFT)
-        tips = records[1][1].fingertips
-        assert tips.shape == (5, 3)
-        assert np.isnan(tips).all(axis=1).tolist() == [False, True, False, False, False]
-        assert not np.isnan(tips[[0, 2, 3, 4]]).any()
-        assert all(np.isfinite(obs.fingertips).all() for _, obs in (records[0], records[2]))
-        np.testing.assert_array_equal(tips[2], [1.0, 2.0, 3.0])
+        tips = parse_hand_csv(text, Handedness.LEFT).block[:, _TIPS:].reshape(-1, 5, 3)
+        assert np.isnan(tips[1]).all(axis=1).tolist() == [False, True, False, False, False]
+        assert not np.isnan(tips[1, [0, 2, 3, 4]]).any()
+        assert np.isfinite(tips[[0, 2]]).all()
+        np.testing.assert_array_equal(tips[1, 2], [1.0, 2.0, 3.0])
 
     def test_empty_stream_writes_header_only(self):
         left, right = write_csv_stream(FrameStream([]))
@@ -360,13 +356,48 @@ def test_slice_ms_matches_a_scan_of_every_frame():
         assert got.frames == [f for f in stream.frames if start <= f.timestamp < end]
 
 
+def _merged(stream):
+    """A stream as ingest returns it: a frame table, no frame built yet."""
+    return parse_csv_stream(*write_csv_stream(stream))
+
+
+def test_slice_ms_of_a_table_matches_a_scan_of_every_frame():
+    stream, _ = generate(make_canonical_script(rub_duration_s=2.0, seed=3, noise_sigma=1.0))
+    first, last = stream.frames[0].timestamp, stream.frames[-1].timestamp
+    rng = np.random.default_rng(12)
+    bounds = [(first, last), (first - 50, first), (last, last + 1), (500, 400), (-10**30, 10**30), (2**63, 2**64)]
+    bounds += [tuple(int(b) for b in rng.integers(first - 20, last + 20, size=2)) for _ in range(100)]
+    table_only, whole = _merged(stream), _merged(stream)
+    for start, end in bounds:
+        got = table_only.slice_ms(start, end)
+        expected = [f for f in whole.frames if start <= f.timestamp < end]
+        assert len(got) == len(expected)
+        assert np.array_equal(stream_scalars(got), stream_scalars(FrameStream(expected)))
+        # once a table stream has built its frames, its slices hold those same frames
+        assert whole.slice_ms(start, end).frames == expected
+
+
+def test_a_frame_with_two_hands_of_one_side_has_no_table():
+    # merge_hand_streams never makes one; a frame built in code can, and its window is refused, not read
+    frames = [Frame(t, (make_hand(Handedness.LEFT), make_hand(Handedness.RIGHT))) for t in range(0, 3000, 10)]
+    frames[150] = Frame(1500, (make_hand(Handedness.RIGHT), make_hand(Handedness.LEFT), make_hand(Handedness.LEFT)))
+    stream = FrameStream(frames)
+    message = "frame at 1500 ms holds more than one Left hand"
+    with pytest.raises(EngineError, match=message):
+        stream.table
+    with pytest.raises(EngineError, match=message):
+        build_dataset([(stream.slice_ms(1000, 2500), "x")])
+    assert len(build_dataset([(stream.slice_ms(0, 1500), "x"), (stream.slice_ms(1510, 3000), "y")])) == 2
+
+
 def test_no_layer_writes_into_the_shared_fingertip_block():
-    # ingest hands out views of one block, which a write anywhere would corrupt
+    # the table, the windows sliced from it and every observation read one block per hand,
+    # which a write anywhere would corrupt
     stream = parse_csv_stream(*write_csv_stream(generate(make_canonical_script(noise_sigma=1.0, seed=6))[0]))
+    for block in stream.table.blocks:
+        block.setflags(write=False)
     tips = [obs.fingertips for f in stream.frames for obs in f.hands]
-    assert all(t.base is not None for t in tips)
-    for t in tips:
-        t.setflags(write=False)
+    assert all(t.base is not None and not t.flags.writeable for t in tips)
     detect_stage2(stream)
     build_dataset([(stream.slice_ms(t, t + 1500), "x") for t in range(0, 3500, 500)])
     write_csv_stream(stream)

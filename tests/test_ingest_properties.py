@@ -14,7 +14,6 @@ from hge import (
     EngineError,
     FrameStream,
     Handedness,
-    HandObservation,
     MalformedRow,
     generate,
     make_canonical_script,
@@ -22,7 +21,7 @@ from hge import (
     parse_hand_csv,
     write_csv_stream,
 )
-from hge.frame_model import CSV_COLUMNS, _parse_hand_lines
+from hge.frame_model import _GRAB, _TIPS, CSV_COLUMNS, _parse_hand_lines
 
 # fixed example sequence: the suite gives the same verdict on every run
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
@@ -96,10 +95,9 @@ def test_arbitrary_text_raises_only_engine_errors(text):
         records = parse_hand_csv(text, Handedness.RIGHT)
     except EngineError:
         return
-    for ts, obs in records:
-        assert isinstance(ts, int) and isinstance(obs, HandObservation)
-        assert np.isfinite(obs.palm_position).all() and np.isfinite(obs.palm_normal).all()
-        assert 0.0 <= obs.grab_strength <= 1.0
+    assert records.timestamps.dtype == np.int64 and records.block.shape == (len(records), 25)
+    assert np.isfinite(records.block[:, :_TIPS]).all()
+    assert ((0.0 <= records.block[:, _GRAB]) & (records.block[:, _GRAB] <= 1.0)).all()
 
 
 @lru_cache(maxsize=None)
@@ -143,9 +141,8 @@ def _outcome(read, text):
         records = read(text)
     except EngineError as exc:
         return type(exc), str(exc)
-    return [(type(ts), ts, obs.handedness, obs.palm_position.tobytes(), obs.palm_normal.tobytes(),
-             obs.palm_velocity.tobytes(), obs.grab_strength.hex(), obs.fingertips.tobytes())
-            for ts, obs in records]
+    return (records.handedness, records.timestamps.dtype, records.timestamps.tobytes(), records.block.dtype,
+            records.block.shape, np.ascontiguousarray(records.block).tobytes())
 
 
 def _read_line_by_line(text):
