@@ -137,7 +137,7 @@ def _cmd_synth(args) -> int:
     left_text, right_text = _named(args.script, write_csv_stream, stream)
     _write(args.out_left, left_text)
     _write(args.out_right, right_text)
-    print(f"wrote {len(stream.frames)} frames to {args.out_left} and {args.out_right}")
+    print(f"wrote {len(stream)} frames to {args.out_left} and {args.out_right}")
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Two-hand frame-stream data model with CSV ingestion and export.
 
 Per-hand records arrive as separate left/right CSV files sharing one clock;
-`merge_hand_streams` aligns them into a table of two-hand frames, from which
-a stream builds Frame objects only when they are asked for. Coordinate
+`merge_hand_streams` aligns them into a table of two-hand frames. That table
+is all a FrameStream holds; its Frame objects are row views of the table,
+built only when they are asked for. Coordinate
 convention (documented, not enforced): right-handed, y axis up away from the
 sensor, origin at the sensor center, millimeters and mm/s.
 """
@@ -12,10 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -109,58 +108,41 @@ class FrameTable(NamedTuple):
 
 
 class FrameStream:
-    """Frames in time order, held as a frame table, as Frame objects, or both.
+    """Frames in time order, held as one frame table.
 
-    A stream from `merge_hand_streams` is a table; `frames` builds its
-    Frame and HandObservation row views on first access and keeps them.
-    A stream built from frames keeps them and derives its table on first
-    use, which needs at most one hand of each side per frame.
+    `FrameStream(frames)` gathers frames built in code into a table at once,
+    and raises EngineError for a frame the table cannot hold. `frames` builds
+    Frame and HandObservation row views of the table on first use and keeps them.
     """
 
     def __init__(self, frames: Optional[list] = None, table: Optional[FrameTable] = None):
-        if frames is None and table is None:
-            raise TypeError("a FrameStream needs its frames or its table")
-        self._frames = frames
-        self._table = table
+        if (frames is None) == (table is None):
+            raise TypeError("a FrameStream takes its frames or its table")
+        self.table = _frames_table(frames) if table is None else table
+        self._frames = None
 
     @property
     def frames(self) -> list:
         if self._frames is None:
-            self._frames = _table_frames(self._table)
+            self._frames = _table_frames(self.table)
         return self._frames
 
-    @property
-    def table(self) -> FrameTable:
-        if self._table is None:
-            self._table = _frames_table(self._frames)
-        return self._table
-
     def __len__(self) -> int:
-        return len(self._frames) if self._table is None else len(self._table.timestamps)
+        return len(self.table.timestamps)
 
     def slice_ms(self, start_ms: int, end_ms: int) -> "FrameStream":
         """Frames with start_ms <= timestamp < end_ms.
 
-        Bisects the frames, or without them the table's timestamps, which
-        must be in time order, as merge_hand_streams and the synthesiser
-        produce them. The slice holds what this stream holds of the table
-        and the frames.
+        Searches the table's timestamps, which must be in time order, as
+        merge_hand_streams and the synthesiser produce them.
         """
-        frames, table = self._frames, self._table
-        if frames is not None:
-            lo = bisect_left(frames, start_ms, key=_timestamp)
-            hi = bisect_left(frames, end_ms, lo=lo, key=_timestamp)
-            frames = frames[lo:hi]
-        else:
-            # ingest's timestamps are int64, so the bounds are clamped to that range
-            lo, hi = np.searchsorted(table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
-                                                        for b in (start_ms, end_ms)]).tolist()
-        if table is not None:
-            table = FrameTable(table.timestamps[lo:hi], table.rows[lo:hi], table.blocks)
-        return FrameStream(frames, table)
+        table = self.table
+        # the timestamps are int64, so the bounds are clamped to that range
+        lo, hi = np.searchsorted(table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
+                                                    for b in (start_ms, end_ms)]).tolist()
+        return FrameStream(table=FrameTable(table.timestamps[lo:hi], table.rows[lo:hi], table.blocks))
 
 
-_timestamp = attrgetter("timestamp")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -186,23 +168,37 @@ def _table_frames(table: FrameTable) -> list:
     return frames
 
 
+def _repeated_side(frame: Frame) -> EngineError:
+    """The refusal of a frame holding more than one hand of a side, naming the first side its hands repeat."""
+    sides = [obs.handedness for obs in frame.hands]
+    side = next(side for k, side in enumerate(sides) if side in sides[:k])
+    return EngineError(f"frame at {frame.timestamp} ms holds more than one {side.value} hand")
+
+
 def _frames_table(frames) -> FrameTable:
-    """The table of frames built in code, each hand's values gathered into a block in frame order."""
+    """The table of frames built in code, each hand's values gathered into a block in frame order.
+
+    Raises EngineError for a frame holding more than one hand of a side, or
+    whose timestamp is not an integer int64 holds.
+    """
     values = ([np.empty(0)], [np.empty(0)])     # keeps each concatenation defined for a hand never seen
-    counts, rows = [0, 0], []
+    counts, rows, stamps = [0, 0], [], []
     for f in frames:
+        if not (isinstance(f.timestamp, (int, np.integer)) and _INT64_MIN <= f.timestamp <= _INT64_MAX):
+            raise EngineError(f"frame at {f.timestamp} ms: the timestamp is not an integer int64 holds")
         row = [-1, -1]
         for obs in f.hands:
             side = SIDES.index(obs.handedness)
             if row[side] >= 0:
-                raise EngineError(f"frame at {f.timestamp} ms holds more than one {obs.handedness.value} hand")
+                raise _repeated_side(f)
             row[side] = counts[side]
             counts[side] += 1
             values[side].extend((obs.palm_position, obs.palm_normal, obs.palm_velocity, [obs.grab_strength],
                                  obs.fingertips.reshape(-1)))
         rows.append(row)
+        stamps.append(f.timestamp)
     blocks = tuple(np.concatenate(v, dtype=float).reshape(-1, _FLOAT_COLUMNS) for v in values)
-    return FrameTable(np.array([f.timestamp for f in frames]), np.array(rows, np.intp).reshape(-1, 2), blocks)
+    return FrameTable(np.array(stamps, np.int64), np.array(rows, np.intp).reshape(-1, 2), blocks)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -426,34 +422,29 @@ def parse_csv_stream(left_text: str, right_text: str) -> FrameStream:
     return merge_hand_streams(left, right)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _observation_row(ts: int, obs: HandObservation) -> str:
+def _hand_row(ts: int, side: Handedness, values: list) -> str:
+    """The CSV row of one hand's 25 values at time ts; EngineError for a timestamp or value the reader refuses."""
     if not 0 <= ts < MAX_TIMESTAMP_MS:
-        raise EngineError(f"timestamp {ts}, {obs.handedness.value} hand: "
-                          f"timestamp_ms is outside [0, {MAX_TIMESTAMP_MS})")
-    cells = [str(int(ts))]
-    cells += [_fmt(v) for v in obs.palm_position]
-    cells += [_fmt(v) for v in obs.palm_normal]
-    cells += [_fmt(v) for v in obs.palm_velocity]
-    cells.append(_fmt(obs.grab_strength))
-    for tip in obs.fingertips.tolist():
-        untracked = math.isnan(tip[0]) and math.isnan(tip[1]) and math.isnan(tip[2])
-        cells += ["", "", ""] if untracked else [_fmt(v) for v in tip]
-    row = ",".join(cells)
+        raise EngineError(f"timestamp {ts}, {side.value} hand: timestamp_ms is outside [0, {MAX_TIMESTAMP_MS})")
+    row = f"{ts},{','.join(map(repr, values))}"
     # the repr of a finite float below MAX_MAGNITUDE has neither; 'nan' and 'inf' have an 'n', larger ones 'e+'
-    if "n" in row or "e+" in row:
-        k = next(k for k, cell in enumerate(cells) if "n" in cell or "e+" in cell)
-        what = f"{CSV_COLUMNS[k]} = {cells[k]} is not finite"
-        if "e+" in cells[k]:
-            what = f"{CSV_COLUMNS[k]} = {cells[k]} is not below {MAX_MAGNITUDE:g} in magnitude"
-        elif k > _TIPS:
-            finger = (k - _TIPS - 1) // 3
-            what = f"{FINGER_NAMES[finger]} fingertip {obs.fingertips[finger].tolist()} must be all finite or all NaN"
-        raise EngineError(f"timestamp {ts}, {obs.handedness.value} hand: {what}")
-    return row
+    if "n" not in row and "e+" not in row:
+        return row
+    cells = row.split(",")
+    for k in range(_TIPS + 1, len(cells), 3):
+        if cells[k] == cells[k + 1] == cells[k + 2] == "nan":
+            cells[k:k + 3] = "", "", ""     # an untracked fingertip
+    k = next((k for k, cell in enumerate(cells) if "n" in cell or "e+" in cell), None)
+    if k is None:
+        return ",".join(cells)
+    what = f"{CSV_COLUMNS[k]} = {cells[k]} is not finite"
+    if "e+" in cells[k]:
+        what = f"{CSV_COLUMNS[k]} = {cells[k]} is not below {MAX_MAGNITUDE:g} in magnitude"
+    elif k > _TIPS:
+        finger = (k - _TIPS - 1) // 3
+        tip = values[_TIPS + 3 * finger:_TIPS + 3 * finger + 3]
+        what = f"{FINGER_NAMES[finger]} fingertip {tip} must be all finite or all NaN"
+    raise EngineError(f"timestamp {ts}, {side.value} hand: {what}")
 
 
 def write_csv_stream(stream: FrameStream):
@@ -464,12 +455,15 @@ def write_csv_stream(stream: FrameStream):
     renormalises: they can move by a few ulp. A timestamp outside
     [0, MAX_TIMESTAMP_MS), a value that is not finite or not below
     MAX_MAGNITUDE in magnitude, or a fingertip that is only partly NaN,
-    raises EngineError.
+    raises EngineError; the first in frame order, Left before Right, is
+    reported.
     """
-    out = {Handedness.LEFT: [CSV_HEADER], Handedness.RIGHT: [CSV_HEADER]}
-    for frame in stream.frames:
-        for obs in frame.hands:
-            out[obs.handedness].append(_observation_row(frame.timestamp, obs))
-    left_text = "\n".join(out[Handedness.LEFT]) + "\n"
-    right_text = "\n".join(out[Handedness.RIGHT]) + "\n"
-    return left_text, right_text
+    table = stream.table
+    left, right = table.blocks
+    out = [CSV_HEADER], [CSV_HEADER]
+    for ts, l, r in zip(table.timestamps.tolist(), *table.rows.T.tolist()):
+        if l >= 0:
+            out[0].append(_hand_row(ts, Handedness.LEFT, left[l].tolist()))
+        if r >= 0:
+            out[1].append(_hand_row(ts, Handedness.RIGHT, right[r].tolist()))
+    return tuple("\n".join(lines) + "\n" for lines in out)

@@ -25,7 +25,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, palm_opposition, symmetric_eigen3
-from .frame_model import DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness
+from .frame_model import (DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness,
+                          _repeated_side)
 
 
 class Phase(str, Enum):
@@ -244,10 +245,8 @@ class Stage2Detector:
     # -- per-phase helpers ------------------------------------------------
 
     def _update_two_hand_tracking(self, frame: Frame):
-        """On a two-hand frame holding a left and a right hand: push their distance and return their opposition."""
+        """On a two-hand frame: push the palms' distance and return their opposition."""
         a, b = frame.hands
-        if a.handedness == b.handedness:
-            return None
         left, right = (a, b) if a.handedness == Handedness.LEFT else (b, a)
         # math.dist of the palms, inter_palm_distance's rule
         d = math.dist(left.palm_position.tolist(), right.palm_position.tolist())
@@ -350,6 +349,9 @@ class Stage2Detector:
             raise EngineError(f"timestamp {ts} is not below {MAX_TIMESTAMP_MS} ms")
         if prev_ts is not None and ts <= prev_ts:
             raise OutOfOrderFrame(f"timestamp {ts} not after previous {prev_ts}")
+        hc = frame.hand_count
+        if hc > 1 and (hc > 2 or frame.hands[0].handedness == frame.hands[1].handedness):
+            raise _repeated_side(frame)
         if prev_ts is None:
             self._enter(Phase.AWAITING_TWO_HANDS, ts)
         s.last_ts = ts
@@ -357,7 +359,6 @@ class Stage2Detector:
             return []
 
         produced = len(self.events)
-        hc = frame.hand_count
 
         if s.phase not in CONTACT_PHASES:
             if hc:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate
 from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .frame_model import (DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, Frame, FrameStream, HandObservation,
-                          Handedness, row_norms)
+from .frame_model import (_FLOAT_COLUMNS, _GRAB, DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, SIDES, FrameStream,
+                          FrameTable, Handedness, row_norms)
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -35,7 +35,7 @@ FLAT_GRAB = 0.1
 CLOSED_TIP_SPACING_MM = 10.0
 OPEN_TIP_SPACING_MM = 20.0
 STAGE3_STACK_GAP_MM = 40.0
-MAX_SCRIPT_S = 600.0          # longest script: generate holds every frame in memory
+MAX_SCRIPT_S = 600.0          # longest script: generate holds its whole frame table, ~0.4 KB a frame, in memory
 
 
 class PhaseKind(str, Enum):
@@ -149,7 +149,7 @@ def _check_setting(name: str, value):
 
 # rows of a hand block, in noise draw order, with the exact velocity last
 _NORMAL, _PALM, _TIPS, _VELOCITY = 0, 1, slice(2, 7), 7
-_PAIR = (Handedness.LEFT, Handedness.RIGHT)
+_CSV_ROWS = [_PALM, _NORMAL, _VELOCITY, *range(_TIPS.start, _TIPS.stop)]     # the rows in CSV column order
 _BLOCK_FRAMES = 256     # frames per render pass: blocks under 100 KB, whose freed copies do not raise peak memory
 
 
@@ -170,14 +170,14 @@ def _cos_sin(angles):
 
 
 def _phase_block(spec: PhaseSpec, t_in):
-    """(handedness per hand, (m, hands, 8, 3) block) of a phase at in-phase times t_in."""
+    """([SIDES column of each hand], (m, hands, 8, 3) block) of a phase at in-phase times t_in."""
     if spec.kind == PhaseKind.IDLE:
-        return (), np.empty((len(t_in), 0, 8, 3))
+        return [], np.empty((len(t_in), 0, 8, 3))
     if spec.kind == PhaseKind.PRIMITIVE:
         block = np.empty((len(t_in), 1, 8, 3))
         pos, vel = _primitive_point(spec.primitive_kind, t_in)
         _fill_hand(block[:, 0], pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
-        return (Handedness.RIGHT,), block
+        return [SIDES.index(Handedness.RIGHT)], block
     block = np.empty((len(t_in), 2, 8, 3))
     left, right = block[:, 0], block[:, 1]
     center = PALM_HEIGHT_MM * Y
@@ -208,7 +208,7 @@ def _phase_block(spec: PhaseSpec, t_in):
         top_vel = spec.oscillation_amplitude_mm * omega * cos * X
         _fill_hand(left, np.broadcast_to(center, top.shape), -Y, np.zeros(3), Z, X, OPEN_TIP_SPACING_MM)
         _fill_hand(right, top, -Y, top_vel, Z, X, OPEN_TIP_SPACING_MM)
-    return _PAIR, block
+    return [0, 1], block
 
 
 def generate(script: GestureScript):
@@ -220,8 +220,9 @@ def generate(script: GestureScript):
     the first frame whose palm separation falls below 30 mm. Noise is drawn
     for the kept rows in frame order: Gaussian on palm and fingertip
     positions, and a matching small angular jitter on the palm normals, which
-    are renormalized. Velocities and grab values stay exact. Observations
-    hold writeable, non-overlapping row views of their block.
+    are renormalized. Velocities and grab values stay exact. The kept rows
+    are copied in CSV column order into each hand's value block of the
+    stream's frame table.
     """
     rng = np.random.default_rng(script.seed)
     sigma = script.noise_sigma
@@ -229,37 +230,38 @@ def generate(script: GestureScript):
     bounds = list(accumulate((spec.duration_s for spec in script.phases), initial=0.0))
     index = np.arange(int(round(bounds[-1] * script.fps)))
     t = index / script.fps
-    stamps = np.rint(index * 1000.0 / script.fps).astype(int).tolist()
     cuts = np.searchsorted(t, bounds[:-1]).tolist() + [len(t)]    # first frame of each phase
     drop = script.occlusion_model == OcclusionModel.DROP_ONE_HAND_ON_CONTACT
-    hidden = 0 if script.surviving_hand == Handedness.RIGHT else 1    # _PAIR column of the hidden hand
+    hidden = 1 - SIDES.index(script.surviving_hand)     # SIDES column of the hand that vanishes
     contact = None      # first frame whose two palms are closer than OCCLUSION_DISTANCE_MM
 
-    blocks = [(spec, start, lo, min(lo + _BLOCK_FRAMES, end))
+    passes = [(spec, start, lo, min(lo + _BLOCK_FRAMES, end))
               for spec, start, first, end in zip(script.phases, bounds, cuts, cuts[1:])
               for lo in range(first, end, _BLOCK_FRAMES)]
-    frames, labels = [], []
-    for spec, start, lo, hi in blocks:
-        who, block = _phase_block(spec, t[lo:hi] - start)
+    present = np.zeros((len(t), 2), bool)      # whether each frame holds each side's hand
+    kept_rows, labels = [np.empty((0, _FLOAT_COLUMNS))], []
+    for spec, start, lo, hi in passes:
+        sides, block = _phase_block(spec, t[lo:hi] - start)
         keep = np.ones(block.shape[:2], bool)
-        if drop and len(who) == 2:
+        if drop and len(sides) == 2:
             if contact is None:
                 gap = row_norms(block[:, 0, _PALM] - block[:, 1, _PALM])
                 close = np.flatnonzero(gap < OCCLUSION_DISTANCE_MM)
                 contact = lo + int(close[0]) if len(close) else None
             if contact is not None:
                 keep[max(contact - lo, 0):, hidden] = False
-        rows = block[keep]
+        kept = block[keep]
         if sigma > 0:
-            rows[:, :_VELOCITY] += rng.normal(0.0, scales, (len(rows), 21)).reshape(-1, 7, 3)
-            rows[:, _NORMAL] /= row_norms(rows[:, _NORMAL])[:, None]
-        palms, normals, vels, tips = (list(rows[:, k]) for k in (_PALM, _NORMAL, _VELOCITY, _TIPS))
-        observations = iter([HandObservation(who[h], palms[r], normals[r], vels[r], FLAT_GRAB, tips[r])
-                             for r, h in enumerate(np.nonzero(keep)[1].tolist())])
-        frames += [Frame(ts, tuple(islice(observations, n)))
-                   for ts, n in zip(stamps[lo:hi], keep.sum(axis=1).tolist())]
+            kept[:, :_VELOCITY] += rng.normal(0.0, scales, (len(kept), 21)).reshape(-1, 7, 3)
+            kept[:, _NORMAL] /= row_norms(kept[:, _NORMAL])[:, None]
+        kept_rows.append(np.insert(kept[:, _CSV_ROWS].reshape(-1, 3 * len(_CSV_ROWS)), _GRAB, FLAT_GRAB, axis=1))
+        present[lo:hi, sides] = keep
         labels += [spec.kind.value] * (hi - lo)
-    return FrameStream(frames), labels
+    # the kept rows run in frame order, Left before Right, as the true cells of `present` do
+    values, side = np.concatenate(kept_rows), np.nonzero(present)[1]
+    rows = np.where(present, present.cumsum(axis=0) - 1, -1)     # each side's rows are numbered in frame order
+    stamps = np.rint(index * 1000.0 / script.fps).astype(np.int64)
+    return FrameStream(table=FrameTable(stamps, rows, (values[side == 0], values[side == 1]))), labels
 
 
 # -- primitives ------------------------------------------------------------

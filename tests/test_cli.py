@@ -35,6 +35,7 @@ from hge.config import DEFAULT_CONFIG, EngineConfig, config_to_text, parse_confi
 from hge.errors import ConfigError
 
 from test_ingest_properties import PROPERTY, _csv_like
+from test_synth import GOLDEN_DIGESTS, GOLDEN_SCRIPTS
 
 CANONICAL_SCRIPT = """\
 fps 100
@@ -529,6 +530,13 @@ class TestAnalysisGoldenBytes:
         monkeypatch.setattr(HandObservation, "__init__", refuse)
         monkeypatch.setattr(Frame, "__init__", refuse)
         assert _analysis_outputs(analysis_dir) == ANALYSIS_DIGESTS
+        for script, (csv_digest, _) in sorted(GOLDEN_DIGESTS.items()):
+            (analysis_dir / "s.txt").write_text(GOLDEN_SCRIPTS[script])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(["synth", "--script", str(analysis_dir / "s.txt"), "--out-left",
+                            str(analysis_dir / "s_l.csv"), "--out-right", str(analysis_dir / "s_r.csv")]) == 0
+            written = "\0".join((analysis_dir / f"s_{side}.csv").read_text() for side in "lr")
+            assert hashlib.sha256(written.encode()).hexdigest() == csv_digest, script
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert run(["validate"] + pair) == 0

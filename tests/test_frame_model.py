@@ -262,6 +262,7 @@ class TestCsv:
         np.testing.assert_array_equal(tips[1, 2], [1.0, 2.0, 3.0])
 
     def test_empty_stream_writes_header_only(self):
+        assert FrameStream([]).table.timestamps.dtype == np.int64
         left, right = write_csv_stream(FrameStream([]))
         assert left == CSV_HEADER + "\n"
         assert right == CSV_HEADER + "\n"
@@ -315,12 +316,17 @@ class TestCsv:
         largest = stream(math.copysign(9999999999999998.0, value))
         assert np.array_equal(stream_scalars(parse_csv_stream(*write_csv_stream(largest))), stream_scalars(largest))
 
-    @pytest.mark.parametrize("ts", [2**53, 10**400, -1], ids=["2**53", "10**400", "-1"])
-    def test_timestamp_the_reader_rejects_is_not_written(self, ts):
-        stream = FrameStream([Frame(ts, (make_hand(Handedness.LEFT),))])
-        message = f"timestamp {ts}, Left hand: timestamp_ms is outside [0, {2**53})"
+    @pytest.mark.parametrize("ts, message", [
+        (2**53, f"timestamp {2**53}, Left hand: timestamp_ms is outside [0, {2**53})"),
+        (-1, f"timestamp -1, Left hand: timestamp_ms is outside [0, {2**53})"),
+        # the stream's int64 timestamps cannot hold these, so it refuses them where it is built
+        (10**400, f"frame at {10**400} ms: the timestamp is not an integer int64 holds"),
+        (2**63, f"frame at {2**63} ms: the timestamp is not an integer int64 holds"),
+        (1.5, "frame at 1.5 ms: the timestamp is not an integer int64 holds"),
+    ], ids=["2**53", "-1", "10**400", "2**63", "1.5"])
+    def test_timestamp_the_reader_rejects_is_not_written(self, ts, message):
         with pytest.raises(EngineError, match=re.escape(message)):
-            write_csv_stream(stream)
+            write_csv_stream(FrameStream([Frame(ts, (make_hand(Handedness.LEFT),))]))
 
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])
@@ -345,49 +351,43 @@ class TestCsv:
             assert np.max(np.abs(a[mask] - b[mask])) <= 1e-6
 
 
-def test_slice_ms_matches_a_scan_of_every_frame():
-    stream, _ = generate(make_canonical_script(rub_duration_s=2.0, seed=3))
-    first, last = stream.frames[0].timestamp, stream.frames[-1].timestamp
-    rng = np.random.default_rng(11)
-    bounds = [(first, last), (first - 50, first), (last, last + 1), (last + 1, last + 99), (500, 400)]
-    bounds += [tuple(int(b) for b in rng.integers(first - 20, last + 20, size=2)) for _ in range(200)]
-    for start, end in bounds:
-        got = stream.slice_ms(start, end)
-        assert got.frames == [f for f in stream.frames if start <= f.timestamp < end]
-
-
 def _merged(stream):
     """A stream as ingest returns it: a frame table, no frame built yet."""
     return parse_csv_stream(*write_csv_stream(stream))
 
 
-def test_slice_ms_of_a_table_matches_a_scan_of_every_frame():
-    stream, _ = generate(make_canonical_script(rub_duration_s=2.0, seed=3, noise_sigma=1.0))
+def _noisy_canonical():
+    return generate(make_canonical_script(rub_duration_s=2.0, seed=3, noise_sigma=1.0))[0]
+
+
+@pytest.mark.parametrize("make", [
+    _noisy_canonical,
+    lambda: _merged(_noisy_canonical()),
+    lambda: FrameStream(_noisy_canonical().frames),
+], ids=["generated", "ingested", "built_from_frames"])
+def test_slice_ms_matches_a_scan_of_every_frame(make):
+    stream = make()
     first, last = stream.frames[0].timestamp, stream.frames[-1].timestamp
     rng = np.random.default_rng(12)
-    bounds = [(first, last), (first - 50, first), (last, last + 1), (500, 400), (-10**30, 10**30), (2**63, 2**64)]
+    bounds = [(first, last), (first - 50, first), (last, last + 1), (last + 1, last + 99), (500, 400),
+              (-10**30, 10**30), (2**63, 2**64)]
     bounds += [tuple(int(b) for b in rng.integers(first - 20, last + 20, size=2)) for _ in range(100)]
-    table_only, whole = _merged(stream), _merged(stream)
     for start, end in bounds:
-        got = table_only.slice_ms(start, end)
-        expected = [f for f in whole.frames if start <= f.timestamp < end]
+        got = stream.slice_ms(start, end)
+        expected = [f for f in stream.frames if start <= f.timestamp < end]
         assert len(got) == len(expected)
         assert np.array_equal(stream_scalars(got), stream_scalars(FrameStream(expected)))
-        # once a table stream has built its frames, its slices hold those same frames
-        assert whole.slice_ms(start, end).frames == expected
 
 
-def test_a_frame_with_two_hands_of_one_side_has_no_table():
-    # merge_hand_streams never makes one; a frame built in code can, and its window is refused, not read
+def test_a_frame_with_two_hands_of_one_side_is_refused_when_the_stream_is_built():
+    # merge_hand_streams never makes one; a frame built in code can, and the table has no row for it
     frames = [Frame(t, (make_hand(Handedness.LEFT), make_hand(Handedness.RIGHT))) for t in range(0, 3000, 10)]
     frames[150] = Frame(1500, (make_hand(Handedness.RIGHT), make_hand(Handedness.LEFT), make_hand(Handedness.LEFT)))
-    stream = FrameStream(frames)
-    message = "frame at 1500 ms holds more than one Left hand"
-    with pytest.raises(EngineError, match=message):
-        stream.table
-    with pytest.raises(EngineError, match=message):
-        build_dataset([(stream.slice_ms(1000, 2500), "x")])
-    assert len(build_dataset([(stream.slice_ms(0, 1500), "x"), (stream.slice_ms(1510, 3000), "y")])) == 2
+    with pytest.raises(EngineError, match="frame at 1500 ms holds more than one Left hand"):
+        FrameStream(frames)
+    frames[150] = Frame(1500, (make_hand(Handedness.RIGHT), make_hand(Handedness.RIGHT)))
+    with pytest.raises(EngineError, match="frame at 1500 ms holds more than one Right hand"):
+        FrameStream(frames)
 
 
 def test_no_layer_writes_into_the_shared_fingertip_block():

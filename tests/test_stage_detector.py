@@ -120,12 +120,23 @@ class TestTransitions:
                 break
         assert det.state.phase == Phase.FAILED
 
-    def test_two_same_handed_hands_are_not_a_pair(self):
+    def test_two_hands_of_one_side_are_refused(self):
         det = Stage2Detector()
-        for frame in facing_frames(300):
-            det.step(Frame(frame.timestamp, (frame.hands[0], replace(frame.hands[1], handedness=Handedness.LEFT))))
-        assert [ev.name for ev in det.report().events] == [Phase.AWAITING_TWO_HANDS.value, Phase.FAILED.value]
-        assert det.state.facing is None and not det.state.dist_window
+        for frame in facing_frames(100):
+            det.step(frame)
+        assert det.state.phase == Phase.PALMS_FACING
+        left = facing_frames(1)[0].hands[0]
+        with pytest.raises(EngineError, match="^frame at 1000 ms holds more than one Left hand$"):
+            for frame in [Frame(1000 + 10 * k, (left, left)) for k in range(200)]:
+                det.step(frame)
+        assert det.state.last_ts == 990
+        right = make_hand(Handedness.RIGHT)
+        with pytest.raises(EngineError, match="^frame at 1000 ms holds more than one Left hand$"):
+            det.step(Frame(1000, (right, left, left)))
+        fresh = Stage2Detector()
+        with pytest.raises(EngineError, match="^frame at 0 ms holds more than one Right hand$"):
+            fresh.step(Frame(0, (right, right)))
+        assert fresh.events == [] and fresh.state.last_ts is None
 
     def test_leading_empty_frames_do_not_fail(self):
         det = Stage2Detector()
