@@ -3,7 +3,7 @@
 Per-hand records arrive as separate left/right CSV files sharing one clock;
 `merge_hand_streams` aligns them into a table of two-hand frames. That table
 is all a FrameStream holds; its Frame objects are row views of the table,
-built only when they are asked for. Coordinate
+built when they are asked for and not kept. Coordinate
 convention (documented, not enforced): right-handed, y axis up away from the
 sensor, origin at the sensor center, millimeters and mm/s.
 """
@@ -39,6 +39,7 @@ MAX_TIMESTAMP_MS = 2**53  # every timestamp read is below this, so float64 holds
 DEVICE_FPS_MIN = 50.0     # the tracker rates the paper covers
 DEVICE_FPS_MAX = 200.0
 MERGE_WINDOW_MS = int(1000 / DEVICE_FPS_MAX)     # one frame period
+_BLOCK_FRAMES = 256     # frames per render, frame-building or writing pass: its blocks and objects stay small
 
 
 class Handedness(str, Enum):
@@ -46,7 +47,7 @@ class Handedness(str, Enum):
     RIGHT = "Right"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class HandObservation:
     """One tracked hand in one frame. Positions in mm, velocity in mm/s."""
 
@@ -58,7 +59,7 @@ class HandObservation:
     fingertips: np.ndarray         # (5, 3) thumb..pinky; a row of NaN is an untracked tip
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Frame:
     """Timestamped set of 0-2 hand observations."""
 
@@ -112,20 +113,17 @@ class FrameStream:
 
     `FrameStream(frames)` gathers frames built in code into a table at once,
     and raises EngineError for a frame the table cannot hold. `frames` builds
-    Frame and HandObservation row views of the table on first use and keeps them.
+    Frame and HandObservation row views of the table on each access and keeps none.
     """
 
     def __init__(self, frames: Optional[list] = None, table: Optional[FrameTable] = None):
         if (frames is None) == (table is None):
             raise TypeError("a FrameStream takes its frames or its table")
         self.table = _frames_table(frames) if table is None else table
-        self._frames = None
 
     @property
     def frames(self) -> list:
-        if self._frames is None:
-            self._frames = _table_frames(self.table)
-        return self._frames
+        return list(_table_frames(self.table))
 
     def __len__(self) -> int:
         return len(self.table.timestamps)
@@ -155,17 +153,32 @@ def _observations(handedness: Handedness, block: np.ndarray) -> list:
             for i in range(len(grabs))]
 
 
-def _table_frames(table: FrameTable) -> list:
-    """The table's frames, each observation a view of its block row; a frame lists Left before Right."""
-    left, right = (_observations(side, block) for side, block in zip(SIDES, table.blocks))
-    frames = []
-    for t, l, r in zip(table.timestamps.tolist(), *table.rows.T.tolist()):
-        if l >= 0:
-            hands = (left[l], right[r]) if r >= 0 else (left[l],)
-        else:
-            hands = (right[r],) if r >= 0 else ()
-        frames.append(Frame(t, hands))
-    return frames
+def _table_chunks(table: FrameTable):
+    """The table _BLOCK_FRAMES frames at a time, as (timestamps, [(rows, at) for each side of SIDES]).
+
+    `rows` is the span of the side's block from the lowest to the highest row
+    the chunk holds, and `at` each frame's row in that span, negative where
+    the hand is absent.
+    """
+    for lo in range(0, len(table.timestamps), _BLOCK_FRAMES):
+        sides = []
+        for block, col in zip(table.blocks, table.rows[lo:lo + _BLOCK_FRAMES].T):
+            held = col[col >= 0]
+            first, stop = (held.min(), held.max() + 1) if len(held) else (0, 0)
+            sides.append((block[first:stop], (col - first).tolist()))
+        yield table.timestamps[lo:lo + _BLOCK_FRAMES].tolist(), sides
+
+
+def _table_frames(table: FrameTable):
+    """The table's frames, built a chunk at a time; each observation is a view of its block row, Left before Right."""
+    for stamps, ((left, ls), (right, rs)) in _table_chunks(table):
+        left, right = _observations(Handedness.LEFT, left), _observations(Handedness.RIGHT, right)
+        for t, l, r in zip(stamps, ls, rs):
+            if l >= 0:
+                hands = (left[l], right[r]) if r >= 0 else (left[l],)
+            else:
+                hands = (right[r],) if r >= 0 else ()
+            yield Frame(t, hands)
 
 
 def _repeated_side(frame: Frame) -> EngineError:
@@ -458,12 +471,16 @@ def write_csv_stream(stream: FrameStream):
     raises EngineError; the first in frame order, Left before Right, is
     reported.
     """
-    table = stream.table
-    left, right = table.blocks
-    out = [CSV_HEADER], [CSV_HEADER]
-    for ts, l, r in zip(table.timestamps.tolist(), *table.rows.T.tolist()):
-        if l >= 0:
-            out[0].append(_hand_row(ts, Handedness.LEFT, left[l].tolist()))
-        if r >= 0:
-            out[1].append(_hand_row(ts, Handedness.RIGHT, right[r].tolist()))
-    return tuple("\n".join(lines) + "\n" for lines in out)
+    out = [CSV_HEADER + "\n"], [CSV_HEADER + "\n"]
+    for stamps, ((left, ls), (right, rs)) in _table_chunks(stream.table):
+        left, right = left.tolist(), right.tolist()
+        rows = [], []
+        for ts, l, r in zip(stamps, ls, rs):
+            if l >= 0:
+                rows[0].append(_hand_row(ts, Handedness.LEFT, left[l]))
+            if r >= 0:
+                rows[1].append(_hand_row(ts, Handedness.RIGHT, right[r]))
+        for texts, lines in zip(out, rows):
+            if lines:
+                texts.append("\n".join(lines) + "\n")
+    return tuple("".join(texts) for texts in out)

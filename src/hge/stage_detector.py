@@ -26,7 +26,7 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, palm_opposition, symmetric_eigen3
 from .frame_model import (DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness,
-                          _repeated_side)
+                          _repeated_side, _table_frames)
 
 
 class Phase(str, Enum):
@@ -457,9 +457,9 @@ class Stage2Detector:
 
 
 def detect_stage2(stream: FrameStream, config: EngineConfig = DEFAULT_CONFIG) -> StageReport:
-    """Run the full detection pass over a stream and return the report."""
+    """Run the full detection pass over a stream and return the report; frames are built a chunk at a time."""
     detector = Stage2Detector(config)
-    for index, frame in enumerate(stream.frames):
+    for index, frame in enumerate(_table_frames(stream.table)):
         try:
             detector.step(frame)
         except OutOfOrderFrame as exc:

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frame_model import (_FLOAT_COLUMNS, _GRAB, DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, SIDES, FrameStream,
-                          FrameTable, Handedness, row_norms)
+from .frame_model import (_BLOCK_FRAMES, _FLOAT_COLUMNS, _GRAB, DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, SIDES,
+                          FrameStream, FrameTable, Handedness, row_norms)
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -150,7 +150,6 @@ def _check_setting(name: str, value):
 # rows of a hand block, in noise draw order, with the exact velocity last
 _NORMAL, _PALM, _TIPS, _VELOCITY = 0, 1, slice(2, 7), 7
 _CSV_ROWS = [_PALM, _NORMAL, _VELOCITY, *range(_TIPS.start, _TIPS.stop)]     # the rows in CSV column order
-_BLOCK_FRAMES = 256     # frames per render pass: blocks under 100 KB, whose freed copies do not raise peak memory
 
 
 def _fill_hand(rows, palm, normal, velocity, forward, lateral, spacing):
@@ -296,7 +295,7 @@ def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
         raise InvalidScript(f"drop rate {rate} outside [0, 1)")
     _check_setting("seed", seed)
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(stream.frames)) >= rate
+    keep = rng.random(len(stream)) >= rate
     return FrameStream([f for f, k in zip(stream.frames, keep) if k])
 
 

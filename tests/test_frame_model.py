@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -11,6 +12,7 @@ from hge import (
     CSV_HEADER,
     EngineError,
     Frame,
+    HandObservation,
     Handedness,
     HeaderMismatch,
     FrameStream,
@@ -26,7 +28,8 @@ from hge import (
     write_csv_stream,
 )
 
-from hge.frame_model import _TIPS, MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, _parse_hand_lines
+from hge.frame_model import (_BLOCK_FRAMES, _GRAB, _TIPS, MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, SIDES, FrameTable,
+                             _hand_row, _parse_hand_lines)
 
 from helpers import NAN_ROW, brute_force_max_pairs, hand_records, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
@@ -68,12 +71,13 @@ class TestMerge:
             right = list(np.cumsum(rng.integers(9, 12, size=n_r)) + 100 + rng.integers(-4, 5))
             stream = merge_hand_streams(self.records(left, Handedness.LEFT),
                                         self.records(right, Handedness.RIGHT))
-            ts = [f.timestamp for f in stream.frames]
+            frames = stream.frames
+            ts = [f.timestamp for f in frames]
             assert ts == sorted(set(ts)), "merged timestamps must strictly increase"
-            pairs = n_l + n_r - len(stream.frames)
+            pairs = n_l + n_r - len(frames)
             assert pairs == brute_force_max_pairs(left, right, 5)
-            assert max(n_l, n_r) <= len(stream.frames) <= n_l + n_r
-            for f in stream.frames:
+            assert max(n_l, n_r) <= len(frames) <= n_l + n_r
+            for f in frames:
                 kinds = [o.handedness for o in f.hands]
                 assert len(kinds) == len(set(kinds))
 
@@ -367,14 +371,15 @@ def _noisy_canonical():
 ], ids=["generated", "ingested", "built_from_frames"])
 def test_slice_ms_matches_a_scan_of_every_frame(make):
     stream = make()
-    first, last = stream.frames[0].timestamp, stream.frames[-1].timestamp
+    frames = stream.frames
+    first, last = frames[0].timestamp, frames[-1].timestamp
     rng = np.random.default_rng(12)
     bounds = [(first, last), (first - 50, first), (last, last + 1), (last + 1, last + 99), (500, 400),
               (-10**30, 10**30), (2**63, 2**64)]
     bounds += [tuple(int(b) for b in rng.integers(first - 20, last + 20, size=2)) for _ in range(100)]
     for start, end in bounds:
         got = stream.slice_ms(start, end)
-        expected = [f for f in stream.frames if start <= f.timestamp < end]
+        expected = [f for f in frames if start <= f.timestamp < end]
         assert len(got) == len(expected)
         assert np.array_equal(stream_scalars(got), stream_scalars(FrameStream(expected)))
 
@@ -401,3 +406,91 @@ def test_no_layer_writes_into_the_shared_fingertip_block():
     detect_stage2(stream)
     build_dataset([(stream.slice_ms(t, t + 1500), "x") for t in range(0, 3500, 500)])
     write_csv_stream(stream)
+
+
+class TestFramesAreNotKept:
+    def test_a_stream_keeps_only_its_table(self):
+        stream = _noisy_canonical()
+        first = stream.frames
+        assert vars(stream).keys() == {"table"}
+        second = stream.frames
+        assert first is not second and not any(a is b for a, b in zip(first, second))
+        assert [_frame_values(f) for f in first] == [_frame_values(f) for f in second]
+
+    def test_records_are_slotted_and_replace_still_works(self):
+        frame = Frame(10, (make_hand(Handedness.LEFT),))
+        obs = frame.hands[0]
+        assert not hasattr(frame, "__dict__") and not hasattr(obs, "__dict__")
+        moved = dataclasses.replace(obs, grab_strength=0.5)
+        assert moved.grab_strength == 0.5 and moved.palm_position is obs.palm_position
+        later = dataclasses.replace(frame, timestamp=20)
+        assert later.timestamp == 20 and later.hands == frame.hands
+
+
+def _mixed_frames(n):
+    """n frames 10 ms apart, mostly two-handed; one-hand and handless frames sit at each chunk edge."""
+    edges = {_BLOCK_FRAMES - 2: "L", _BLOCK_FRAMES - 1: "", _BLOCK_FRAMES: "R", _BLOCK_FRAMES + 1: "",
+             2 * _BLOCK_FRAMES - 1: "R", 2 * _BLOCK_FRAMES: "L"}
+    frames = []
+    for k in range(n):
+        hands = {"L": make_hand(Handedness.LEFT, palm=(k, 200.0, 0.0), grab=k / 1000),
+                 "R": make_hand(Handedness.RIGHT, palm=(-k, 200.0, 0.0), tips=[NAN_ROW] + [(k, 0.0, 1.0)] * 4)}
+        frames.append(Frame(10 * k, tuple(hands[side] for side in edges.get(k, "LR"))))
+    return frames
+
+
+def _frame_values(frame):
+    return frame.timestamp, [(o.handedness, o.palm_position.tobytes(), o.palm_normal.tobytes(),
+                              o.palm_velocity.tobytes(), o.grab_strength, o.fingertips.tobytes()) for o in frame.hands]
+
+
+def _one_pass_frames(table):
+    """Each frame of a table built from its block rows in one pass, as the frames were before chunking."""
+    return [Frame(t, tuple(HandObservation(side, block[r, 0:3], block[r, 3:6], block[r, 6:9], float(block[r, _GRAB]),
+                                           block[r, _TIPS:].reshape(5, 3))
+                           for side, block, r in zip(SIDES, table.blocks, row) if r >= 0))
+            for t, row in zip(table.timestamps.tolist(), table.rows.tolist())]
+
+
+def _chunked_tables(n):
+    """A table of `_mixed_frames(n)`, a slice of it, and the same frames with the Right block's rows reversed."""
+    table = FrameStream(_mixed_frames(n)).table
+    right = table.rows[:, 1]
+    rows = np.column_stack([table.rows[:, 0], np.where(right >= 0, len(table.blocks[1]) - 1 - right, -1)])
+    return [table, FrameStream(table=table).slice_ms(1000, 4000).table,
+            FrameTable(table.timestamps, rows, (table.blocks[0], table.blocks[1][::-1]))]
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1])
+def test_frames_built_a_chunk_at_a_time_equal_a_one_pass_build(n):
+    for table in _chunked_tables(n):
+        frames = FrameStream(table=table).frames
+        assert [_frame_values(f) for f in frames] == [_frame_values(f) for f in _one_pass_frames(table)]
+        for obs in (o for f in frames for o in f.hands):
+            block = table.blocks[SIDES.index(obs.handedness)]
+            assert all(np.shares_memory(v, block) for v in (obs.palm_position, obs.palm_normal, obs.palm_velocity,
+                                                             obs.fingertips))
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1])
+def test_the_writer_equals_one_join_of_every_row(n):
+    for table in _chunked_tables(n):
+        lines = [CSV_HEADER], [CSV_HEADER]
+        for t, row in zip(table.timestamps.tolist(), table.rows.tolist()):
+            for side, block, r, out in zip(SIDES, table.blocks, row, lines):
+                if r >= 0:
+                    out.append(_hand_row(t, side, block[r].tolist()))
+        assert write_csv_stream(FrameStream(table=table)) == tuple("\n".join(out) + "\n" for out in lines)
+
+
+@pytest.mark.parametrize("right_at,left_at,reported", [
+    (100, 200, "timestamp 1000, Right hand: vel_x = inf is not finite"),
+    (100, _BLOCK_FRAMES + 100, "timestamp 1000, Right hand: vel_x = inf is not finite"),
+    (_BLOCK_FRAMES + 100, 100, "timestamp 1000, Left hand: palm_x = nan is not finite"),
+])
+def test_the_writer_reports_the_earlier_frames_fault_within_and_across_chunks(right_at, left_at, reported):
+    table = FrameStream(_mixed_frames(2 * _BLOCK_FRAMES + 1)).table
+    table.blocks[1][table.rows[right_at, 1], 6] = math.inf
+    table.blocks[0][table.rows[left_at, 0], 0] = math.nan
+    with pytest.raises(EngineError, match=re.escape(reported)):
+        write_csv_stream(FrameStream(table=table))

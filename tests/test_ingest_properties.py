@@ -63,8 +63,9 @@ def _within_ulps(a, b, ulps: int) -> bool:
 def test_round_trip_returns_every_scalar(seed, noise_sigma, rub_frequency_hz, picks):
     stream = _untrack(_stream(seed % 8, noise_sigma, rub_frequency_hz), picks)
     back = parse_csv_stream(*write_csv_stream(stream))
-    assert [f.timestamp for f in back.frames] == [f.timestamp for f in stream.frames]
-    for before, after in zip(stream.frames, back.frames):
+    before_frames, after_frames = stream.frames, back.frames
+    assert [f.timestamp for f in after_frames] == [f.timestamp for f in before_frames]
+    for before, after in zip(before_frames, after_frames):
         assert [o.handedness for o in after.hands] == [o.handedness for o in before.hands]
         for a, b in zip(before.hands, after.hands):
             assert np.array_equal(a.palm_position, b.palm_position)

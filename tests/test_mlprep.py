@@ -123,13 +123,14 @@ class TestAgainstScalarFeatures:
         rows = build_dataset([(w, "x") for w in windows])
         for window, (row, _) in zip(windows, rows):
             vector = extract_feature_vector(window)
+            frames = window.frames
             for hand, curv, ftd, v_curv, v_ftd in (
                     (Handedness.LEFT, row.hand_curvature_left, row.fingertip_distance_left,
                      vector.hand_curvature_left, vector.fingertip_distance_left),
                     (Handedness.RIGHT, row.hand_curvature_right, row.fingertip_distance_right,
                      vector.hand_curvature_right, vector.fingertip_distance_right)):
                 assert (curv, ftd) == (v_curv, v_ftd)
-                observations = [o for f in window.frames for o in f.hands if o.handedness == hand]
+                observations = [o for f in frames for o in f.hands if o.handedness == hand]
                 gaps = [finger_spread(o.fingertips)[0] for o in observations]
                 gaps = [g for g in gaps if g is not None]
                 if not observations:
@@ -141,9 +142,10 @@ class TestAgainstScalarFeatures:
     def test_spread_is_the_majority_of_finger_spread_verdicts(self):
         for window in synthetic_windows():
             vector = extract_feature_vector(window)
+            frames = window.frames
             for hand, got in ((Handedness.LEFT, vector.finger_spread_left),
                               (Handedness.RIGHT, vector.finger_spread_right)):
-                votes = [finger_spread(o.fingertips)[1] for f in window.frames for o in f.hands
+                votes = [finger_spread(o.fingertips)[1] for f in frames for o in f.hands
                          if o.handedness == hand]
                 opens, closed = votes.count(FingerSpread.OPEN), votes.count(FingerSpread.CLOSED)
                 expected = (FingerSpread.UNKNOWN if not opens + closed

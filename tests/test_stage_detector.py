@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -151,9 +152,9 @@ class TestBoundedVerdict:
         (1.5, "3500 Failed hands_reappeared_elapsed=1.57s_ok=1.00"),    # shorter than stage_min_s
     ])
     def test_both_hands_reappearing_ends_the_rub(self, rub_s, last_line):
-        stream = canonical_stream(rub_duration_s=rub_s)
-        end = stream.frames[-1].timestamp
-        report = detect_stage2(FrameStream(list(stream.frames) + facing_frames(50, t0=end + 10)))
+        frames = canonical_stream(rub_duration_s=rub_s).frames
+        end = frames[-1].timestamp
+        report = detect_stage2(FrameStream(frames + facing_frames(50, t0=end + 10)))
         assert report.events[-2].name == Phase.RUBBING.value
         assert report.events[-1].to_line() == last_line    # decided on the first two-hand frame
 
@@ -279,6 +280,19 @@ class TestRubGrid:
 
 
 class TestDetectStage2:
+    def test_a_detection_pass_holds_no_frame_beyond_its_chunk(self):
+        # the frames of a long stream are built a chunk at a time, so the pass's traced peak does not grow with it
+        def traced_peak(seconds):
+            stream, _ = generate(GestureScript((PhaseSpec(PhaseKind.FACING_HOLD, seconds),), fps=200.0))
+            tracemalloc.start()
+            try:
+                detect_stage2(stream)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(60.0) < traced_peak(6.0) + 2**20     # 10,800 more frames, once about 16 MB
+
     def test_canonical_completes_with_scripted_duration(self):
         report = detect_stage2(canonical_stream(rub_frequency_hz=2.0, rub_duration_s=3.0))
         assert report.verdict == Verdict.COMPLETED
