@@ -134,11 +134,15 @@ class FrameStream:
         Searches the table's timestamps, which must be in time order, as
         merge_hand_streams and the synthesiser produce them.
         """
-        table = self.table
         # the timestamps are int64, so the bounds are clamped to that range
-        lo, hi = np.searchsorted(table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
-                                                    for b in (start_ms, end_ms)]).tolist()
-        return FrameStream(table=FrameTable(table.timestamps[lo:hi], table.rows[lo:hi], table.blocks))
+        lo, hi = np.searchsorted(self.table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
+                                                         for b in (start_ms, end_ms)]).tolist()
+        return self._select(slice(lo, hi))
+
+    def _select(self, index) -> "FrameStream":
+        """The frames a slice or boolean mask picks, in the same order, sharing this stream's blocks."""
+        table = self.table
+        return FrameStream(table=FrameTable(table.timestamps[index], table.rows[index], table.blocks))
 
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
@@ -322,6 +326,14 @@ def _careful_cells(cells, line: int):
     return values
 
 
+def _grab_normal_faults(block: np.ndarray):
+    """(grab outside [0, 1], palm normal length further than NORMAL_TOLERANCE from 1, that length) of each row."""
+    grab = block[:, _GRAB]
+    with np.errstate(over="ignore"):    # a huge component makes the norm inf, which fails the check
+        norms = row_norms(block[:, 3:6])
+    return ~((grab >= 0.0) & (grab <= 1.0)), np.abs(norms - 1.0) > NORMAL_TOLERANCE, norms
+
+
 def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
     """Raise MalformedRow for the first row whose values break an invariant.
 
@@ -331,11 +343,7 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
     """
     bad_value = ~(np.abs(block) < MAX_MAGNITUDE)     # non-finite or too large
     bad_value[careful] = False     # careful rows are checked; their NaNs are untracked fingertips
-    grab = block[:, _GRAB]
-    bad_grab = ~((grab >= 0.0) & (grab <= 1.0))
-    with np.errstate(over="ignore"):    # a huge component makes the norm inf, which fails the check below
-        norms = row_norms(block[:, 3:6])
-    bad_normal = np.abs(norms - 1.0) > NORMAL_TOLERANCE
+    bad_grab, bad_normal, norms = _grab_normal_faults(block)
     bad = bad_value.any(axis=1) | bad_grab | bad_normal
     if not bad.any():
         return norms
@@ -345,7 +353,7 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
         k = int(np.argmax(bad_value[i])) + 1
         raise MalformedRow(line, CSV_COLUMNS[k], _value_fault(block[i, k - 1], lines[line - 1].split(",")[k]))
     if bad_grab[i]:
-        raise MalformedRow(line, "grab_strength", f"grab_strength {float(grab[i])} outside [0, 1]")
+        raise MalformedRow(line, "grab_strength", f"grab_strength {float(block[i, _GRAB])} outside [0, 1]")
     raise MalformedRow(line, "normal_x",
                        f"|palm_normal| = {norms[i]:.6f} deviates more than {NORMAL_TOLERANCE}")
 
@@ -460,26 +468,73 @@ def _hand_row(ts: int, side: Handedness, values: list) -> str:
     raise EngineError(f"timestamp {ts}, {side.value} hand: {what}")
 
 
+def _refused(table: FrameTable, lo: int, hi: int, last: list):
+    """(refused, late) flags of frames lo..hi-1, each (hi - lo, 2): the hands, by side, the reader refuses.
+
+    `late` marks a hand not later than that hand's previous frame, and
+    `refused` adds a grab or normal the reader refuses. `last` holds each
+    side's timestamp before frame lo, -1 at the start, and is moved to its
+    last timestamp before hi.
+    """
+    refused, late = np.zeros((hi - lo, 2), bool), np.zeros((hi - lo, 2), bool)
+    for side, (block, col) in enumerate(zip(table.blocks, table.rows[lo:hi].T)):
+        held = np.flatnonzero(col >= 0)
+        times = table.timestamps[lo:hi][held]
+        late[held, side] = times <= np.append(last[side], times[:-1])
+        bad_grab, bad_normal, _ = _grab_normal_faults(block[col[held]])
+        refused[held, side] = late[held, side] | bad_grab | bad_normal
+        last[side] = times[-1] if len(times) else last[side]
+    return refused, late
+
+
+def _refusal(ts: int, side: Handedness, values: list, late: bool) -> EngineError:
+    """The error for a hand row whose grab, normal or time order the reader refuses, met in the reader's order.
+
+    A row `late` for its hand comes first, then the timestamp's range and
+    the values as `_hand_row` checks them, then the grab, then the normal.
+    """
+    if late and ts >= 0:
+        what = "timestamps not strictly increasing"
+    else:
+        _hand_row(ts, side, values)
+        what = (f"grab_strength {values[_GRAB]} outside [0, 1]" if not 0.0 <= values[_GRAB] <= 1.0 else
+                f"|palm_normal| = {float(row_norms(np.array(values[3:6]))):.6f} deviates more than {NORMAL_TOLERANCE}")
+    return EngineError(f"timestamp {ts}, {side.value} hand: {what}")
+
+
 def write_csv_stream(stream: FrameStream):
     """Serialize a stream back to (left_text, right_text) per-hand CSVs.
 
     Floats are written in shortest round-trip form, so parse(write(s))
     reproduces every scalar exactly except the palm normals, which ingest
-    renormalises: they can move by a few ulp. A timestamp outside
-    [0, MAX_TIMESTAMP_MS), a value that is not finite or not below
-    MAX_MAGNITUDE in magnitude, or a fingertip that is only partly NaN,
-    raises EngineError; the first in frame order, Left before Right, is
+    renormalises: they can move by a few ulp. What the reader refuses raises
+    EngineError: a timestamp outside [0, MAX_TIMESTAMP_MS) or not above the
+    hand's previous one, a value that is not finite or not below
+    MAX_MAGNITUDE in magnitude, a fingertip that is only partly NaN, a grab
+    outside [0, 1], or a palm normal whose length is further than
+    NORMAL_TOLERANCE from 1. The first in frame order, Left before Right, is
     reported.
     """
+    table = stream.table
     out = [CSV_HEADER + "\n"], [CSV_HEADER + "\n"]
-    for stamps, ((left, ls), (right, rs)) in _table_chunks(stream.table):
+    last = [-1, -1]
+    for lo, (stamps, ((left, ls), (right, rs))) in zip(range(0, len(table.timestamps), _BLOCK_FRAMES),
+                                                       _table_chunks(table)):
+        refused, late = _refused(table, lo, lo + len(stamps), last)
+        stop = int(np.argmax(refused.any(axis=1))) if refused.any() else len(stamps)
         left, right = left.tolist(), right.tolist()
         rows = [], []
-        for ts, l, r in zip(stamps, ls, rs):
+        for ts, l, r in zip(stamps[:stop], ls, rs):
             if l >= 0:
                 rows[0].append(_hand_row(ts, Handedness.LEFT, left[l]))
             if r >= 0:
                 rows[1].append(_hand_row(ts, Handedness.RIGHT, right[r]))
+        if stop < len(stamps):      # the first refused frame: a fault of its Left hand is reported first
+            for s, (side, values, at) in enumerate(zip(SIDES, (left, right), (ls[stop], rs[stop]))):
+                if refused[stop, s]:
+                    raise _refusal(stamps[stop], side, values[at], late[stop, s])
+                if at >= 0:
+                    _hand_row(stamps[stop], side, values[at])
         for texts, lines in zip(out, rows):
             if lines:
                 texts.append("\n".join(lines) + "\n")

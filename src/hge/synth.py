@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frame_model import (_BLOCK_FRAMES, _FLOAT_COLUMNS, _GRAB, DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE, SIDES,
-                          FrameStream, FrameTable, Handedness, row_norms)
+from .frame_model import (_BLOCK_FRAMES, _FLOAT_COLUMNS, _GRAB, _TIPS, DEVICE_FPS_MAX, DEVICE_FPS_MIN, MAX_MAGNITUDE,
+                          SIDES, FrameStream, FrameTable, Handedness, row_norms)
 from .errors import InvalidScript, UnknownPhase
 
 X = np.array([1.0, 0.0, 0.0])
@@ -147,18 +147,18 @@ def _check_setting(name: str, value):
         raise InvalidScript(f"{name} must be non-negative")
 
 
-# rows of a hand block, in noise draw order, with the exact velocity last
-_NORMAL, _PALM, _TIPS, _VELOCITY = 0, 1, slice(2, 7), 7
-_CSV_ROWS = [_PALM, _NORMAL, _VELOCITY, *range(_TIPS.start, _TIPS.stop)]     # the rows in CSV column order
+# the block columns noise is added to, in draw order: normal, palm, fingertips
+_NOISY_COLUMNS = [3, 4, 5, 0, 1, 2, *range(_TIPS, _FLOAT_COLUMNS)]
 
 
 def _fill_hand(rows, palm, normal, velocity, forward, lateral, spacing):
-    """Write the (m, 8, 3) rows of one hand over m frames from (m, 3) palm positions."""
-    rows[:, _NORMAL] = normal
-    rows[:, _PALM] = palm
-    rows[:, _TIPS] = (palm + FINGER_REACH_MM * forward)[:, None, :] + np.array(
-        [(k - 2) * spacing * lateral for k in range(5)])
-    rows[:, _VELOCITY] = velocity
+    """Write the (m, 25) rows of one hand over m frames, in CSV column order, from (m, 3) palm positions."""
+    rows[:, 0:3] = palm
+    rows[:, 3:6] = normal
+    rows[:, 6:9] = velocity
+    rows[:, _GRAB] = FLAT_GRAB
+    rows[:, _TIPS:] = ((palm + FINGER_REACH_MM * forward)[:, None, :] + np.array(
+        [(k - 2) * spacing * lateral for k in range(5)])).reshape(-1, 15)
 
 
 def _cos_sin(angles):
@@ -169,15 +169,15 @@ def _cos_sin(angles):
 
 
 def _phase_block(spec: PhaseSpec, t_in):
-    """([SIDES column of each hand], (m, hands, 8, 3) block) of a phase at in-phase times t_in."""
+    """([SIDES column of each hand], (m, hands, 25) block) of a phase at in-phase times t_in."""
     if spec.kind == PhaseKind.IDLE:
-        return [], np.empty((len(t_in), 0, 8, 3))
+        return [], np.empty((len(t_in), 0, _FLOAT_COLUMNS))
     if spec.kind == PhaseKind.PRIMITIVE:
-        block = np.empty((len(t_in), 1, 8, 3))
+        block = np.empty((len(t_in), 1, _FLOAT_COLUMNS))
         pos, vel = _primitive_point(spec.primitive_kind, t_in)
         _fill_hand(block[:, 0], pos, Y, vel, Z, X, CLOSED_TIP_SPACING_MM)
         return [SIDES.index(Handedness.RIGHT)], block
-    block = np.empty((len(t_in), 2, 8, 3))
+    block = np.empty((len(t_in), 2, _FLOAT_COLUMNS))
     left, right = block[:, 0], block[:, 1]
     center = PALM_HEIGHT_MM * Y
     right_normal = -X if spec.opposed_normals else X
@@ -214,14 +214,14 @@ def generate(script: GestureScript):
     """Render a script into (FrameStream, per-frame phase labels).
 
     Deterministic for a given seed. Each phase renders its frames in array
-    passes, up to 256 frames at a time, into one block of hand rows per pass.
+    passes, up to 256 frames at a time, into one block of hand rows per pass,
+    each row's values in CSV column order.
     With the drop-on-contact occlusion model, one hand vanishes for good from
     the first frame whose palm separation falls below 30 mm. Noise is drawn
     for the kept rows in frame order: Gaussian on palm and fingertip
     positions, and a matching small angular jitter on the palm normals, which
     are renormalized. Velocities and grab values stay exact. The kept rows
-    are copied in CSV column order into each hand's value block of the
-    stream's frame table.
+    are gathered into each hand's value block of the stream's frame table.
     """
     rng = np.random.default_rng(script.seed)
     sigma = script.noise_sigma
@@ -244,16 +244,16 @@ def generate(script: GestureScript):
         keep = np.ones(block.shape[:2], bool)
         if drop and len(sides) == 2:
             if contact is None:
-                gap = row_norms(block[:, 0, _PALM] - block[:, 1, _PALM])
+                gap = row_norms(block[:, 0, 0:3] - block[:, 1, 0:3])
                 close = np.flatnonzero(gap < OCCLUSION_DISTANCE_MM)
                 contact = lo + int(close[0]) if len(close) else None
             if contact is not None:
                 keep[max(contact - lo, 0):, hidden] = False
         kept = block[keep]
         if sigma > 0:
-            kept[:, :_VELOCITY] += rng.normal(0.0, scales, (len(kept), 21)).reshape(-1, 7, 3)
-            kept[:, _NORMAL] /= row_norms(kept[:, _NORMAL])[:, None]
-        kept_rows.append(np.insert(kept[:, _CSV_ROWS].reshape(-1, 3 * len(_CSV_ROWS)), _GRAB, FLAT_GRAB, axis=1))
+            kept[:, _NOISY_COLUMNS] += rng.normal(0.0, scales, (len(kept), 21))
+            kept[:, 3:6] /= row_norms(kept[:, 3:6])[:, None]
+        kept_rows.append(kept)
         present[lo:hi, sides] = keep
         labels += [spec.kind.value] * (hi - lo)
     # the kept rows run in frame order, Left before Right, as the true cells of `present` do
@@ -295,8 +295,7 @@ def drop_frames(stream: FrameStream, rate: float, seed: int = 0) -> FrameStream:
         raise InvalidScript(f"drop rate {rate} outside [0, 1)")
     _check_setting("seed", seed)
     rng = np.random.default_rng(seed)
-    keep = rng.random(len(stream)) >= rate
-    return FrameStream([f for f, k in zip(stream.frames, keep) if k])
+    return stream._select(rng.random(len(stream)) >= rate)
 
 
 # -- script text format -------------------------------------------------------
@@ -436,5 +435,5 @@ def make_ablation_stream(name: str, rub_frequency_hz: float = 2.0, rub_duration_
             replace(p, rub_radius_mm=0.0) if p.kind == PhaseKind.RUB_CIRCULAR else p for p in script.phases))
     stream, labels = generate(script)
     if name == "no_approach":
-        stream = FrameStream([f for f, label in zip(stream.frames, labels) if label != PhaseKind.APPROACH.value])
+        stream = stream._select(np.array(labels) != PhaseKind.APPROACH.value)
     return stream

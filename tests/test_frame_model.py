@@ -332,6 +332,26 @@ class TestCsv:
         with pytest.raises(EngineError, match=re.escape(message)):
             write_csv_stream(FrameStream([Frame(ts, (make_hand(Handedness.LEFT),))]))
 
+    @pytest.mark.parametrize("stamps, hand, message", [
+        ([0, 7], {"grab": 1.5}, "grab_strength 1.5 outside [0, 1]"),
+        ([0, 7], {"grab": -0.25}, "grab_strength -0.25 outside [0, 1]"),
+        ([0, 7], {"normal": (0.0, 2.0, 0.0)}, "|palm_normal| = 2.000000 deviates more than 0.001"),
+        ([0, 7], {"normal": (0.0, 0.998, 0.0)}, "|palm_normal| = 0.998000 deviates more than 0.001"),
+        ([0, 7, 7], {}, "timestamps not strictly increasing"),
+        ([0, 7, 3], {}, "timestamps not strictly increasing"),
+    ], ids=["grab 1.5", "grab -0.25", "normal 2", "normal 0.998", "repeated", "earlier"])
+    def test_grab_normal_or_time_order_the_reader_rejects_is_not_written(self, stamps, hand, message):
+        # each was once written to a file its reader then refused
+        hands = [make_hand(Handedness.LEFT)] * (len(stamps) - 1) + [make_hand(Handedness.LEFT, **hand)]
+        stream = FrameStream([Frame(t, (obs,)) for t, obs in zip(stamps, hands)])
+        rows = [_hand_row(t, Handedness.LEFT, values) for t, values in zip(stamps, stream.table.blocks[0].tolist())]
+        line = len(stamps) + 1
+        with pytest.raises((MalformedRow, NonMonotonicTimestamp), match=f"line {line}.*{re.escape(message)}"):
+            parse_hand_csv("\n".join([CSV_HEADER] + rows) + "\n", Handedness.LEFT)
+        with pytest.raises(EngineError, match=f"^{re.escape(f'timestamp {stamps[-1]}, Left hand: {message}')}$"):
+            write_csv_stream(stream)
+        assert write_csv_stream(FrameStream(stream.frames[:-1]))[0] == "\n".join([CSV_HEADER] + rows[:-1]) + "\n"
+
     def test_partial_fingertip_cells_rejected(self):
         text = self.rows([0])
         # blank out one coordinate of the thumb triple only
@@ -494,3 +514,50 @@ def test_the_writer_reports_the_earlier_frames_fault_within_and_across_chunks(ri
     table.blocks[0][table.rows[left_at, 0], 0] = math.nan
     with pytest.raises(EngineError, match=re.escape(reported)):
         write_csv_stream(FrameStream(table=table))
+
+
+@pytest.mark.parametrize("right_at,left_at,reported", [
+    (100, 200, "timestamp 1000, Right hand: grab_strength 2.0 outside [0, 1]"),
+    (_BLOCK_FRAMES + 100, 100, "timestamp 1000, Left hand: |palm_normal| = 5.000000 deviates more than 0.001"),
+    (100, 100, "timestamp 1000, Left hand: |palm_normal| = 5.000000 deviates more than 0.001"),
+    (100, None, "timestamp 1000, Right hand: grab_strength 2.0 outside [0, 1]"),
+])
+def test_the_writer_reports_the_first_grab_or_normal_fault_within_and_across_chunks(right_at, left_at, reported):
+    table = FrameStream(_mixed_frames(2 * _BLOCK_FRAMES + 1)).table
+    table.blocks[1][table.rows[right_at, 1], _GRAB] = 2.0
+    if left_at is not None:
+        table.blocks[0][table.rows[left_at, 0], 4] = 5.0
+    with pytest.raises(EngineError, match=re.escape(reported)):
+        write_csv_stream(FrameStream(table=table))
+
+
+@pytest.mark.parametrize("fault, reported", [
+    # frame 256 opens the second chunk and holds the Right hand only; the Right hand was last at frame 253
+    ({"ts": 2530}, "timestamp 2530, Right hand: timestamps not strictly increasing"),
+    # in time order for each hand, though not for the frames: the reader takes it
+    ({"ts": 2531}, None),
+    # a value fault in an earlier frame comes first
+    ({"ts": 2530, "left_nan": 253}, "timestamp 2530, Left hand: palm_x = nan is not finite"),
+    # within a row, time order comes before the values, and the values before the grab and the normal
+    ({"ts": 2530, "right_grab": 256, "right_palm": math.inf},
+     "timestamp 2530, Right hand: timestamps not strictly increasing"),
+    ({"right_grab": 256, "right_palm": math.inf}, "timestamp 2560, Right hand: palm_x = inf is not finite"),
+    ({"right_grab": 256, "right_normal": 1e300},
+     "timestamp 2560, Right hand: normal_y = 1e+300 is not below 1e+16 in magnitude"),
+])
+def test_the_writer_meets_time_order_value_and_grab_faults_in_the_readers_order(fault, reported):
+    table = FrameStream(_mixed_frames(2 * _BLOCK_FRAMES + 1)).table
+    left, right = table.blocks
+    table.timestamps[_BLOCK_FRAMES] = fault.get("ts", table.timestamps[_BLOCK_FRAMES])
+    if "left_nan" in fault:
+        left[table.rows[fault["left_nan"], 0], 0] = math.nan
+    if "right_grab" in fault:
+        row = table.rows[fault["right_grab"], 1]
+        right[row, _GRAB] = 1.5
+        right[row, 0] = fault.get("right_palm", right[row, 0])
+        right[row, 4] = fault.get("right_normal", right[row, 4])
+    if reported is None:
+        assert 2531 in parse_csv_stream(*write_csv_stream(FrameStream(table=table))).table.timestamps
+    else:
+        with pytest.raises(EngineError, match=f"^{re.escape(reported)}$"):
+            write_csv_stream(FrameStream(table=table))

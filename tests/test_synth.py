@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from hge import (
+    Frame,
     FrameStream,
+    HandObservation,
     Handedness,
     InvalidScript,
     PhaseKind,
@@ -21,14 +23,15 @@ from hge import (
     generate,
     make_ablation_stream,
     make_canonical_script,
+    merge_hand_streams,
     palm_opposition,
     parse_script_text,
     write_csv_stream,
 )
-from hge.synth import GestureScript, OcclusionModel, PhaseSpec
+from hge.synth import ABLATIONS, GestureScript, OcclusionModel, PhaseSpec
 from dataclasses import fields, replace
 
-from helpers import stream_scalars
+from helpers import hand_records, stream_scalars
 
 
 class TestGenerate:
@@ -155,10 +158,12 @@ class TestGenerate:
         for noisy, exact in zip(stream.frames, clean.frames):
             for a, b in zip(noisy.hands, exact.hands):
                 assert a.fingertips.shape == (5, 3)
-                rng.normal(0.0, 1.5 / 100.0, 3)
-                rng.normal(0.0, 1.5, 3)
+                normal = b.palm_normal + rng.normal(0.0, 1.5 / 100.0, 3)
+                assert np.array_equal(a.palm_normal, normal / np.linalg.norm(normal))
+                assert np.array_equal(a.palm_position, b.palm_position + rng.normal(0.0, 1.5, 3))
                 rows = [b.fingertips[k] + rng.normal(0.0, 1.5, 3) for k in range(5)]
                 assert np.array_equal(a.fingertips, np.array(rows))
+                assert np.array_equal(a.palm_velocity, b.palm_velocity) and a.grab_strength == b.grab_strength
 
 
 class TestPerturbations:
@@ -168,6 +173,46 @@ class TestPerturbations:
         cut = make_ablation_stream("no_approach")
         assert np.array_equal(stream_scalars(cut), stream_scalars(kept), equal_nan=True)
         assert detect_stage2(cut).verdict == Verdict.NOT_COMPLETED
+
+    def test_edits_select_rows_as_the_frame_list_filter_did(self):
+        # generated one-hand and handless frames, and a merged stream whose Right rows do not rise:
+        # left 10 takes right 14, as right 12 is reserved for left 12
+        script = parse_script_text("fps 50\nseed 5\nnoise_sigma 1.5\nphase idle duration_s=0.5\n"
+                                   "phase primitive duration_s=1.0 primitive_kind=circle\nphase idle duration_s=0.3\n"
+                                   "phase facing_hold duration_s=0.5\nphase approach duration_s=1.0\n"
+                                   "phase rub_circular duration_s=2.0\n")
+        offsets = np.arange(0, 6000, 20)
+        merged = merge_hand_streams(
+            hand_records(Handedness.LEFT, np.sort(np.concatenate([offsets + 10, offsets + 12]))),
+            hand_records(Handedness.RIGHT, np.sort(np.concatenate([offsets + 12, offsets + 14, [6005]]))))
+        assert not (np.diff(merged.table.rows[:, 1]) > 0).all()
+        for stream in (generate(script)[0], merged, make_ablation_stream("no_approach")):
+            assert any(f.hand_count < 2 for f in stream.frames)
+            for rate, seed in ((0.0, 0), (0.05, 1), (0.5, 2), (0.9, 3)):
+                got = drop_frames(stream, rate, seed)
+                keep = np.random.default_rng(seed).random(len(stream)) >= rate
+                kept = FrameStream([f for f, k in zip(stream.frames, keep) if k])
+                assert np.array_equal(stream_scalars(got), stream_scalars(kept), equal_nan=True)
+                assert write_csv_stream(got) == write_csv_stream(kept)
+                assert all(np.shares_memory(a, b) for a, b in zip(got.table.blocks, stream.table.blocks) if b.size)
+        for sigma, seed, fps in ((0.0, 0, 100.0), (1.5, 4, 200.0), (2.0, 6, 50.0)):
+            stream, labels = generate(make_canonical_script(noise_sigma=sigma, seed=seed, fps=fps))
+            kept = FrameStream([f for f, label in zip(stream.frames, labels) if label != "approach"])
+            cut = make_ablation_stream("no_approach", noise_sigma=sigma, seed=seed, fps=fps)
+            assert np.array_equal(stream_scalars(cut), stream_scalars(kept), equal_nan=True)
+
+    def test_edits_build_no_frame_or_observation(self, monkeypatch):
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(HandObservation, "__init__", refuse)
+        monkeypatch.setattr(Frame, "__init__", refuse)
+        assert 0 < len(drop_frames(stream, 0.2, seed=1)) < len(stream)
+        lengths = {name: len(make_ablation_stream(name, noise_sigma=1.0)) for name in ABLATIONS}
+        assert lengths == {"no_facing": 650, "no_approach": 400, "no_occlusion": 500, "no_rotation": 500,
+                           "short_rub": 320}
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(UnknownPhase):
