@@ -112,8 +112,9 @@ class FrameStream:
     """Frames in time order, held as one frame table.
 
     `FrameStream(frames)` gathers frames built in code into a table at once,
-    and raises EngineError for a frame the table cannot hold. `frames` builds
-    Frame and HandObservation row views of the table on each access and keeps none.
+    and raises EngineError for a frame the table cannot hold or that is out of
+    time order. `frames` builds Frame and HandObservation row views of the table
+    on each access and keeps none.
     """
 
     def __init__(self, frames: Optional[list] = None, table: Optional[FrameTable] = None):
@@ -123,6 +124,7 @@ class FrameStream:
 
     @property
     def frames(self) -> list:
+        """A new list of the stream's frames, each hand's arrays views of its block row; nothing is kept."""
         return list(_table_frames(self.table))
 
     def __len__(self) -> int:
@@ -132,7 +134,7 @@ class FrameStream:
         """Frames with start_ms <= timestamp < end_ms.
 
         Searches the table's timestamps, which must be in time order, as
-        merge_hand_streams and the synthesiser produce them.
+        merge_hand_streams, the synthesiser and FrameStream(frames) give them.
         """
         # the timestamps are int64, so the bounds are clamped to that range
         lo, hi = np.searchsorted(self.table.timestamps, [min(max(b, _INT64_MIN), _INT64_MAX)
@@ -148,41 +150,30 @@ class FrameStream:
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
-def _observations(handedness: Handedness, block: np.ndarray) -> list:
-    """HandObservations holding row views of the block."""
-    positions, normals, velocities = list(block[:, 0:3]), list(block[:, 3:6]), list(block[:, 6:9])
-    grabs = block[:, _GRAB].tolist()
-    tips = list(block[:, _TIPS:].reshape(-1, 5, 3))
-    return [HandObservation(handedness, positions[i], normals[i], velocities[i], grabs[i], tips[i])
-            for i in range(len(grabs))]
+def _observations(handedness: Handedness, block: np.ndarray, col: np.ndarray) -> list:
+    """Each frame's HandObservation of the block row `col` names, its arrays views of that row; None where `col` is -1.
 
-
-def _table_chunks(table: FrameTable):
-    """The table _BLOCK_FRAMES frames at a time, as (timestamps, [(rows, at) for each side of SIDES]).
-
-    `rows` is the span of the side's block from the lowest to the highest row
-    the chunk holds, and `at` each frame's row in that span, negative where
-    the hand is absent.
+    The views are taken of the span of the rows held; HandObservations are built only for those rows.
     """
-    for lo in range(0, len(table.timestamps), _BLOCK_FRAMES):
-        sides = []
-        for block, col in zip(table.blocks, table.rows[lo:lo + _BLOCK_FRAMES].T):
-            held = col[col >= 0]
-            first, stop = (held.min(), held.max() + 1) if len(held) else (0, 0)
-            sides.append((block[first:stop], (col - first).tolist()))
-        yield table.timestamps[lo:lo + _BLOCK_FRAMES].tolist(), sides
+    held = col[col >= 0]
+    first, stop = (held.min(), held.max() + 1) if len(held) else (0, 0)
+    span = block[first:stop]
+    positions, normals, velocities = list(span[:, 0:3]), list(span[:, 3:6]), list(span[:, 6:9])
+    grabs, tips = span[:, _GRAB].tolist(), list(span[:, _TIPS:].reshape(-1, 5, 3))
+    return [None if r < 0 else HandObservation(handedness, positions[r], normals[r], velocities[r], grabs[r], tips[r])
+            for r in (col - first).tolist()]
 
 
 def _table_frames(table: FrameTable):
     """The table's frames, built a chunk at a time; each observation is a view of its block row, Left before Right."""
-    for stamps, ((left, ls), (right, rs)) in _table_chunks(table):
-        left, right = _observations(Handedness.LEFT, left), _observations(Handedness.RIGHT, right)
-        for t, l, r in zip(stamps, ls, rs):
-            if l >= 0:
-                hands = (left[l], right[r]) if r >= 0 else (left[l],)
+    for lo in range(0, len(table.timestamps), _BLOCK_FRAMES):
+        left, right = (_observations(side, block, col)
+                       for side, block, col in zip(SIDES, table.blocks, table.rows[lo:lo + _BLOCK_FRAMES].T))
+        for t, l, r in zip(table.timestamps[lo:lo + _BLOCK_FRAMES].tolist(), left, right):
+            if l is None:
+                yield Frame(t, () if r is None else (r,))
             else:
-                hands = (right[r],) if r >= 0 else ()
-            yield Frame(t, hands)
+                yield Frame(t, (l,) if r is None else (l, r))
 
 
 def _repeated_side(frame: Frame) -> EngineError:
@@ -195,14 +186,17 @@ def _repeated_side(frame: Frame) -> EngineError:
 def _frames_table(frames) -> FrameTable:
     """The table of frames built in code, each hand's values gathered into a block in frame order.
 
-    Raises EngineError for a frame holding more than one hand of a side, or
-    whose timestamp is not an integer int64 holds.
+    Raises EngineError for a frame holding more than one hand of a side,
+    whose timestamp is not an integer int64 holds, or that is not after the
+    frame before it.
     """
     values = ([np.empty(0)], [np.empty(0)])     # keeps each concatenation defined for a hand never seen
     counts, rows, stamps = [0, 0], [], []
     for f in frames:
         if not (isinstance(f.timestamp, (int, np.integer)) and _INT64_MIN <= f.timestamp <= _INT64_MAX):
             raise EngineError(f"frame at {f.timestamp} ms: the timestamp is not an integer int64 holds")
+        if stamps and f.timestamp <= stamps[-1]:
+            raise EngineError(f"frame at {f.timestamp} ms is not after the frame at {stamps[-1]} ms")
         row = [-1, -1]
         for obs in f.hands:
             side = SIDES.index(obs.handedness)
@@ -468,25 +462,6 @@ def _hand_row(ts: int, side: Handedness, values: list) -> str:
     raise EngineError(f"timestamp {ts}, {side.value} hand: {what}")
 
 
-def _refused(table: FrameTable, lo: int, hi: int, last: list):
-    """(refused, late) flags of frames lo..hi-1, each (hi - lo, 2): the hands, by side, the reader refuses.
-
-    `late` marks a hand not later than that hand's previous frame, and
-    `refused` adds a grab or normal the reader refuses. `last` holds each
-    side's timestamp before frame lo, -1 at the start, and is moved to its
-    last timestamp before hi.
-    """
-    refused, late = np.zeros((hi - lo, 2), bool), np.zeros((hi - lo, 2), bool)
-    for side, (block, col) in enumerate(zip(table.blocks, table.rows[lo:hi].T)):
-        held = np.flatnonzero(col >= 0)
-        times = table.timestamps[lo:hi][held]
-        late[held, side] = times <= np.append(last[side], times[:-1])
-        bad_grab, bad_normal, _ = _grab_normal_faults(block[col[held]])
-        refused[held, side] = late[held, side] | bad_grab | bad_normal
-        last[side] = times[-1] if len(times) else last[side]
-    return refused, late
-
-
 def _refusal(ts: int, side: Handedness, values: list, late: bool) -> EngineError:
     """The error for a hand row whose grab, normal or time order the reader refuses, met in the reader's order.
 
@@ -502,6 +477,34 @@ def _refusal(ts: int, side: Handedness, values: list, late: bool) -> EngineError
     return EngineError(f"timestamp {ts}, {side.value} hand: {what}")
 
 
+def _hand_text(table: FrameTable, side: int):
+    """(text, frame, fault) of one hand's CSV: its rows in frame order, joined _BLOCK_FRAMES rows at a time.
+
+    The hand stops at its first row the reader refuses: `fault` is the
+    EngineError for it and `frame` its frame. Otherwise they are None and inf.
+    """
+    hand, block = SIDES[side], table.blocks[side]
+    held = np.flatnonzero(table.rows[:, side] >= 0)
+    texts, last = [CSV_HEADER + "\n"], -1
+    for lo in range(0, len(held), _BLOCK_FRAMES):
+        frames = held[lo:lo + _BLOCK_FRAMES]
+        stamps, values = table.timestamps[frames], block[table.rows[frames, side]]
+        late = stamps <= np.append(last, stamps[:-1])
+        bad_grab, bad_normal, _ = _grab_normal_faults(values)
+        refused = (late | bad_grab | bad_normal).tolist()
+        lines = []
+        for k, (ts, row) in enumerate(zip(stamps.tolist(), values.tolist())):
+            try:
+                if refused[k]:
+                    raise _refusal(ts, hand, row, late[k])
+                lines.append(_hand_row(ts, hand, row))
+            except EngineError as fault:
+                return None, int(frames[k]), fault
+        texts.append("\n".join(lines) + "\n")
+        last = stamps[-1]
+    return "".join(texts), math.inf, None
+
+
 def write_csv_stream(stream: FrameStream):
     """Serialize a stream back to (left_text, right_text) per-hand CSVs.
 
@@ -515,27 +518,8 @@ def write_csv_stream(stream: FrameStream):
     NORMAL_TOLERANCE from 1. The first in frame order, Left before Right, is
     reported.
     """
-    table = stream.table
-    out = [CSV_HEADER + "\n"], [CSV_HEADER + "\n"]
-    last = [-1, -1]
-    for lo, (stamps, ((left, ls), (right, rs))) in zip(range(0, len(table.timestamps), _BLOCK_FRAMES),
-                                                       _table_chunks(table)):
-        refused, late = _refused(table, lo, lo + len(stamps), last)
-        stop = int(np.argmax(refused.any(axis=1))) if refused.any() else len(stamps)
-        left, right = left.tolist(), right.tolist()
-        rows = [], []
-        for ts, l, r in zip(stamps[:stop], ls, rs):
-            if l >= 0:
-                rows[0].append(_hand_row(ts, Handedness.LEFT, left[l]))
-            if r >= 0:
-                rows[1].append(_hand_row(ts, Handedness.RIGHT, right[r]))
-        if stop < len(stamps):      # the first refused frame: a fault of its Left hand is reported first
-            for s, (side, values, at) in enumerate(zip(SIDES, (left, right), (ls[stop], rs[stop]))):
-                if refused[stop, s]:
-                    raise _refusal(stamps[stop], side, values[at], late[stop, s])
-                if at >= 0:
-                    _hand_row(stamps[stop], side, values[at])
-        for texts, lines in zip(out, rows):
-            if lines:
-                texts.append("\n".join(lines) + "\n")
-    return tuple("".join(texts) for texts in out)
+    hands = [_hand_text(stream.table, side) for side in range(len(SIDES))]
+    _, _, fault = min(hands, key=lambda hand: hand[1])     # the earlier frame's; min keeps the Left hand's on a tie
+    if fault is not None:
+        raise fault
+    return tuple(text for text, _, _ in hands)

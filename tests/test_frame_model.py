@@ -343,7 +343,9 @@ class TestCsv:
     def test_grab_normal_or_time_order_the_reader_rejects_is_not_written(self, stamps, hand, message):
         # each was once written to a file its reader then refused
         hands = [make_hand(Handedness.LEFT)] * (len(stamps) - 1) + [make_hand(Handedness.LEFT, **hand)]
-        stream = FrameStream([Frame(t, (obs,)) for t, obs in zip(stamps, hands)])
+        # FrameStream(frames) refuses frames out of time order, so the timestamps go into the table
+        table = FrameStream([Frame(k, (obs,)) for k, obs in enumerate(hands)]).table
+        stream = FrameStream(table=table._replace(timestamps=np.array(stamps, np.int64)))
         rows = [_hand_row(t, Handedness.LEFT, values) for t, values in zip(stamps, stream.table.blocks[0].tolist())]
         line = len(stamps) + 1
         with pytest.raises((MalformedRow, NonMonotonicTimestamp), match=f"line {line}.*{re.escape(message)}"):
@@ -415,6 +417,16 @@ def test_a_frame_with_two_hands_of_one_side_is_refused_when_the_stream_is_built(
         FrameStream(frames)
 
 
+@pytest.mark.parametrize("stamps, message", [
+    ([30, 10, 20], "frame at 10 ms is not after the frame at 30 ms"),
+    ([0, 10, 10], "frame at 10 ms is not after the frame at 10 ms"),
+], ids=["earlier", "repeated"])
+def test_frames_out_of_time_order_are_refused_when_the_stream_is_built(stamps, message):
+    # slice_ms binary-searches the timestamps: on 30, 10, 20 ms, slice_ms(15, 35) gave only the frame at 20 ms
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        FrameStream([Frame(t, (make_hand(Handedness.LEFT),)) for t in stamps])
+
+
 def test_no_layer_writes_into_the_shared_fingertip_block():
     # the table, the windows sliced from it and every observation read one block per hand,
     # which a write anywhere would corrupt
@@ -473,11 +485,12 @@ def _one_pass_frames(table):
 
 
 def _chunked_tables(n):
-    """A table of `_mixed_frames(n)`, a slice of it, and the same frames with the Right block's rows reversed."""
+    """Tables of `_mixed_frames(n)`: all of it, a slice, every 7th frame, and all with the Right block reversed."""
     table = FrameStream(_mixed_frames(n)).table
     right = table.rows[:, 1]
     rows = np.column_stack([table.rows[:, 0], np.where(right >= 0, len(table.blocks[1]) - 1 - right, -1)])
     return [table, FrameStream(table=table).slice_ms(1000, 4000).table,
+            FrameTable(table.timestamps[::7], table.rows[::7], table.blocks),
             FrameTable(table.timestamps, rows, (table.blocks[0], table.blocks[1][::-1]))]
 
 
@@ -528,6 +541,25 @@ def test_the_writer_reports_the_first_grab_or_normal_fault_within_and_across_chu
     if left_at is not None:
         table.blocks[0][table.rows[left_at, 0], 4] = 5.0
     with pytest.raises(EngineError, match=re.escape(reported)):
+        write_csv_stream(FrameStream(table=table))
+
+
+@pytest.mark.parametrize("right_at,left_at,reported", [
+    (300, 270, "timestamp 2700, Left hand: palm_x = nan is not finite"),
+    (270, 300, "timestamp 2700, Right hand: grab_strength 2.0 outside [0, 1]"),
+    (300, 300, "timestamp 3000, Left hand: palm_x = nan is not finite"),
+])
+def test_the_writer_reports_the_earlier_frames_fault_when_the_left_file_is_longer(right_at, left_at, reported):
+    # the Right hand is in every third frame only, so a fault's row in its file does not order it against the Left's
+    table = FrameStream(_mixed_frames(2 * _BLOCK_FRAMES + 1)).table
+    rows = table.rows.copy()
+    rows[np.arange(len(rows)) % 3 > 0, 1] = -1
+    table = table._replace(rows=rows)
+    left, right = write_csv_stream(FrameStream(table=table))
+    assert left.count("\n") > 2 * right.count("\n")
+    table.blocks[1][rows[right_at, 1], _GRAB] = 2.0
+    table.blocks[0][rows[left_at, 0], 0] = math.nan
+    with pytest.raises(EngineError, match=f"^{re.escape(reported)}$"):
         write_csv_stream(FrameStream(table=table))
 
 

@@ -106,9 +106,10 @@ class TestTransitions:
         assert det.state.last_ts == 2**53 - 1
 
     def test_detect_stage2_reports_frame_index(self):
-        frames = [Frame(0, ()), Frame(10, ()), Frame(10, ())]
+        # FrameStream(frames) refuses frames out of time order, so the handless frames are a table
+        table = FrameStream([Frame(k, ()) for k in range(3)]).table
         with pytest.raises(OutOfOrderFrame) as err:
-            detect_stage2(FrameStream(frames))
+            detect_stage2(FrameStream(table=table._replace(timestamps=np.array([0, 10, 10]))))
         assert "frame 2" in str(err.value)
 
     def test_hands_lost_over_one_second_fails(self):

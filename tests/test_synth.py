@@ -214,6 +214,22 @@ class TestPerturbations:
         assert lengths == {"no_facing": 650, "no_approach": 400, "no_occlusion": 500, "no_rotation": 500,
                            "short_rub": 320}
 
+    def test_frames_of_a_row_selection_build_one_observation_per_held_hand(self, monkeypatch):
+        # a selection holds few rows of each chunk's span of the shared blocks; the rows it skips build nothing
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        built = []
+        init = HandObservation.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HandObservation, "__init__", counted)
+        for selection in (drop_frames(stream, 0.9, seed=1), make_ablation_stream("no_approach", noise_sigma=1.0)):
+            built.clear()
+            frames = selection.frames
+            assert len(built) == sum(f.hand_count for f in frames) == int((selection.table.rows >= 0).sum()) > 0
+
     def test_unknown_ablation_rejected(self):
         with pytest.raises(UnknownPhase):
             make_ablation_stream("warp_drive")
