@@ -131,7 +131,7 @@ STAGE3_SIGNATURE = StageSignature(
 
 
 def _check_unit_norm(name: str, norm: float):
-    if abs(norm - 1.0) > NORMAL_TOLERANCE:
+    if not abs(norm - 1.0) <= NORMAL_TOLERANCE:     # a NaN norm fails too
         raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {NORMAL_TOLERANCE}")
 
 
@@ -438,10 +438,10 @@ def _resultants(left: np.ndarray, right: np.ndarray):
     """_resultant of each pair of rows of two (m, 3) normal arrays, bit for bit, and the sums behind it.
 
     Raises _check_unit_norm's NonUnitNormal for the first pair with a normal
-    off unit length, its left normal checked before its right.
+    off unit length or NaN, its left normal checked before its right.
     """
     norms = [np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]) for v in (left, right)]
-    off = (np.abs(norms[0] - 1.0) > NORMAL_TOLERANCE) | (np.abs(norms[1] - 1.0) > NORMAL_TOLERANCE)
+    off = ~((np.abs(norms[0] - 1.0) <= NORMAL_TOLERANCE) & (np.abs(norms[1] - 1.0) <= NORMAL_TOLERANCE))
     if off.any():
         k = int(np.argmax(off))
         for name, norm in zip(("normal_left", "normal_right"), norms):

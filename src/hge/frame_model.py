@@ -3,7 +3,7 @@
 Per-hand records arrive as separate left/right CSV files sharing one clock;
 `merge_hand_streams` aligns them into a table of two-hand frames. That table
 is all a FrameStream holds; its Frame objects are row views of the table,
-built when they are asked for and not kept. Coordinate
+built only when they are read and not kept. Coordinate
 convention (documented, not enforced): right-handed, y axis up away from the
 sensor, origin at the sensor center, millimeters and mm/s.
 """
@@ -11,8 +11,10 @@ sensor, origin at the sensor center, millimeters and mm/s.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -113,8 +115,8 @@ class FrameStream:
 
     `FrameStream(frames)` gathers frames built in code into a table at once,
     and raises EngineError for a frame the table cannot hold or that is out of
-    time order. `frames` builds Frame and HandObservation row views of the table
-    on each access and keeps none.
+    time order. `frames` is a read-only FrameView of the table: it builds the
+    Frames it is asked for and keeps none; `list(stream.frames)` is a list of them.
     """
 
     def __init__(self, frames: Optional[list] = None, table: Optional[FrameTable] = None):
@@ -123,9 +125,9 @@ class FrameStream:
         self.table = _frames_table(frames) if table is None else table
 
     @property
-    def frames(self) -> list:
-        """A new list of the stream's frames, each hand's arrays views of its block row; nothing is kept."""
-        return list(_table_frames(self.table))
+    def frames(self) -> "FrameView":
+        """The stream's frames as a read-only sequence; each hand's arrays are views of its block row."""
+        return FrameView(self.table)
 
     def __len__(self) -> int:
         return len(self.table.timestamps)
@@ -143,8 +145,41 @@ class FrameStream:
 
     def _select(self, index) -> "FrameStream":
         """The frames a slice or boolean mask picks, in the same order, sharing this stream's blocks."""
-        table = self.table
-        return FrameStream(table=FrameTable(table.timestamps[index], table.rows[index], table.blocks))
+        return FrameStream(table=_table_rows(self.table, index))
+
+
+class FrameView(Sequence):
+    """A frame table's frames, read-only, built only when read and never kept.
+
+    len() builds no frame, an index builds one, a slice returns a list of
+    its frames, and iteration builds them _BLOCK_FRAMES at a time. An index
+    past either end raises IndexError, as a list's does.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: FrameTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.timestamps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_table_frames(_table_rows(self._table, index)))
+        k, n = operator.index(index), len(self)
+        if not -n <= k < n:
+            raise IndexError("frame index out of range")
+        k %= n
+        return next(_table_frames(_table_rows(self._table, slice(k, k + 1))))
+
+    def __iter__(self):
+        return _table_frames(self._table)
+
+
+def _table_rows(table: FrameTable, index) -> FrameTable:
+    """The frames a slice or boolean mask of a table picks, sharing its blocks."""
+    return FrameTable(table.timestamps[index], table.rows[index], table.blocks)
 
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1

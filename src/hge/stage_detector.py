@@ -26,7 +26,7 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
 from .features import estimate_frequency, palm_opposition, symmetric_eigen3
 from .frame_model import (DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness,
-                          _repeated_side, _table_frames)
+                          _repeated_side)
 
 
 class Phase(str, Enum):
@@ -245,11 +245,16 @@ class Stage2Detector:
     # -- per-phase helpers ------------------------------------------------
 
     def _update_two_hand_tracking(self, frame: Frame):
-        """On a two-hand frame: push the palms' distance and return their opposition."""
+        """On a two-hand frame: push the palms' distance and return their opposition.
+
+        Raises EngineError for a distance that is not finite, which the slope's exact sums cannot hold.
+        """
         a, b = frame.hands
         left, right = (a, b) if a.handedness == Handedness.LEFT else (b, a)
         # math.dist of the palms, inter_palm_distance's rule
         d = math.dist(left.palm_position.tolist(), right.palm_position.tolist())
+        if not math.isfinite(d):
+            raise EngineError(f"frame at {frame.timestamp} ms: the palms' distance {d} is not finite")
         self.state.dist_window.push(frame.timestamp, d, self.config.approach_window_s)
         return palm_opposition(left.palm_normal, right.palm_normal, self.config)
 
@@ -459,7 +464,7 @@ class Stage2Detector:
 def detect_stage2(stream: FrameStream, config: EngineConfig = DEFAULT_CONFIG) -> StageReport:
     """Run the full detection pass over a stream and return the report; frames are built a chunk at a time."""
     detector = Stage2Detector(config)
-    for index, frame in enumerate(_table_frames(stream.table)):
+    for index, frame in enumerate(stream.frames):
         try:
             detector.step(frame)
         except OutOfOrderFrame as exc:

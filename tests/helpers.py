@@ -119,10 +119,10 @@ def random_rotation(rng):
     return q
 
 
-def stream_scalars(stream: FrameStream):
-    """Flatten every scalar in a stream for exact comparisons."""
+def stream_scalars(stream):
+    """Flatten every scalar in a stream, or in a sequence of frames, for exact comparisons."""
     out = []
-    for f in stream.frames:
+    for f in stream.frames if isinstance(stream, FrameStream) else stream:
         out.append(float(f.timestamp))
         for obs in sorted(f.hands, key=lambda o: o.handedness.value):
             out.extend(obs.palm_position.tolist())

@@ -143,6 +143,18 @@ class TestResultants:
         assert str(direct.value).startswith("normal_right" if bad == "right" else "normal_left")
 
 
+    @pytest.mark.parametrize("bad", ["left", "right"])
+    def test_a_nan_normal_is_refused_by_both_checks(self, bad):
+        # abs(nan - 1) > tolerance is false, so a NaN normal once passed both
+        rng = np.random.default_rng(6)
+        left, right = self.normals(rng, "unit", 50), self.normals(rng, "unit", 50)
+        (left if bad == "left" else right)[20, 1] = np.nan
+        with pytest.raises(NonUnitNormal, match=f"^normal_{bad} has norm nan,") as direct:
+            _resultant(left[20].tolist(), right[20].tolist())
+        with pytest.raises(NonUnitNormal) as vectorised:
+            _resultants(left, right)
+        assert str(vectorised.value) == str(direct.value)
+
 class TestPalmShape:
     def test_endpoints(self):
         assert classify_palm_shape(0.0) == PalmShape.FLAT

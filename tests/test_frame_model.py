@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from hge import (
     NonMonotonicTimestamp,
     build_dataset,
     detect_stage2,
+    drop_frames,
     generate,
+    make_ablation_stream,
     make_canonical_script,
     merge_hand_streams,
     parse_csv_stream,
@@ -30,6 +34,7 @@ from hge import (
 
 from hge.frame_model import (_BLOCK_FRAMES, _GRAB, _TIPS, MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, SIDES, FrameTable,
                              _hand_row, _parse_hand_lines)
+from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec
 
 from helpers import NAN_ROW, brute_force_max_pairs, hand_records, make_hand, stream_scalars
 from test_ingest_properties import PROPERTY
@@ -503,6 +508,93 @@ def test_frames_built_a_chunk_at_a_time_equal_a_one_pass_build(n):
             block = table.blocks[SIDES.index(obs.handedness)]
             assert all(np.shares_memory(v, block) for v in (obs.palm_position, obs.palm_normal, obs.palm_velocity,
                                                              obs.fingertips))
+
+
+def _facing_hold(seconds):
+    return generate(GestureScript((PhaseSpec(PhaseKind.FACING_HOLD, seconds),), fps=200.0))[0]
+
+
+class TestFrameView:
+    """`FrameStream.frames` is a read-only sequence that builds the frames read and keeps none."""
+
+    @pytest.fixture(scope="class")
+    def long_stream(self):
+        return _facing_hold(600.0)     # 120,000 frames, once about 150 MB as a list
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The timestamp of each Frame built while the test runs."""
+        built = []
+        init = Frame.__init__
+
+        def counted(self, timestamp, hands=()):
+            built.append(timestamp)
+            init(self, timestamp, hands)
+
+        monkeypatch.setattr(Frame, "__init__", counted)
+        return built
+
+    def test_len_and_an_index_build_at_most_one_frame(self, long_stream, built):
+        frames = long_stream.frames
+        stamps = long_stream.table.timestamps
+        assert isinstance(frames, Sequence) and len(frames) == len(long_stream) == 120_000
+        assert built == []
+        for k in (0, -1, 1, 255, 256, 60_000, 119_999, -120_000, -256):
+            built.clear()
+            frame = frames[k]
+            assert built == [frame.timestamp] == [stamps[k]] and frame.hand_count == 2
+        built.clear()
+        assert frames[np.int64(7)].timestamp == stamps[7] and len(built) == 1
+
+    @pytest.mark.parametrize("k", [120_000, 120_001, -120_001, 2**63, -2**70])
+    def test_an_index_past_either_end_raises_index_error(self, long_stream, built, k):
+        with pytest.raises(IndexError):
+            long_stream.frames[k]
+        assert built == []
+
+    def test_a_slice_builds_only_its_frames(self, long_stream, built):
+        frames = long_stream.frames
+        stamps = long_stream.table.timestamps
+        for index in (slice(1000, 1010), slice(None, None, 40_000), slice(-3, None), slice(10, 10), slice(5, 2, -1)):
+            built.clear()
+            got = frames[index]
+            assert type(got) is list and built == [f.timestamp for f in got] == stamps[index].tolist()
+
+    def test_it_is_read_only(self):
+        frames = _noisy_canonical().frames
+        with pytest.raises(TypeError):
+            frames[0] = frames[1]
+        assert not hasattr(frames, "append") and not hasattr(frames, "__dict__")
+
+    @pytest.mark.parametrize("make", [
+        _noisy_canonical,
+        lambda: _merged(_noisy_canonical()),
+        lambda: drop_frames(_noisy_canonical(), 0.3, seed=2),
+        *[lambda name=name: make_ablation_stream(name, noise_sigma=1.0) for name in ABLATIONS],
+    ], ids=["generated", "merged", "drop_frames", *ABLATIONS])
+    def test_slices_and_iteration_match_the_eager_list(self, make):
+        stream = make()
+        eager = _one_pass_frames(stream.table)
+        assert [_frame_values(f) for f in list(stream.frames)] == [_frame_values(f) for f in eager]
+        n = len(eager)
+        for index in (slice(None), slice(3, 40), slice(-50, None), slice(None, None, 7), slice(None, None, -3),
+                      slice(n - 10, 10, -9), slice(5, 5), slice(-10**9, 10**9), slice(1, None, 300),
+                      slice(_BLOCK_FRAMES - 1, 2 * _BLOCK_FRAMES + 2, 2)):
+            assert np.array_equal(stream_scalars(stream.frames[index]), stream_scalars(eager[index]))
+        for k in (0, 1, n // 2, -1, -n):
+            assert _frame_values(stream.frames[k]) == _frame_values(eager[k])
+
+    def test_iterating_holds_one_chunk_at_any_length(self, long_stream):
+        def traced_peak(stream):
+            tracemalloc.start()
+            try:
+                for _ in stream.frames:
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(long_stream) < traced_peak(_facing_hold(60.0)) + 2**16
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1])

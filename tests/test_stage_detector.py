@@ -140,6 +140,28 @@ class TestTransitions:
             fresh.step(Frame(0, (right, right)))
         assert fresh.events == [] and fresh.state.last_ts is None
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column, message", [
+        (0, r"^frame at 0 ms: the palms' distance (nan|inf) is not finite$"),
+        (3, r"^normal_left has norm (nan|inf), expected 1 within 0.001$"),
+    ], ids=["palm_x", "normal_x"])
+    def test_a_palm_or_normal_that_is_not_finite_raises_engine_error(self, column, message, value):
+        # a distance that is not finite once reached the slope's exact sums and raised a bare ValueError or
+        # OverflowError; a NaN normal passed the unit check, whose comparison is false for NaN
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        table = stream.table
+        assert (table.rows[0] >= 0).all()
+        left = table.blocks[0].copy()
+        left[table.rows[0, 0], column] = value
+        stream = FrameStream(table=table._replace(blocks=(left, table.blocks[1])))
+        with pytest.raises(EngineError, match=message):
+            detect_stage2(stream)
+        det = Stage2Detector()
+        with pytest.raises(EngineError, match=message):
+            for frame in stream.frames:
+                det.step(frame)
+        assert det.state.last_ts == 0
+
     def test_leading_empty_frames_do_not_fail(self):
         det = Stage2Detector()
         for t in range(0, 2000, 10):
@@ -153,7 +175,7 @@ class TestBoundedVerdict:
         (1.5, "3500 Failed hands_reappeared_elapsed=1.57s_ok=1.00"),    # shorter than stage_min_s
     ])
     def test_both_hands_reappearing_ends_the_rub(self, rub_s, last_line):
-        frames = canonical_stream(rub_duration_s=rub_s).frames
+        frames = list(canonical_stream(rub_duration_s=rub_s).frames)
         end = frames[-1].timestamp
         report = detect_stage2(FrameStream(frames + facing_frames(50, t0=end + 10)))
         assert report.events[-2].name == Phase.RUBBING.value
@@ -592,7 +614,8 @@ def _handless_gap(start_s, gap_s):
 
 def _leading_gap():
     """1.5 s of handless frames before the canonical stream."""
-    return FrameStream([Frame(t, ()) for t in range(0, 1500, 10)] + _shifted(canonical_stream(seed=9), 1500).frames)
+    return FrameStream([Frame(t, ()) for t in range(0, 1500, 10)]
+                       + list(_shifted(canonical_stream(seed=9), 1500).frames))
 
 
 def _lone_line_after_contact():

@@ -227,7 +227,7 @@ class TestPerturbations:
         monkeypatch.setattr(HandObservation, "__init__", counted)
         for selection in (drop_frames(stream, 0.9, seed=1), make_ablation_stream("no_approach", noise_sigma=1.0)):
             built.clear()
-            frames = selection.frames
+            frames = list(selection.frames)
             assert len(built) == sum(f.hand_count for f in frames) == int((selection.table.rows >= 0).sum()) > 0
 
     def test_unknown_ablation_rejected(self):
