@@ -53,8 +53,7 @@ class TrajectoryKind(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class OppositionResult:
+class OppositionResult(NamedTuple):
     """Magnitude of the summed palm normals and the facing verdict."""
 
     resultant_magnitude: float
@@ -390,19 +389,22 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     # this step then rounds a sample whose exact projection is 0 to the side the eigh-based rule rounds it to
     signal = signal - _mean_rows(signal)
 
-    if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
+    if float(np.maximum.reduce(signal) - np.minimum.reduce(signal)) < config.min_oscillation_amplitude_mm:
         return None
 
     positive = signal >= 0
-    change = np.flatnonzero(positive[:-1] != positive[1:])
-    if change.size < 2:
+    changes = (positive[:-1] != positive[1:]).nonzero()[0].tolist()
+    if len(changes) < 2:
         return None
 
-    # each sign change's interpolated time, as whole arrays: elementwise the same arithmetic as one at a time
-    before, after = signal[change], signal[change + 1]
-    t0 = ts[change] / 1000.0
+    # each sign change's interpolated time in Python floats: a rub window holds a handful of changes, for which
+    # a dozen whole-array calls cost more than the arithmetic. A float runs the IEEE operations of numpy's
+    # elementwise loop in the same order, so every bit is kept. A change lies between a sample >= 0 and one < 0,
+    # so the denominator is never 0
     crossings = []
-    for z in (t0 + before / (before - after) * (ts[change + 1] / 1000.0 - t0)).tolist():
+    for k in changes:
+        before, after, t0 = signal.item(k), signal.item(k + 1), ts.item(k) / 1000.0
+        z = t0 + before / (before - after) * (ts.item(k + 1) / 1000.0 - t0)
         if not crossings or z - crossings[-1] >= config.min_crossing_gap_s:
             crossings.append(z)
     if len(crossings) < 2:

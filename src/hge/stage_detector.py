@@ -275,10 +275,17 @@ class Stage2Detector:
         fast velocity sample since contact, so early non-rotational samples
         (the approach tail) cannot lock in a bad plane estimate; the stage
         time limit bounds that history. None until ten samples are held, and
-        on a frame too slow to add one.
+        on a frame too slow to add one. Raises EngineError for a velocity
+        whose squared length is not finite, which no plane can be fitted to.
         """
         v = np.asarray(obs.palm_velocity, float)
-        if float(np.linalg.norm(v)) < self.config.sweep_min_speed_mm_s:
+        x, y, z = v.tolist()
+        # checked in Python floats first: they overflow to inf without the warning numpy's dot gives
+        if not math.isfinite(x * x + y * y + z * z):
+            raise EngineError(f"frame at {ts} ms: the {obs.handedness.value} hand's palm velocity {[x, y, z]} "
+                              f"has a squared length that is not finite")
+        # the dot product and square root np.linalg.norm runs for a 1-D vector
+        if math.sqrt(v.dot(v)) < self.config.sweep_min_speed_mm_s:
             return None
         trail = self.state.vel_history
         trail.push(ts, v, float("inf"))
@@ -287,11 +294,10 @@ class Stage2Detector:
         sample = trail.values[trail.start:trail.end]
         _, (_, middle, principal) = symmetric_eigen3((sample.T @ sample).tolist())
         angles = np.degrees(np.arctan2(sample @ middle, sample @ principal))
-        deltas = np.diff(angles)
-        deltas = (deltas + 180.0) % 360.0 - 180.0
+        deltas = (angles[1:] - angles[:-1] + 180.0) % 360.0 - 180.0     # what np.diff subtracts
         # direction reversals show as near-180 jumps; only smooth rotation counts
         smooth = np.abs(deltas) <= self.config.sweep_max_step_deg
-        return float(deltas[smooth].sum())
+        return float(np.add.reduce(deltas[smooth]))     # the reduction ndarray.sum runs
 
     def _rub_frequency(self) -> Optional[float]:
         """The position window's oscillation rate; None until it spans the window, or if it is too sparse or still."""

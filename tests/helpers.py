@@ -5,7 +5,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hge import Frame, FrameStream, HandObservation, Handedness, HandRecords
+from hge import DEFAULT_CONFIG, Frame, FrameStream, HandObservation, Handedness, HandRecords, TooFewSamples
+from hge.features import _mean_rows, _principal_axes, symmetric_eigen3
+from hge.frame_model import DEVICE_FPS_MIN
 
 
 NAN_ROW = (np.nan, np.nan, np.nan)   # an untracked fingertip
@@ -131,3 +133,61 @@ def stream_scalars(stream):
             out.append(obs.grab_strength)
             out.extend(obs.fingertips.reshape(-1).tolist())
     return np.array(out)
+
+
+def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
+    """estimate_frequency with its crossing times interpolated as whole arrays: flatnonzero, gathers, .max()/.min()."""
+    pts = np.asarray(palm_positions, float)
+    ts = np.asarray(timestamps_ms, float)
+    if len(pts) != len(ts):
+        raise ValueError("positions and timestamps must have equal length")
+    if len(pts) < 2:
+        raise TooFewSamples("need at least 1 s of samples")
+    raw_span = (ts[-1] - ts[0]) / 1000.0
+    if raw_span <= 0:
+        raise TooFewSamples("window has no time extent")
+    span_s = raw_span * len(pts) / (len(pts) - 1)
+    if span_s < 1.0:
+        raise TooFewSamples(f"window spans {span_s:.3f} s, need at least 1 s")
+    if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
+        raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
+    centered, _, axes = _principal_axes(pts)
+    signal = centered @ axes[2]
+    signal = signal - _mean_rows(signal)
+    if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
+        return None
+    positive = signal >= 0
+    change = np.flatnonzero(positive[:-1] != positive[1:])
+    if change.size < 2:
+        return None
+    before, after = signal[change], signal[change + 1]
+    t0 = ts[change] / 1000.0
+    crossings = []
+    for z in (t0 + before / (before - after) * (ts[change + 1] / 1000.0 - t0)).tolist():
+        if not crossings or z - crossings[-1] >= config.min_crossing_gap_s:
+            crossings.append(z)
+    if len(crossings) < 2:
+        return None
+    return (len(crossings) - 1) / (2.0 * (crossings[-1] - crossings[0]))
+
+
+def reference_sweeps(velocities, config=DEFAULT_CONFIG):
+    """Stage2Detector._update_sweep's return for each velocity in turn, with np.linalg.norm, np.diff and .sum."""
+    kept, sweeps = [], []
+    for v in velocities:
+        v = np.asarray(v, float)
+        if float(np.linalg.norm(v)) < config.sweep_min_speed_mm_s:
+            sweeps.append(None)
+            continue
+        kept.append(v)
+        if len(kept) < 10:
+            sweeps.append(None)
+            continue
+        sample = np.array(kept)
+        _, (_, middle, principal) = symmetric_eigen3((sample.T @ sample).tolist())
+        angles = np.degrees(np.arctan2(sample @ middle, sample @ principal))
+        deltas = np.diff(angles)
+        deltas = (deltas + 180.0) % 360.0 - 180.0
+        smooth = np.abs(deltas) <= config.sweep_max_step_deg
+        sweeps.append(float(deltas[smooth].sum()))
+    return sweeps

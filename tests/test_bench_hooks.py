@@ -34,8 +34,9 @@ def test_span_hooks_install_and_restore(monkeypatch):
 
 
 def test_traced_detector_reaches_the_frequency_rule_by_its_wrapped_name(monkeypatch):
-    # the traced run counts estimate_frequency calls through hge.stage_detector's name for it;
-    # a detector that reached the rule another way would leave that count, and its metric, blank
+    # the traced run counts estimate_frequency calls through hge.stage_detector's name for it, and times
+    # palm_opposition through the same module's name; a detector that reached either rule another way, or
+    # inlined it, would leave that count or time, and its metric, blank
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
@@ -46,6 +47,7 @@ def test_traced_detector_reaches_the_frequency_rule_by_its_wrapped_name(monkeypa
         restore()
     assert report.verdict == hge.stage_detector.Verdict.COMPLETED
     assert tracer.counts["features.estimate_frequency"] > 0
+    assert any(span[spans.NAME] == "features.palm_opposition" for span in tracer.spans)
 
 
 def test_the_benchmarks_unit_counts_build_no_frame(monkeypatch):

@@ -25,6 +25,7 @@ from hge import (
     TrajectoryKind,
     classify_palm_shape,
     classify_trajectory,
+    detect_stage2,
     estimate_frequency,
     extract_feature_vector,
     finger_spread,
@@ -42,8 +43,9 @@ from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel, drop_frames
 from dataclasses import replace
 
+import hge.stage_detector
 from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
-                     random_unit, sinusoid)
+                     random_unit, reference_frequency, sinusoid)
 from test_ingest_properties import PROPERTY, _untrack
 from test_stage_detector import _SCRIPTS
 
@@ -99,6 +101,15 @@ class TestPalmOpposition:
             b /= np.linalg.norm(b)
             r = palm_opposition(a, b)
             assert r.resultant_magnitude == pytest.approx(float(np.linalg.norm(a + b)), rel=1e-12, abs=1e-12)
+
+    def test_the_result_keeps_its_fields_and_refuses_assignment(self):
+        r = palm_opposition((0, 1, 0), (0, 1, 0))
+        assert r._fields == ("resultant_magnitude", "facing")
+        assert (r.resultant_magnitude, r.facing) == (2.0, False)
+        with pytest.raises(AttributeError):
+            r.facing = True
+        with pytest.raises(AttributeError):
+            r.resultant_magnitude = 0.0
 
 
 class TestResultants:
@@ -336,6 +347,109 @@ class TestFrequency:
     def test_malformed_input_rejected(self, n_pos, ts, error, message):
         with pytest.raises(error, match=message):
             estimate_frequency(np.zeros((n_pos, 3)), ts)
+
+
+def _outcome(rule, positions, stamps):
+    """A frequency rule's return, or the type and text of what it raised."""
+    try:
+        return rule(positions, stamps)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _rub_windows():
+    """1.5 s rubs at 0.5-4.5 Hz and 50, 100 and 200 FPS, along x and along a random axis, σ 0, 1 and 3 mm,
+    and a 2.1 Hz triangle wave that crosses through samples at exactly 0."""
+    rng = np.random.default_rng(31)
+    for fps in (50.0, 100.0, 200.0):
+        for hz in np.arange(0.5, 4.6, 0.5):
+            for sigma in (0.0, 1.0, 3.0):
+                pos, ts = sinusoid(hz, 30.0, 1.5, fps)
+                yield pos + rng.normal(0.0, sigma, pos.shape), ts
+                turned = (pos - [0.0, 200.0, 0.0]) @ random_rotation(rng).T + rng.uniform(-300.0, 300.0, 3)
+                yield turned + rng.normal(0.0, sigma, pos.shape), ts
+    # a whole-mm triangle wave along x has an exact mean and axis, so its centre samples are exactly 0: the sign
+    # test puts them on the positive side, and a crossing next to one interpolates from or to an exact 0
+    swing = np.concatenate([np.arange(0, 12), np.arange(12, -12, -1), np.arange(-12, 0)]) * 2.0
+    pos = np.outer(np.tile(swing, 3), [1.0, 0.0, 0.0]) + [0.0, 200.0, 0.0]
+    yield pos, np.arange(len(pos)) * 10
+
+
+def _noise_windows():
+    """1.5 s of a still palm under σ 0.5, 1 and 4 mm of noise: dozens of sign changes, most within the debounce."""
+    rng = np.random.default_rng(32)
+    for fps in (50.0, 100.0, 200.0):
+        for sigma in (0.5, 1.0, 4.0):
+            for _ in range(4):
+                ts = np.rint(np.arange(int(1.5 * fps)) * 1000.0 / fps)
+                yield rng.normal([0.0, 200.0, 0.0], sigma, (len(ts), 3)), ts
+
+
+def _detector_windows(monkeypatch, streams):
+    """Copies of every window the detector passes to estimate_frequency over the streams."""
+    windows, rule = [], hge.stage_detector.estimate_frequency
+
+    def recording(positions, stamps, config):
+        windows.append((positions.copy(), stamps.copy()))
+        return rule(positions, stamps, config)
+
+    monkeypatch.setattr(hge.stage_detector, "estimate_frequency", recording)
+    for stream in streams:
+        detect_stage2(stream)
+    monkeypatch.undo()
+    return windows
+
+
+def _sign_changes(window):
+    """A window's mean-removed principal-axis signal, as estimate_frequency forms it, and its count of sign changes."""
+    centered, _, axes = _principal_axes(np.asarray(window[0], float))
+    signal = centered @ axes[2]
+    signal = signal - _mean_rows(signal)
+    return signal, int(np.count_nonzero((signal[:-1] >= 0) != (signal[1:] >= 0)))
+
+
+class TestFrequencyMatchesTheWholeArrayRule:
+    """estimate_frequency interpolates each sign change in Python floats; reference_frequency does it as whole
+    arrays. The two must agree to the bit, in None and in what they raise."""
+
+    def test_rubs(self):
+        windows = list(_rub_windows())
+        assert len(windows) == 163
+        assert np.count_nonzero(_sign_changes(windows[-1])[0] == 0.0) == 6
+        for positions, stamps in windows:
+            assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
+        # the σ = 0 rubs hold samples a rounding away from zero, whose side the sign test must read the same
+        assert any(np.any((0.0 < abs(signal)) & (abs(signal) < 1e-13)) for signal, _ in map(_sign_changes, windows))
+
+    def test_noise(self):
+        windows = list(_noise_windows())
+        assert np.median([_sign_changes(window)[1] for window in windows]) >= 24
+        outcomes = [_outcome(estimate_frequency, p, ts) for p, ts in windows]
+        assert outcomes == [_outcome(reference_frequency, p, ts) for p, ts in windows]
+        assert any(isinstance(o, float) for o in outcomes) and None in outcomes
+
+    @pytest.mark.parametrize("fps", [50.0, 100.0, 200.0])
+    def test_the_detectors_windows_with_dropped_frames(self, monkeypatch, fps):
+        streams = [drop_frames(generate(make_canonical_script(noise_sigma=sigma, seed=seed, fps=fps))[0], rate, seed)
+                   for sigma in (0.0, 1.0) for rate, seed in ((0.0, 4), (0.1, 5), (0.3, 6))]
+        windows = _detector_windows(monkeypatch, streams)
+        assert len(windows) > 100
+        assert any(len(set(np.diff(ts).tolist())) > 2 for _, ts in windows)     # irregular spacing
+        for positions, stamps in windows:
+            assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
+
+    @pytest.mark.parametrize("positions, stamps", [
+        (np.zeros((3, 3)), [0, 10]),
+        (np.zeros((1, 3)), [0]),
+        (np.zeros((3, 3)), [500, 500, 500]),
+        sinusoid(2.0, 30.0, 0.5, 100.0),
+        sinusoid(2.0, 30.0, 3.0, 25.0),
+        (np.zeros((150, 3)), np.arange(150) * 10),
+    ], ids=["lengths", "one_sample", "no_extent", "short", "sparse", "still"])
+    def test_refusals(self, positions, stamps):
+        outcome = _outcome(estimate_frequency, positions, stamps)
+        assert outcome == _outcome(reference_frequency, positions, stamps)
+        assert outcome is None or issubclass(outcome[0], (ValueError, TooFewSamples))
 
 
 def assert_eigenpairs(a, evals, evecs):

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+import warnings
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -33,7 +35,7 @@ import hge.stage_detector
 from hge.stage_detector import RUB_GRID_MS, WORKING_PHASES, DistanceWindow
 from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec, PrimitiveKind
 
-from helpers import facing_frames, make_hand
+from helpers import facing_frames, make_hand, random_plane_basis, reference_sweeps
 from test_ingest_properties import PROPERTY
 
 
@@ -162,6 +164,31 @@ class TestTransitions:
                 det.step(frame)
         assert det.state.last_ts == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200], ids=["nan", "inf", "-inf", "1e200"])
+    def test_a_palm_velocity_without_a_finite_speed_after_contact_raises_engine_error(self, value):
+        # such a velocity once entered the sweep's history and held every later sweep at NaN, so a completed
+        # rub failed in ContactOccluded with no error; a finite one whose square overflows raises too, unwarned
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        events = detect_stage2(stream).events
+        assert [ev.name for ev in events if 1930 <= ev.timestamp_ms <= 2260] == ["ContactOccluded", "Rubbing"]
+        table = stream.table
+        index = int(np.flatnonzero(table.timestamps == 1980)[0])
+        right = table.blocks[1].copy()
+        right[table.rows[index, 1], 6] = value     # vel_x of the surviving hand
+        stream = FrameStream(table=table._replace(blocks=(table.blocks[0], right)))
+        message = (rf"^frame at 1980 ms: the Right hand's palm velocity \[{re.escape(str(value))}, -?0\.0, -?0\.0\] "
+                   r"has a squared length that is not finite$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EngineError, match=message):
+                detect_stage2(stream)
+            det = Stage2Detector()
+            with pytest.raises(EngineError, match=message):
+                for frame in stream.frames:
+                    det.step(frame)
+        assert det.state.last_ts == 1980
+        assert det.events == [ev for ev in events if ev.timestamp_ms < 1980]
+
     def test_leading_empty_frames_do_not_fail(self):
         det = Stage2Detector()
         for t in range(0, 2000, 10):
@@ -260,6 +287,32 @@ class TestBoundedVerdict:
             assert len(trail.times) == len(trail.values) <= max(16, 1.5 * n)
         assert det.state.phase == Phase.CONTACT_OCCLUDED     # a line never sweeps 180 degrees
         assert (frames[-1].timestamp - det.state.contact_ts) / 1000.0 >= 20.0 and slow >= 190
+
+    def test_sweeps_are_those_of_the_whole_array_rule(self):
+        # _update_sweep gates on the dot product's square root and sums its deltas with np.add.reduce;
+        # reference_sweeps runs np.linalg.norm, np.diff and .sum, and the two must agree to the bit
+        rng = np.random.default_rng(34)
+        runs = []
+        for _ in range(12):      # turning in a random plane, with slow samples and reversals
+            u, w = random_plane_basis(rng)
+            turn = np.radians(np.cumsum(rng.normal(8.0, 6.0, 120)))
+            v = rng.uniform(0.0, 400.0, (120, 1)) * (np.cos(turn)[:, None] * u + np.sin(turn)[:, None] * w)
+            v[rng.random(120) < 0.1] *= -1.0
+            runs.append(v + rng.normal(0.0, 5.0, v.shape))
+        # turning, with every other sample at the speed gate: the gate's last bit decides which are kept
+        u, w = random_plane_basis(rng)
+        turn = np.radians(np.arange(120) * 5.0)[:, None]
+        edge = rng.normal(size=(120, 3))
+        edge *= DEFAULT_CONFIG.sweep_min_speed_mm_s / np.linalg.norm(edge, axis=1)[:, None]
+        runs.append(np.where(np.arange(120)[:, None] % 2, edge, 300.0 * (np.cos(turn) * u + np.sin(turn) * w)))
+        for seed in range(4):    # the surviving hand's velocities over a whole canonical stream
+            table = canonical_stream(seed=seed, noise_sigma=1.0).table
+            runs.append(table.blocks[1][table.rows[table.rows[:, 1] >= 0, 1], 6:9])
+        for run in runs:
+            det = Stage2Detector()
+            sweeps = [det._update_sweep(10 * i, make_hand(Handedness.RIGHT, velocity=v)) for i, v in enumerate(run)]
+            assert sweeps == reference_sweeps(run)
+            assert sum(s is None for s in sweeps) >= 9 and sum(s is not None for s in sweeps) > 50
 
 
 def _rub_then_still(fps, seed):
