@@ -134,22 +134,23 @@ def _check_unit_norm(name: str, norm: float):
         raise NonUnitNormal(f"{name} has norm {norm:.6f}, expected 1 within {NORMAL_TOLERANCE}")
 
 
-def _resultant(a, b) -> float:
-    """|a + b| of the left and right palm normals, two float triples, after each one's unit check."""
-    ax, ay, az = a
-    bx, by, bz = b
+def _unit_normals(normal_left, normal_right):
+    """The left and right palm normals as float triples, after each one's unit check, the left one's first."""
+    a, b = np.asarray(normal_left, float).tolist(), np.asarray(normal_right, float).tolist()
+    (ax, ay, az), (bx, by, bz) = a, b
     _check_unit_norm("normal_left", math.sqrt(ax * ax + ay * ay + az * az))
     _check_unit_norm("normal_right", math.sqrt(bx * bx + by * by + bz * bz))
-    sx, sy, sz = ax + bx, ay + by, az + bz
-    return math.sqrt(sx * sx + sy * sy + sz * sz)
+    return a, b
 
 
 def palm_opposition(normal_left, normal_right, config: EngineConfig = DEFAULT_CONFIG) -> OppositionResult:
-    """Resultant of the two palm normals; a small magnitude means opposed palms.
+    """Resultant of the two palm normals, after each one's unit check; a small magnitude means opposed palms.
 
     Facing is the strict comparison |left + right| < facing_resultant_max.
     """
-    magnitude = _resultant(np.asarray(normal_left, float).tolist(), np.asarray(normal_right, float).tolist())
+    (ax, ay, az), (bx, by, bz) = _unit_normals(normal_left, normal_right)
+    sx, sy, sz = ax + bx, ay + by, az + bz
+    magnitude = math.sqrt(sx * sx + sy * sy + sz * sz)
     return OppositionResult(magnitude, magnitude < config.facing_resultant_max)
 
 
@@ -437,7 +438,7 @@ def _hand_samples(table: FrameTable, side: int) -> _HandSamples:
 
 
 def _resultants(left: np.ndarray, right: np.ndarray):
-    """_resultant of each pair of rows of two (m, 3) normal arrays, bit for bit, and the sums behind it.
+    """palm_opposition's magnitude for each pair of rows of two (m, 3) normal arrays, bit for bit, and their sums.
 
     Raises _check_unit_norm's NonUnitNormal for the first pair with a normal
     off unit length or NaN, its left normal checked before its right.

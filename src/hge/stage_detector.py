@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import EngineError, OutOfOrderFrame, TooFewSamples
-from .features import estimate_frequency, palm_opposition, symmetric_eigen3
+from .features import _unit_normals, estimate_frequency, palm_opposition, symmetric_eigen3
 from .frame_model import (DEVICE_FPS_MIN, MAX_TIMESTAMP_MS, Frame, FrameStream, HandObservation, Handedness,
                           _repeated_side)
 
@@ -117,12 +117,6 @@ class Trail:
             self.start += 1
 
 
-def _scaled(d: float) -> int:
-    """d * 2**1074 as an exact integer: every finite float is a whole multiple of 2**-1074."""
-    num, den = d.as_integer_ratio()
-    return num << (1075 - den.bit_length())
-
-
 class DistanceWindow:
     """(timestamp, inter-palm distance) samples over a trailing time span, with their exact least-squares slope.
 
@@ -130,17 +124,20 @@ class DistanceWindow:
     those older than the span. The first slope() call builds five sums over
     them as exact integers: the count, and the sums of t, t**2, D and t*D,
     with t the whole ms since `anchor` (the oldest sample then held) and D
-    the distance times 2**1074. Every later push adds its sample to the sums
-    and takes each trimmed one out, so slope() costs the same at any window
-    length and rounds only once, in its final integer division. Until the
-    first slope() call, and after drop_sums(), a push is a deque append
-    and trim.
+    the distance times 2**shift, 2**-shift being the finest power of two in
+    the as_integer_ratio() of a distance counted. A finer distance shifts the
+    D sums and `terms`, each counted sample's t, t**2, D and t*D, left. Every
+    later push adds its terms to the sums and takes each trimmed sample's
+    out, so slope() costs the same at any window length and rounds only once,
+    in its final integer division. Until the first slope() call, and after
+    drop_sums(), a push is a deque append and trim.
     """
 
     def __init__(self):
         self.samples: deque = deque()
         self.sums: Optional[list] = None    # [n, sum t, sum t**2, sum D, sum t*D]
-        self.anchor = 0
+        self.terms: deque = deque()
+        self.anchor = self.shift = 0
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -154,32 +151,40 @@ class DistanceWindow:
             while samples[0][0] < horizon:
                 samples.popleft()
             return
-        self._count(ts, d, 1)
+        self._count(ts, d)
         while samples[0][0] < horizon:
-            self._count(*samples.popleft(), -1)
+            samples.popleft()
+            t, tt, big, tbig = self.terms.popleft()
+            n, st, stt, sd, std = self.sums
+            self.sums = [n - 1, st - t, stt - tt, sd - big, std - tbig]
 
-    def _count(self, ts: int, d: float, sign: int):
-        """Add a sample to the sums (sign 1) or take it out (sign -1)."""
-        t, big = ts - self.anchor, _scaled(d)
-        sums = self.sums
-        sums[0] += sign
-        sums[1] += sign * t
-        sums[2] += sign * t * t
-        sums[3] += sign * big
-        sums[4] += sign * t * big
+    def _count(self, ts: int, d: float):
+        """Add a sample to the sums, first rescaling them if its distance is finer than every one counted."""
+        num, den = d.as_integer_ratio()
+        fine = den.bit_length() - 1
+        n, st, stt, sd, std = self.sums
+        if fine > self.shift:
+            up, self.shift = fine - self.shift, fine
+            sd, std = sd << up, std << up
+            self.terms = deque((t, tt, big << up, tbig << up) for t, tt, big, tbig in self.terms)
+        t, big = ts - self.anchor, num << (self.shift - fine)
+        tt, tbig = t * t, t * big
+        self.terms.append((t, tt, big, tbig))
+        self.sums = [n + 1, st + t, stt + tt, sd + big, std + tbig]
 
     def drop_sums(self):
         """Stop keeping the sums; pushes go back to an append and a trim."""
         self.sums = None
+        self.terms.clear()
 
     def slope(self) -> float:
         """Least-squares slope of distance over time in mm/s, the exact value rounded once; needs two timestamps."""
         if self.sums is None:
-            self.anchor, self.sums = self.samples[0][0], [0, 0, 0, 0, 0]
+            self.anchor, self.shift, self.sums = self.samples[0][0], 0, [0, 0, 0, 0, 0]
             for ts, d in self.samples:
-                self._count(ts, d, 1)
+                self._count(ts, d)
         n, st, stt, sd, std = self.sums
-        return 1000 * (n * std - st * sd) / ((n * stt - st * st) << 1074)
+        return 1000 * (n * std - st * sd) / ((n * stt - st * st) << self.shift)
 
 
 @dataclass
@@ -187,7 +192,8 @@ class DetectorState:
     """Everything a detection run remembers between frames.
 
     The distance window keeps the exact sums behind the approach slope only
-    while the run is in PalmsFacing, the one phase that reads the slope.
+    while the run is in PalmsFacing, the one phase that reads the slope, and
+    only AwaitingTwoHands computes the palms' opposition, into `facing`.
     """
 
     phase: Phase = Phase.AWAITING_TWO_HANDS
@@ -244,10 +250,11 @@ class Stage2Detector:
 
     # -- per-phase helpers ------------------------------------------------
 
-    def _update_two_hand_tracking(self, frame: Frame):
-        """On a two-hand frame: push the palms' distance and return their opposition.
+    def _update_two_hand_tracking(self, frame: Frame, opposition: bool = False):
+        """On a two-hand frame: push the palms' distance, then return the palms' facing verdict if asked.
 
-        Raises EngineError for a distance that is not finite, which the slope's exact sums cannot hold.
+        AwaitingTwoHands, the one phase that reads it, asks; the other phases only check both normals' unit
+        length. Raises EngineError for a distance that is not finite, which the slope's exact sums cannot hold.
         """
         a, b = frame.hands
         left, right = (a, b) if a.handedness == Handedness.LEFT else (b, a)
@@ -256,7 +263,9 @@ class Stage2Detector:
         if not math.isfinite(d):
             raise EngineError(f"frame at {frame.timestamp} ms: the palms' distance {d} is not finite")
         self.state.dist_window.push(frame.timestamp, d, self.config.approach_window_s)
-        return palm_opposition(left.palm_normal, right.palm_normal, self.config)
+        if opposition:
+            return palm_opposition(left.palm_normal, right.palm_normal, self.config).facing
+        _unit_normals(left.palm_normal, right.palm_normal)
 
     def _approach_slope(self) -> Optional[float]:
         """The distance window's exact least-squares slope in mm/s, once it holds five samples over 90% of its span.
@@ -380,8 +389,7 @@ class Stage2Detector:
                 self._enter(Phase.FAILED, ts, "hands_lost")
 
         if s.phase == Phase.AWAITING_TWO_HANDS:
-            opposition = self._update_two_hand_tracking(frame) if hc == 2 else None
-            facing = None if opposition is None else opposition.facing
+            facing = self._update_two_hand_tracking(frame, opposition=True) if hc == 2 else None
             if facing is None or facing != s.facing:
                 s.facing, s.run_since = facing, ts
             elif facing:
@@ -424,6 +432,10 @@ class Stage2Detector:
         s, cfg, ts = self.state, self.config, frame.timestamp
         obs = frame.hand(s.surviving)
         if obs is not None:
+            x, y, z = obs.palm_position.tolist()
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise EngineError(f"frame at {ts} ms: the {obs.handedness.value} hand's palm position {[x, y, z]} "
+                                  "is not finite")
             s.pos_window.push(ts, obs.palm_position, cfg.rub_freq_window_s)
         if (ts - s.pos_window.last) / 1000.0 > cfg.lost_hands_timeout_s:
             self._evaluate_completion(ts, "hands_lost")

@@ -191,3 +191,13 @@ def reference_sweeps(velocities, config=DEFAULT_CONFIG):
         smooth = np.abs(deltas) <= config.sweep_max_step_deg
         sweeps.append(float(deltas[smooth].sum()))
     return sweeps
+
+
+def reference_slope(samples):
+    """DistanceWindow.slope's rule before its sums were scaled to the window: every distance times 2**1074."""
+    t0, n, st, stt, sd, std = samples[0][0], 0, 0, 0, 0, 0
+    for ts, d in samples:
+        num, den = d.as_integer_ratio()
+        t, big = ts - t0, num << (1075 - den.bit_length())
+        n, st, stt, sd, std = n + 1, st + t, stt + t * t, sd + big, std + t * big
+    return 1000 * (n * std - st * sd) / ((n * stt - st * st) << 1074)

@@ -38,7 +38,7 @@ from hge import (
     parse_csv_stream,
     write_csv_stream,
 )
-from hge.features import _mean_rows, _principal_axes, _resultant, _resultants, symmetric_eigen3
+from hge.features import _mean_rows, _principal_axes, _resultants, symmetric_eigen3
 from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel, drop_frames
 from dataclasses import replace
@@ -113,7 +113,7 @@ class TestPalmOpposition:
 
 
 class TestResultants:
-    """extract_feature_vector's |A+B| over all two-hand frames at once, against _resultant one pair at a time."""
+    """extract_feature_vector's |A+B| over all two-hand frames at once, against palm_opposition one pair at a time."""
 
     def normals(self, rng, kind, n=400):
         if kind == "negative_zero":     # unit normals along an axis or in a coordinate plane, zeros of both signs
@@ -135,8 +135,9 @@ class TestResultants:
         left = self.normals(rng, kind)
         right = np.where(rng.random((len(left), 1)) < 0.5, -left, self.normals(rng, kind))   # facing pairs too
         summed, magnitude = _resultants(left, right)
-        assert magnitude.tolist() == [_resultant(a, b) for a, b in zip(left.tolist(), right.tolist())]
-        assert summed.tolist() == [[x + y for x, y in zip(a, b)] for a, b in zip(left.tolist(), right.tolist())]
+        pairs = list(zip(left.tolist(), right.tolist()))
+        assert magnitude.tolist() == [palm_opposition(a, b).resultant_magnitude for a, b in pairs]
+        assert summed.tolist() == [[x + y for x, y in zip(a, b)] for a, b in pairs]
 
     @pytest.mark.parametrize("bad", ["left", "right", "both"])
     def test_first_non_unit_pair_is_named_as_the_per_pair_check_names_it(self, bad):
@@ -147,7 +148,7 @@ class TestResultants:
         right[20] *= scale if bad in ("right", "both") else 1.0
         left[30] *= scale      # a later pair's left normal must not be the one named
         with pytest.raises(NonUnitNormal) as direct:
-            _resultant(left[20].tolist(), right[20].tolist())
+            palm_opposition(left[20].tolist(), right[20].tolist())
         with pytest.raises(NonUnitNormal) as vectorised:
             _resultants(left, right)
         assert str(vectorised.value) == str(direct.value)
@@ -161,7 +162,7 @@ class TestResultants:
         left, right = self.normals(rng, "unit", 50), self.normals(rng, "unit", 50)
         (left if bad == "left" else right)[20, 1] = np.nan
         with pytest.raises(NonUnitNormal, match=f"^normal_{bad} has norm nan,") as direct:
-            _resultant(left[20].tolist(), right[20].tolist())
+            palm_opposition(left[20].tolist(), right[20].tolist())
         with pytest.raises(NonUnitNormal) as vectorised:
             _resultants(left, right)
         assert str(vectorised.value) == str(direct.value)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import re
 import tracemalloc
@@ -6,6 +7,7 @@ import warnings
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,7 @@ from hge import (
     Frame,
     FrameStream,
     Handedness,
+    NonUnitNormal,
     OutOfOrderFrame,
     Phase,
     Stage2Detector,
@@ -35,13 +38,39 @@ import hge.stage_detector
 from hge.stage_detector import RUB_GRID_MS, WORKING_PHASES, DistanceWindow
 from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec, PrimitiveKind
 
-from helpers import facing_frames, make_hand, random_plane_basis, reference_sweeps
+from helpers import facing_frames, make_hand, random_plane_basis, reference_slope, reference_sweeps
 from test_ingest_properties import PROPERTY
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def canonical_stream(seed=0, **kw):
     stream, _ = generate(make_canonical_script(seed=seed, **kw))
     return stream
+
+
+def _with_value(stream, ts, side, column, value):
+    """The stream with one value of one hand's row at timestamp ts replaced, over a copied block."""
+    table = stream.table
+    blocks = list(table.blocks)
+    blocks[side] = blocks[side].copy()
+    blocks[side][table.rows[int(np.flatnonzero(table.timestamps == ts)[0]), side], column] = value
+    return FrameStream(table=table._replace(blocks=tuple(blocks)))
+
+
+def _raises_at(stream, error, message):
+    """Assert that detect_stage2 and a stepped detector both raise error matching message, with warnings as
+    errors; returns the stepped detector."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            detect_stage2(stream)
+        det = Stage2Detector()
+        with pytest.raises(error, match=message):
+            for frame in stream.frames:
+                det.step(frame)
+    return det
 
 
 class TestTransitions:
@@ -188,6 +217,39 @@ class TestTransitions:
                     det.step(frame)
         assert det.state.last_ts == 1980
         assert det.events == [ev for ev in events if ev.timestamp_ms < 1980]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_palm_position_that_is_not_finite_after_contact_raises_engine_error(self, value):
+        # such a position once entered the rub's position window: the run still completed, and inf warned
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        events = detect_stage2(stream).events
+        assert [ev.name for ev in events if 1930 <= ev.timestamp_ms <= 2260] == ["ContactOccluded", "Rubbing"]
+        stream = _with_value(stream, 1980, 1, 0, value)     # palm_x of the surviving hand
+        message = (rf"^frame at 1980 ms: the Right hand's palm position \[{re.escape(str(value))}, "
+                   r"-?\d+\.\d+(e-?\d+)?, -?\d+\.\d+(e-?\d+)?\] is not finite$")
+        det = _raises_at(stream, EngineError, message)
+        assert det.state.last_ts == 1980
+        assert det.events == [ev for ev in events if ev.timestamp_ms < 1980]
+
+    @pytest.mark.parametrize("phase", [Phase.PALMS_FACING, Phase.APPROACHING])
+    @pytest.mark.parametrize("side, column, value, message", [
+        (0, 4, math.nan, r"^normal_left has norm nan, expected 1 within 0\.001$"),
+        (1, 4, 1.01, r"^normal_right has norm 1\.\d{6}, expected 1 within 0\.001$"),
+    ], ids=["nan_left", "long_right"])
+    def test_a_bad_normal_after_awaiting_two_hands_raises_non_unit_normal(self, phase, side, column, value, message):
+        # only AwaitingTwoHands reads the palms' opposition, but every two-hand phase before contact checks
+        # both normals, the left one first, in palm_opposition's words
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        events = detect_stage2(stream).events
+        entries = [ev.timestamp_ms for ev in events]
+        start = entries[[ev.name for ev in events].index(phase.value)]
+        stop = entries[entries.index(start) + 1]
+        ts = (start + stop) // 20 * 10      # a two-hand frame inside the phase
+        k = int(np.flatnonzero(stream.table.timestamps == ts)[0])
+        assert start < ts < stop and (stream.table.rows[k] >= 0).all()
+        det = _raises_at(_with_value(stream, ts, side, column, value), NonUnitNormal, message)
+        assert det.state.last_ts == ts and det.state.phase == phase
+        assert det.events == [ev for ev in events if ev.timestamp_ms < ts]
 
     def test_leading_empty_frames_do_not_fail(self):
         det = Stage2Detector()
@@ -539,6 +601,37 @@ class TestApproachSlope:
         assert _slope(stamps, distances, 0.5) == pytest.approx(-50.0, rel=1e-12)
         assert _slope(stamps[:-1], distances[:-1], 0.5) is None
         assert _slope(stamps[:4], distances[:4], 0.01) is None     # fewer than five samples
+
+    # distances whose finest power of two is 2**-40, 2**-1074 and 2**0, entering a window of 150-ish ones
+    # mid-way and leaving it six pushes later
+    @pytest.mark.parametrize("fine", [[2.0**-40], [5e-324], [0.0], [2.0**-40, 5e-324, 0.0], [5e-324, 2.0**-40]])
+    @pytest.mark.parametrize("first_slope", [2, 9])
+    def test_a_finer_distance_entering_and_leaving_keeps_the_exact_slope(self, fine, first_slope):
+        distances = [150.0, 149.75, 151.5, 148.0, 150.125, 147.5, 146.0] + fine + [145.25, 146.5, 140.0] * 4
+        window = DistanceWindow()
+        for k, d in enumerate(distances):
+            window.push(10 * k, d, 0.05)        # six samples at most
+            if k + 1 >= first_slope:
+                assert window.slope() == _exact_slope(list(window.samples))
+                assert window.shift >= max(x.as_integer_ratio()[1].bit_length() - 1 for _, x in window.samples)
+        assert all(d not in fine for _, d in window.samples)
+
+    def test_the_slope_is_that_of_the_2_1074_rule_over_the_benchmark_sessions(self, monkeypatch):
+        # every PalmsFacing window the detector fits over the benchmark's live and batch sessions
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        inputs = importlib.import_module("inputs")
+        fitted = []
+        slope = DistanceWindow.slope
+
+        def recorded(window):
+            fitted.append((list(window.samples), slope(window)))
+            return fitted[-1][1]
+
+        monkeypatch.setattr(DistanceWindow, "slope", recorded)
+        for session in inputs.live_sessions(1) + inputs.batch_sessions(1):
+            detect_stage2(inputs.render(session).stream)
+        assert len(fitted) > 4000      # 4,625 at this seed
+        assert [value for _, value in fitted] == [reference_slope(samples) for samples, _ in fitted]
 
 
 _DISTANCES = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e15]),
