@@ -48,6 +48,9 @@ WORKING_PHASES = (
 )
 CONTACT_PHASES = (Phase.CONTACT_OCCLUDED, Phase.RUBBING)
 TERMINAL_PHASES = (Phase.COMPLETED, Phase.FAILED)
+# step tests the phase and a side several times a frame: a global read costs a third of the enum class's lookup
+_AWAITING_TWO_HANDS, _PALMS_FACING, _APPROACHING, _CONTACT_OCCLUDED = WORKING_PHASES[:4]
+_LEFT = Handedness.LEFT
 _ENTRY_NAMES = frozenset(p.value for p in WORKING_PHASES)
 RUB_GRID_MS = 1000.0 / DEVICE_FPS_MIN   # the rub is scored at most this often: every frame at the slowest device rate
 
@@ -112,9 +115,10 @@ class Trail:
         self.values[self.end] = value
         self.end += 1
         self.last = ts
-        horizon = ts - span_s * 1000.0
-        while self.times[self.start] < horizon:
-            self.start += 1
+        horizon, start = ts - span_s * 1000.0, self.start
+        while self.times.item(start) < horizon:     # a Python float compares faster than a numpy scalar
+            start += 1
+        self.start = start
 
 
 class DistanceWindow:
@@ -257,7 +261,7 @@ class Stage2Detector:
         length. Raises EngineError for a distance that is not finite, which the slope's exact sums cannot hold.
         """
         a, b = frame.hands
-        left, right = (a, b) if a.handedness == Handedness.LEFT else (b, a)
+        left, right = (a, b) if a.handedness == _LEFT else (b, a)
         # math.dist of the palms, inter_palm_distance's rule
         d = math.dist(left.palm_position.tolist(), right.palm_position.tolist())
         if not math.isfinite(d):
@@ -301,9 +305,14 @@ class Stage2Detector:
         if len(trail) < 10:
             return None
         sample = trail.values[trail.start:trail.end]
-        _, (_, middle, principal) = symmetric_eigen3((sample.T @ sample).tolist())
-        angles = np.degrees(np.arctan2(sample @ middle, sample @ principal))
-        deltas = (angles[1:] - angles[:-1] + 180.0) % 360.0 - 180.0     # what np.diff subtracts
+        # ndarray.dot and the in-place steps give the bits of sample.T @ sample, sample @ axis and the
+        # out-of-place arithmetic, with less of numpy's per-call overhead
+        _, (_, middle, principal) = symmetric_eigen3(sample.T.dot(sample).tolist())
+        angles = np.degrees(np.arctan2(sample.dot(middle), sample.dot(principal)))
+        deltas = angles[1:] - angles[:-1]     # what np.diff subtracts
+        deltas += 180.0
+        deltas %= 360.0
+        deltas -= 180.0
         # direction reversals show as near-180 jumps; only smooth rotation counts
         smooth = np.abs(deltas) <= self.config.sweep_max_step_deg
         return float(np.add.reduce(deltas[smooth]))     # the reduction ndarray.sum runs
@@ -312,12 +321,11 @@ class Stage2Detector:
         """The position window's oscillation rate; None until it spans the window, or if it is too sparse or still."""
         cfg = self.config
         trail = self.state.pos_window     # holds at least the contact frame's sample
-        times = trail.times[trail.start:trail.end]
         # wait for a full-length window; short windows miscount crossings
-        if (trail.last - times[0]) / 1000.0 < 0.95 * cfg.rub_freq_window_s:
+        if (trail.last - trail.times.item(trail.start)) / 1000.0 < 0.95 * cfg.rub_freq_window_s:
             return None
         try:
-            return estimate_frequency(trail.values[trail.start:trail.end], times, cfg)
+            return estimate_frequency(trail.values[trail.start:trail.end], trail.times[trail.start:trail.end], cfg)
         except TooFewSamples:
             return None
 
@@ -369,11 +377,12 @@ class Stage2Detector:
             raise EngineError(f"timestamp {ts} is not below {MAX_TIMESTAMP_MS} ms")
         if prev_ts is not None and ts <= prev_ts:
             raise OutOfOrderFrame(f"timestamp {ts} not after previous {prev_ts}")
-        hc = frame.hand_count
-        if hc > 1 and (hc > 2 or frame.hands[0].handedness == frame.hands[1].handedness):
+        hands = frame.hands
+        hc = len(hands)
+        if hc > 1 and (hc > 2 or hands[0].handedness == hands[1].handedness):
             raise _repeated_side(frame)
         if prev_ts is None:
-            self._enter(Phase.AWAITING_TWO_HANDS, ts)
+            self._enter(_AWAITING_TWO_HANDS, ts)
         s.last_ts = ts
         if s.phase in TERMINAL_PHASES:
             return []
@@ -388,7 +397,8 @@ class Stage2Detector:
             elif s.zero_since is not None and (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
                 self._enter(Phase.FAILED, ts, "hands_lost")
 
-        if s.phase == Phase.AWAITING_TWO_HANDS:
+        phase = s.phase
+        if phase is _AWAITING_TWO_HANDS:
             facing = self._update_two_hand_tracking(frame, opposition=True) if hc == 2 else None
             if facing is None or facing != s.facing:
                 s.facing, s.run_since = facing, ts
@@ -399,7 +409,7 @@ class Stage2Detector:
             elif (ts - s.run_since) / 1000.0 >= cfg.not_facing_alert_s > (prev_ts - s.run_since) / 1000.0:
                 self.events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
 
-        elif s.phase == Phase.PALMS_FACING:
+        elif phase is _PALMS_FACING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
                 slope = self._approach_slope()
@@ -407,22 +417,22 @@ class Stage2Detector:
                     s.dist_window.drop_sums()       # Approaching reads only the newest distance
                     self._enter(Phase.APPROACHING, ts, f"slope_mm_s={slope:.1f}")
 
-        elif s.phase == Phase.APPROACHING:
+        elif phase is _APPROACHING:
             if hc == 2:
                 self._update_two_hand_tracking(frame)
             elif hc == 1 and s.prev_hand_count == 2:
                 last_d = s.dist_window.samples[-1][1]
                 if last_d < cfg.contact_distance_mm:
-                    s.surviving = frame.hands[0].handedness
+                    s.surviving = hands[0].handedness
                     s.contact_ts = ts
                     self._enter(Phase.CONTACT_OCCLUDED, ts, f"distance_mm={last_d:.1f}")
 
         if s.phase in CONTACT_PHASES:
-            self._step_contact(frame)
+            self._step_contact(frame, hc)
         s.prev_hand_count = hc
         return self.events[produced:]
 
-    def _step_contact(self, frame: Frame):
+    def _step_contact(self, frame: Frame, hand_count: int):
         """ContactOccluded and Rubbing: track the surviving hand and bound the stage in time.
 
         The stage is timed to the surviving hand's last sample, so a rub that
@@ -430,7 +440,11 @@ class Stage2Detector:
         timeout noticed.
         """
         s, cfg, ts = self.state, self.config, frame.timestamp
-        obs = frame.hand(s.surviving)
+        for obs in frame.hands:       # frame.hand(s.surviving), without the call
+            if obs.handedness == s.surviving:
+                break
+        else:
+            obs = None
         if obs is not None:
             x, y, z = obs.palm_position.tolist()
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
@@ -441,11 +455,11 @@ class Stage2Detector:
             self._evaluate_completion(ts, "hands_lost")
         elif self._stage_elapsed_s() > cfg.stage_max_s + cfg.stage_max_slack_s:
             self._evaluate_completion(ts, "stage_too_long")
-        elif s.phase == Phase.CONTACT_OCCLUDED:
+        elif s.phase is _CONTACT_OCCLUDED:
             sweep = self._update_sweep(ts, obs) if obs is not None else None
             if sweep is not None and abs(sweep) >= cfg.rotation_sweep_deg:
                 self._enter(Phase.RUBBING, ts, f"sweep_deg={abs(sweep):.0f}")
-        elif frame.hand_count == 2:
+        elif hand_count == 2:
             self._evaluate_completion(ts, "hands_reappeared")
         elif obs is not None and (s.last_scored is None or ts - s.last_scored >= RUB_GRID_MS):
             self._score_rub(ts)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from hge import DEFAULT_CONFIG, Frame, FrameStream, HandObservation, Handedness, HandRecords, TooFewSamples
-from hge.features import _mean_rows, _principal_axes, symmetric_eigen3
+from hge.features import symmetric_eigen3
 from hge.frame_model import DEVICE_FPS_MIN
 
 
@@ -136,7 +136,8 @@ def stream_scalars(stream):
 
 
 def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
-    """estimate_frequency with its crossing times interpolated as whole arrays: flatnonzero, gathers, .max()/.min()."""
+    """estimate_frequency as whole arrays: the mean as np.add.reduce, the covariance and projections with @, and the
+    crossing times interpolated with flatnonzero, gathers and .max()/.min()."""
     pts = np.asarray(palm_positions, float)
     ts = np.asarray(timestamps_ms, float)
     if len(pts) != len(ts):
@@ -151,9 +152,11 @@ def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
         raise TooFewSamples(f"window spans {span_s:.3f} s, need at least 1 s")
     if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
         raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
-    centered, _, axes = _principal_axes(pts)
+    # the window fit as whole-array operators, frozen here so that a faster fit in features is held to these bits
+    centered = pts - np.add.reduce(pts, 0) / len(pts)
+    _, axes = symmetric_eigen3((centered.T @ centered / len(pts)).tolist())
     signal = centered @ axes[2]
-    signal = signal - _mean_rows(signal)
+    signal = signal - np.add.reduce(signal, 0) / len(signal)
     if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
         return None
     positive = signal >= 0
@@ -172,7 +175,7 @@ def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
 
 
 def reference_sweeps(velocities, config=DEFAULT_CONFIG):
-    """Stage2Detector._update_sweep's return for each velocity in turn, with np.linalg.norm, np.diff and .sum."""
+    """Stage2Detector._update_sweep's return for each velocity in turn, with np.linalg.norm, @, np.diff and .sum."""
     kept, sweeps = [], []
     for v in velocities:
         v = np.asarray(v, float)

@@ -439,6 +439,33 @@ class TestFrequencyMatchesTheWholeArrayRule:
         for positions, stamps in windows:
             assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
 
+    def test_the_detectors_live_views(self, monkeypatch):
+        """The detector passes offset views into its position buffer. The rule's outcome on each view, at the call,
+        is the whole-array rule's on a copy, also on the first window after the buffer compacts or grows."""
+        rule, kinds, last = hge.stage_detector.estimate_frequency, [], {}
+
+        def checking(positions, stamps, config):
+            base = positions.base
+            offset = (positions.__array_interface__["data"][0] - base.__array_interface__["data"][0]) \
+                // positions.strides[0]
+            if last.get("base") is not base:
+                kinds.append("first" if last.get("base") is None else "grown")
+            else:
+                kinds.append("compacted" if offset < last["offset"] else "shifted")
+            last.update(base=base, offset=offset)
+            assert not positions.flags.owndata and positions.flags.c_contiguous
+            outcome = _outcome(rule, positions, stamps)
+            assert outcome == _outcome(reference_frequency, positions.copy(), stamps.copy())
+            return rule(positions, stamps, config)
+
+        monkeypatch.setattr(hge.stage_detector, "estimate_frequency", checking)
+        for fps in (50.0, 100.0, 200.0):
+            for sigma, seed in ((0.0, 21), (1.0, 22)):
+                last.clear()
+                detect_stage2(generate(make_canonical_script(noise_sigma=sigma, seed=seed, fps=fps,
+                                                             rub_duration_s=6.0))[0])
+        assert {"first", "grown", "compacted", "shifted"} <= set(kinds)
+
     @pytest.mark.parametrize("positions, stamps", [
         (np.zeros((3, 3)), [0, 10]),
         (np.zeros((1, 3)), [0]),

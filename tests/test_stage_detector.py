@@ -21,6 +21,7 @@ from hge import (
     EngineError,
     Frame,
     FrameStream,
+    HandObservation,
     Handedness,
     NonUnitNormal,
     OutOfOrderFrame,
@@ -217,6 +218,21 @@ class TestTransitions:
                     det.step(frame)
         assert det.state.last_ts == 1980
         assert det.events == [ev for ev in events if ev.timestamp_ms < 1980]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["left_first", "right_first"])
+    def test_frames_whose_handedness_is_a_plain_string_give_the_same_events(self, reverse):
+        # Handedness is a str enum, so code may build a hand with "Left" or "Right": the side and survivor tests
+        # compare by value, not identity. Each hand gets a string object of its own, as a parser would make
+        stream, _ = generate(make_canonical_script(noise_sigma=1.0, seed=3))
+        expected = detect_stage2(stream).events
+        assert [ev.name for ev in expected][-2:] == ["Rubbing", "Completed"]
+        det = Stage2Detector()
+        for frame in stream.frames:
+            hands = [HandObservation("".join(list(obs.handedness.value)), obs.palm_position, obs.palm_normal, obs.palm_velocity,
+                                     obs.grab_strength, obs.fingertips) for obs in frame.hands]
+            det.step(Frame(frame.timestamp, tuple(reversed(hands)) if reverse else tuple(hands)))
+        assert type(hands[0].handedness) is str
+        assert det.report().events == expected
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_a_palm_position_that_is_not_finite_after_contact_raises_engine_error(self, value):
