@@ -138,8 +138,11 @@ def _unit_normals(normal_left, normal_right):
     """The left and right palm normals as float triples, after each one's unit check, the left one's first."""
     a, b = np.asarray(normal_left, float).tolist(), np.asarray(normal_right, float).tolist()
     (ax, ay, az), (bx, by, bz) = a, b
-    _check_unit_norm("normal_left", math.sqrt(ax * ax + ay * ay + az * az))
-    _check_unit_norm("normal_right", math.sqrt(bx * bx + by * by + bz * bz))
+    left, right = math.sqrt(ax * ax + ay * ay + az * az), math.sqrt(bx * bx + by * by + bz * bz)
+    # both within the tolerance, tested at once; a NaN norm fails the comparison, and the checks name the one off
+    if not abs(left - 1.0) <= NORMAL_TOLERANCE >= abs(right - 1.0):
+        _check_unit_norm("normal_left", left)
+        _check_unit_norm("normal_right", right)
     return a, b
 
 
@@ -325,12 +328,25 @@ def _principal_axes(pts):
     The eigenpairs come from symmetric_eigen3 as tuples: axes[2] is the principal axis. On a C-ordered (n, 3)
     array, the last row of np.add.accumulate is the sequential column sum np.add.reduce runs, and ndarray.dot
     calls the BLAS routine the @ operator calls: the same bits as pts.mean(axis=0) and centered.T @ centered,
-    with less of numpy's per-call overhead.
+    with less of numpy's per-call overhead. The lower triangle, the entries symmetric_eigen3 reads, is divided
+    by n in Python floats, the IEEE division numpy's elementwise loop runs.
     """
     n = len(pts)
     centered = pts - np.add.accumulate(pts, 0)[-1] / n
-    evals, axes = symmetric_eigen3((centered.T.dot(centered) / n).tolist())
+    (c00, _, _), (c01, c11, _), (c02, c12, c22) = centered.T.dot(centered).tolist()
+    a01, a02, a12 = c01 / n, c02 / n, c12 / n
+    evals, axes = symmetric_eigen3(((c00 / n, a01, a02), (a01, c11 / n, a12), (a02, a12, c22 / n)))
     return centered, evals, axes
+
+
+def _axis_signal(pts):
+    """The principal-axis projection of an (n, 3) float array's mean-removed points, re-centred."""
+    centered, _, axes = _principal_axes(pts)
+    signal = centered.dot(axes[2])
+    # re-centred, though the rows are: where the covariance splits, the axis is LAPACK's to the bit, and
+    # this step then rounds a sample whose exact projection is 0 to the side the eigh-based rule rounds it to
+    signal -= _mean_rows(signal)
+    return signal
 
 
 def classify_trajectory(palm_positions, config: EngineConfig = DEFAULT_CONFIG) -> TrajectoryKind:
@@ -389,12 +405,7 @@ def estimate_frequency(palm_positions, timestamps_ms, config: EngineConfig = DEF
     if (n - 1) / raw_span < DEVICE_FPS_MIN:
         raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
 
-    centered, _, axes = _principal_axes(pts)
-    signal = centered.dot(axes[2])
-    # re-centred, though the rows are: where the covariance splits, the axis is LAPACK's to the bit, and
-    # this step then rounds a sample whose exact projection is 0 to the side the eigh-based rule rounds it to
-    signal -= _mean_rows(signal)
-
+    signal = _axis_signal(pts)
     if float(np.maximum.reduce(signal) - np.minimum.reduce(signal)) < config.min_oscillation_amplitude_mm:
         return None
 

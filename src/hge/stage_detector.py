@@ -46,10 +46,10 @@ WORKING_PHASES = (
     Phase.CONTACT_OCCLUDED,
     Phase.RUBBING,
 )
-CONTACT_PHASES = (Phase.CONTACT_OCCLUDED, Phase.RUBBING)
 TERMINAL_PHASES = (Phase.COMPLETED, Phase.FAILED)
 # step tests the phase and a side several times a frame: a global read costs a third of the enum class's lookup
-_AWAITING_TWO_HANDS, _PALMS_FACING, _APPROACHING, _CONTACT_OCCLUDED = WORKING_PHASES[:4]
+_AWAITING_TWO_HANDS, _PALMS_FACING, _APPROACHING, _CONTACT_OCCLUDED, _RUBBING = WORKING_PHASES
+_COMPLETED, _FAILED = TERMINAL_PHASES
 _LEFT = Handedness.LEFT
 _ENTRY_NAMES = frozenset(p.value for p in WORKING_PHASES)
 RUB_GRID_MS = 1000.0 / DEVICE_FPS_MIN   # the rub is scored at most this often: every frame at the slowest device rate
@@ -254,19 +254,19 @@ class Stage2Detector:
 
     # -- per-phase helpers ------------------------------------------------
 
-    def _update_two_hand_tracking(self, frame: Frame, opposition: bool = False):
-        """On a two-hand frame: push the palms' distance, then return the palms' facing verdict if asked.
+    def _update_two_hand_tracking(self, hands, ts: int, opposition: bool = False):
+        """On a two-hand frame at ts: push the palms' distance, then return the palms' facing verdict if asked.
 
         AwaitingTwoHands, the one phase that reads it, asks; the other phases only check both normals' unit
         length. Raises EngineError for a distance that is not finite, which the slope's exact sums cannot hold.
         """
-        a, b = frame.hands
+        a, b = hands
         left, right = (a, b) if a.handedness == _LEFT else (b, a)
         # math.dist of the palms, inter_palm_distance's rule
         d = math.dist(left.palm_position.tolist(), right.palm_position.tolist())
         if not math.isfinite(d):
-            raise EngineError(f"frame at {frame.timestamp} ms: the palms' distance {d} is not finite")
-        self.state.dist_window.push(frame.timestamp, d, self.config.approach_window_s)
+            raise EngineError(f"frame at {ts} ms: the palms' distance {d} is not finite")
+        self.state.dist_window.push(ts, d, self.config.approach_window_s)
         if opposition:
             return palm_opposition(left.palm_normal, right.palm_normal, self.config).facing
         _unit_normals(left.palm_normal, right.palm_normal)
@@ -371,8 +371,12 @@ class Stage2Detector:
     # -- main state machine -----------------------------------------------
 
     def step(self, frame: Frame) -> list:
-        """Advance the detector by one frame; returns the events it produced."""
-        s, cfg, ts, prev_ts = self.state, self.config, frame.timestamp, self.state.last_ts
+        """Advance the detector by one frame; returns the events it produced.
+
+        The phase is read once: a terminal phase ignores the frame, ContactOccluded and Rubbing go to
+        _step_contact, and the phases before contact first run the lost-hands timeout.
+        """
+        s, ts, prev_ts = self.state, frame.timestamp, self.state.last_ts
         if ts >= MAX_TIMESTAMP_MS:
             raise EngineError(f"timestamp {ts} is not below {MAX_TIMESTAMP_MS} ms")
         if prev_ts is not None and ts <= prev_ts:
@@ -384,22 +388,28 @@ class Stage2Detector:
         if prev_ts is None:
             self._enter(_AWAITING_TWO_HANDS, ts)
         s.last_ts = ts
-        if s.phase in TERMINAL_PHASES:
+        phase = s.phase
+        if phase is _COMPLETED or phase is _FAILED:
             return []
 
-        produced = len(self.events)
+        events = self.events
+        produced = len(events)
+        if phase is _RUBBING or phase is _CONTACT_OCCLUDED:
+            self._step_contact(hands, ts, hc)
+            s.prev_hand_count = hc
+            return events[produced:]
 
-        if s.phase not in CONTACT_PHASES:
-            if hc:
-                s.zero_since = None
-            elif s.prev_hand_count:
-                s.zero_since = ts
-            elif s.zero_since is not None and (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
-                self._enter(Phase.FAILED, ts, "hands_lost")
+        cfg = self.config
+        if hc:
+            s.zero_since = None
+        elif s.prev_hand_count:
+            s.zero_since = ts
+        elif s.zero_since is not None and (ts - s.zero_since) / 1000.0 > cfg.lost_hands_timeout_s:
+            self._enter(Phase.FAILED, ts, "hands_lost")     # prev_hand_count is 0 already
+            return events[produced:]
 
-        phase = s.phase
         if phase is _AWAITING_TWO_HANDS:
-            facing = self._update_two_hand_tracking(frame, opposition=True) if hc == 2 else None
+            facing = self._update_two_hand_tracking(hands, ts, opposition=True) if hc == 2 else None
             if facing is None or facing != s.facing:
                 s.facing, s.run_since = facing, ts
             elif facing:
@@ -407,40 +417,37 @@ class Stage2Detector:
                     self._enter(Phase.PALMS_FACING, ts, f"facing_held={cfg.facing_dwell_s:.2f}s")
             # an unopposed run alerts once, on the frame whose run time first reaches the limit
             elif (ts - s.run_since) / 1000.0 >= cfg.not_facing_alert_s > (prev_ts - s.run_since) / 1000.0:
-                self.events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
+                events.append(Event(ts, AlertKind.PALMS_NOT_FACING.value, "two_hands_not_facing"))
 
         elif phase is _PALMS_FACING:
             if hc == 2:
-                self._update_two_hand_tracking(frame)
+                self._update_two_hand_tracking(hands, ts)
                 slope = self._approach_slope()
                 if slope is not None and slope <= cfg.approach_slope_mm_s:
                     s.dist_window.drop_sums()       # Approaching reads only the newest distance
                     self._enter(Phase.APPROACHING, ts, f"slope_mm_s={slope:.1f}")
 
-        elif phase is _APPROACHING:
-            if hc == 2:
-                self._update_two_hand_tracking(frame)
-            elif hc == 1 and s.prev_hand_count == 2:
-                last_d = s.dist_window.samples[-1][1]
-                if last_d < cfg.contact_distance_mm:
-                    s.surviving = hands[0].handedness
-                    s.contact_ts = ts
-                    self._enter(Phase.CONTACT_OCCLUDED, ts, f"distance_mm={last_d:.1f}")
-
-        if s.phase in CONTACT_PHASES:
-            self._step_contact(frame, hc)
+        elif hc == 2:       # Approaching
+            self._update_two_hand_tracking(hands, ts)
+        elif hc == 1 and s.prev_hand_count == 2:
+            last_d = s.dist_window.samples[-1][1]
+            if last_d < cfg.contact_distance_mm:
+                s.surviving = hands[0].handedness
+                s.contact_ts = ts
+                self._enter(Phase.CONTACT_OCCLUDED, ts, f"distance_mm={last_d:.1f}")
+                self._step_contact(hands, ts, hc)
         s.prev_hand_count = hc
-        return self.events[produced:]
+        return events[produced:]
 
-    def _step_contact(self, frame: Frame, hand_count: int):
-        """ContactOccluded and Rubbing: track the surviving hand and bound the stage in time.
+    def _step_contact(self, hands, ts: int, hand_count: int):
+        """ContactOccluded and Rubbing, on a frame at ts: track the surviving hand and bound the stage in time.
 
         The stage is timed to the surviving hand's last sample, so a rub that
         ends with the hands leaving is judged by when it ended, not by when the
         timeout noticed.
         """
-        s, cfg, ts = self.state, self.config, frame.timestamp
-        for obs in frame.hands:       # frame.hand(s.surviving), without the call
+        s, cfg = self.state, self.config
+        for obs in hands:       # frame.hand(s.surviving), without the call
             if obs.handedness == s.surviving:
                 break
         else:

@@ -135,9 +135,20 @@ def stream_scalars(stream):
     return np.array(out)
 
 
+def reference_signal(positions):
+    """estimate_frequency's re-centred principal-axis signal of an (n, 3) window, as whole-array operators: the
+    means as np.add.reduce, the covariance and projection with @. Frozen here, so that a faster window fit in
+    features is held to these bits."""
+    pts = np.asarray(positions, float)
+    centered = pts - np.add.reduce(pts, 0) / len(pts)
+    _, axes = symmetric_eigen3((centered.T @ centered / len(pts)).tolist())
+    signal = centered @ axes[2]
+    return signal - np.add.reduce(signal, 0) / len(signal)
+
+
 def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
-    """estimate_frequency as whole arrays: the mean as np.add.reduce, the covariance and projections with @, and the
-    crossing times interpolated with flatnonzero, gathers and .max()/.min()."""
+    """estimate_frequency as whole arrays: reference_signal's window fit, and the crossing times interpolated with
+    flatnonzero, gathers and .max()/.min()."""
     pts = np.asarray(palm_positions, float)
     ts = np.asarray(timestamps_ms, float)
     if len(pts) != len(ts):
@@ -152,11 +163,7 @@ def reference_frequency(palm_positions, timestamps_ms, config=DEFAULT_CONFIG):
         raise TooFewSamples(f"window spans {span_s:.3f} s, need at least 1 s")
     if (len(pts) - 1) / raw_span < DEVICE_FPS_MIN:
         raise TooFewSamples(f"sampling rate below {DEVICE_FPS_MIN:g} FPS")
-    # the window fit as whole-array operators, frozen here so that a faster fit in features is held to these bits
-    centered = pts - np.add.reduce(pts, 0) / len(pts)
-    _, axes = symmetric_eigen3((centered.T @ centered / len(pts)).tolist())
-    signal = centered @ axes[2]
-    signal = signal - np.add.reduce(signal, 0) / len(signal)
+    signal = reference_signal(pts)
     if float(signal.max() - signal.min()) < config.min_oscillation_amplitude_mm:
         return None
     positive = signal >= 0

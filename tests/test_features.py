@@ -38,14 +38,14 @@ from hge import (
     parse_csv_stream,
     write_csv_stream,
 )
-from hge.features import _mean_rows, _principal_axes, _resultants, symmetric_eigen3
+from hge.features import _axis_signal, _mean_rows, _principal_axes, _resultants, symmetric_eigen3
 from hge.frame_model import NORMAL_TOLERANCE
 from hge.synth import OcclusionModel, drop_frames
 from dataclasses import replace
 
 import hge.stage_detector
 from helpers import (NAN_ROW, chord_oracle, facing_frames, make_hand, random_plane_basis, random_rotation,
-                     random_unit, reference_frequency, sinusoid)
+                     random_unit, reference_frequency, reference_signal, sinusoid)
 from test_ingest_properties import PROPERTY, _untrack
 from test_stage_detector import _SCRIPTS
 
@@ -402,23 +402,29 @@ def _detector_windows(monkeypatch, streams):
 
 
 def _sign_changes(window):
-    """A window's mean-removed principal-axis signal, as estimate_frequency forms it, and its count of sign changes."""
-    centered, _, axes = _principal_axes(np.asarray(window[0], float))
-    signal = centered @ axes[2]
-    signal = signal - _mean_rows(signal)
+    """A window's re-centred principal-axis signal, as estimate_frequency forms it, and its count of sign changes."""
+    signal = _axis_signal(np.asarray(window[0], float))
     return signal, int(np.count_nonzero((signal[:-1] >= 0) != (signal[1:] >= 0)))
+
+
+def _same_outcome_and_signal(positions, stamps):
+    """Assert that the rule and the whole-array rule agree on a window: in outcome, and in the signal's bits."""
+    assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
+    # an outcome moves only when a sample's side or a crossing's time does; the signal pins the window fit itself
+    assert _axis_signal(np.asarray(positions, float)).tobytes() == reference_signal(positions).tobytes()
 
 
 class TestFrequencyMatchesTheWholeArrayRule:
     """estimate_frequency interpolates each sign change in Python floats; reference_frequency does it as whole
-    arrays. The two must agree to the bit, in None and in what they raise."""
+    arrays. The two must agree to the bit, in None and in what they raise, and so must the signals they count
+    crossings of."""
 
     def test_rubs(self):
         windows = list(_rub_windows())
         assert len(windows) == 163
         assert np.count_nonzero(_sign_changes(windows[-1])[0] == 0.0) == 6
         for positions, stamps in windows:
-            assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
+            _same_outcome_and_signal(positions, stamps)
         # the σ = 0 rubs hold samples a rounding away from zero, whose side the sign test must read the same
         assert any(np.any((0.0 < abs(signal)) & (abs(signal) < 1e-13)) for signal, _ in map(_sign_changes, windows))
 
@@ -426,7 +432,8 @@ class TestFrequencyMatchesTheWholeArrayRule:
         windows = list(_noise_windows())
         assert np.median([_sign_changes(window)[1] for window in windows]) >= 24
         outcomes = [_outcome(estimate_frequency, p, ts) for p, ts in windows]
-        assert outcomes == [_outcome(reference_frequency, p, ts) for p, ts in windows]
+        for positions, stamps in windows:
+            _same_outcome_and_signal(positions, stamps)
         assert any(isinstance(o, float) for o in outcomes) and None in outcomes
 
     @pytest.mark.parametrize("fps", [50.0, 100.0, 200.0])
@@ -437,7 +444,7 @@ class TestFrequencyMatchesTheWholeArrayRule:
         assert len(windows) > 100
         assert any(len(set(np.diff(ts).tolist())) > 2 for _, ts in windows)     # irregular spacing
         for positions, stamps in windows:
-            assert _outcome(estimate_frequency, positions, stamps) == _outcome(reference_frequency, positions, stamps)
+            _same_outcome_and_signal(positions, stamps)
 
     def test_the_detectors_live_views(self, monkeypatch):
         """The detector passes offset views into its position buffer. The rule's outcome on each view, at the call,
@@ -456,6 +463,7 @@ class TestFrequencyMatchesTheWholeArrayRule:
             assert not positions.flags.owndata and positions.flags.c_contiguous
             outcome = _outcome(rule, positions, stamps)
             assert outcome == _outcome(reference_frequency, positions.copy(), stamps.copy())
+            assert _axis_signal(positions).tobytes() == reference_signal(positions.copy()).tobytes()
             return rule(positions, stamps, config)
 
         monkeypatch.setattr(hge.stage_detector, "estimate_frequency", checking)

@@ -110,7 +110,14 @@ class TestTransitions:
         assert det.state.phase == Phase.APPROACHING
         assert det.state.dist_window.samples[-1][1] == pytest.approx(26.0, abs=0.1)
         det.step(Frame(1750, (make_hand(Handedness.RIGHT, palm=(12.5, 200, 0), normal=(-1, 0, 0)),)))
-        assert det.state.phase == Phase.CONTACT_OCCLUDED
+        s = det.state
+        assert s.phase == Phase.CONTACT_OCCLUDED
+        # the contact frame is the surviving hand's first sample
+        assert s.contact_ts == 1750 and s.surviving == Handedness.RIGHT
+        window = s.pos_window
+        assert len(window) == 1 and window.last == 1750
+        assert window.times[window.start:window.end].tolist() == [1750.0]
+        assert window.values[window.start:window.end].tolist() == [[12.5, 200.0, 0.0]]
 
     def test_drop_while_far_apart_is_not_contact(self):
         det = Stage2Detector()
@@ -148,11 +155,11 @@ class TestTransitions:
         det = Stage2Detector()
         for frame in facing_frames(40):
             det.step(frame)
-        for t in range(400, 1600, 10):
-            det.step(Frame(t, ()))
-            if det.state.phase == Phase.FAILED:
-                break
+        produced = {t: det.step(Frame(t, ())) for t in range(400, 1600, 10)}
         assert det.state.phase == Phase.FAILED
+        # the first frame past the timeout fails the run, and the failed run ignores every later frame
+        assert {t: [ev.to_line() for ev in evs] for t, evs in produced.items() if evs} == {
+            1410: ["1410 Failed hands_lost"]}
 
     def test_two_hands_of_one_side_are_refused(self):
         det = Stage2Detector()
