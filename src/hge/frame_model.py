@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
+import orjson
 
 from .errors import EngineError, HeaderMismatch, MalformedRow, NonMonotonicTimestamp
 
@@ -390,33 +390,83 @@ def _check_block(block: np.ndarray, careful, linenos, lines) -> np.ndarray:
 def parse_hand_csv(text: str, handedness: Handedness) -> HandRecords:
     """Parse one per-hand CSV into its validated records.
 
-    An ASCII file without blank fingertip cells is read in one pass of numpy's
-    C tokenizer. Any other file, or one that pass rejects, is read line by
-    line by `_parse_hand_lines`, which gives the same records and raises every
-    error; a file with several faults reports the one on the earliest line.
-    Palm normals are renormalised in place.
+    A file whose data lines are rows of JSON numbers is read by orjson, one
+    block of about _JSON_BLOCK_CHARS characters at a time. Any other file,
+    or one that pass declines, is read line by line by `_parse_hand_lines`,
+    which gives the same records and raises every error; a file with several
+    faults reports the one on the earliest line. Palm normals are
+    renormalised.
     """
     handedness = Handedness(handedness)
+    if text.startswith(CSV_HEADER + "\n") and text.isascii():
+        try:
+            records = _json_records(text, handedness)
+        except (ValueError, TypeError, OverflowError):     # orjson.JSONDecodeError is a ValueError
+            records = None
+        if records is not None:
+            return records
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise HeaderMismatch(f"expected header {CSV_HEADER!r}, got {got!r}")
-    # numpy's int parser can crash on a non-ASCII code point, and numpy strips \x1f where `float` rejects
-    # it; loadtxt skips empty lines, which would shift the line numbers, and warns on a file with no data.
-    if len(lines) < 2 or not text.isascii() or "\x1f" in text or "" in lines:
-        return _parse_hand_lines(lines, handedness)
-    try:
-        with warnings.catch_warnings():     # older numpy reads an int cell like '1.5' via float and only warns
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines[1:], delimiter=",", dtype=[("ts", "<i8"), ("v", "<f8", (_FLOAT_COLUMNS,))],
-                              ndmin=1, comments=None, quotechar=None)
-    except (ValueError, DeprecationWarning):
-        return _parse_hand_lines(lines, handedness)
-    stamps = rows["ts"]
-    if stamps[0] < 0 or stamps[-1] >= MAX_TIMESTAMP_MS or not (stamps[1:] > stamps[:-1]).all():
-        return _parse_hand_lines(lines, handedness)
-    norms = _check_block(rows["v"], [], range(2, len(lines) + 1), lines)
-    return _records(handedness, np.ascontiguousarray(stamps), rows["v"], norms)
+    return _parse_hand_lines(lines, handedness)
+
+
+_JSON_BLOCK_CHARS = 1 << 15     # text per JSON block: its copies and row objects stay small
+# JSON literals, strings, containers and whitespace: with none of them, every JSON value is a number
+_NOT_NUMBERS = ("t", "f", "n", '"', "{", "[", "]", " ", "\t", "\r")
+_MINUS, _ZERO, _COMMA, _NEWLINE = (ord(c) for c in "-0,\n")
+
+
+def _holds_integer_minus_zero(block: str) -> bool:
+    """Whether a cell of the block's lines is the integer -0, which JSON reads as 0 and `float` as -0.0.
+
+    A scan of the block's bytes: searching the text for '-0,' meets every '-0.' on the way and takes
+    about four times as long.
+    """
+    codes = np.frombuffer(block.encode(), np.uint8)
+    after = codes[2:]
+    return block.endswith("-0") or bool(
+        ((codes[:-2] == _MINUS) & (codes[1:-1] == _ZERO) & ((after == _COMMA) | (after == _NEWLINE))).any())
+
+
+def _json_records(text: str, handedness: Handedness) -> Optional[HandRecords]:
+    """The records of a header line and rows of 26 JSON numbers, read and checked a block at a time.
+
+    None for text holding anything but numbers, commas and newlines, an
+    integer -0, a row of another length, a timestamp that is not an
+    integer, or a row the reader refuses; the line reader then reads the
+    file. Text that orjson or numpy cannot convert raises ValueError,
+    TypeError or OverflowError.
+    """
+    n = text.count("\n") - text.endswith("\n")
+    stamps, values = np.empty(n, np.int64), np.empty((n, _FLOAT_COLUMNS))
+    pos, lo, last = len(CSV_HEADER) + 1, 0, -1.0
+    while pos < len(text):
+        end = text.find("\n", min(pos + _JSON_BLOCK_CHARS, len(text) - 1))
+        end = len(text) if end < 0 else end
+        block, pos = text[pos:end], end + 1
+        if any(c in block for c in _NOT_NUMBERS) or _holds_integer_minus_zero(block):
+            return None
+        rows = orjson.loads("[[" + block.replace("\n", "],[") + "]]")
+        cells = np.array(rows, float)
+        if cells.shape[1:] != (len(CSV_COLUMNS),) or not all(type(row[0]) is int for row in rows):
+            return None
+        ts = cells[:, 0]
+        if not (last < ts[0] and ts[-1] < MAX_TIMESTAMP_MS and (ts[1:] > ts[:-1]).all()):
+            return None
+        hi = lo + len(rows)
+        block_values = values[lo:hi]
+        block_values[:] = cells[:, 1:]
+        if not (np.abs(block_values) < MAX_MAGNITUDE).all():
+            return None
+        bad_grab, bad_normal, norms = _grab_normal_faults(block_values)
+        if bad_grab.any() or bad_normal.any():
+            return None
+        block_values[:, 3:6] /= norms[:, None]
+        stamps[lo:hi] = ts
+        lo, last = hi, ts[-1]
+    return HandRecords(handedness, stamps, values)
 
 
 def _parse_hand_lines(lines, handedness: Handedness) -> HandRecords:

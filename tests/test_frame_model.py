@@ -31,7 +31,7 @@ from hge import (
     parse_hand_csv,
     write_csv_stream,
 )
-
+from hge import frame_model
 from hge.frame_model import (_BLOCK_FRAMES, _GRAB, _TIPS, MAX_TIMESTAMP_MS, MERGE_WINDOW_MS, SIDES, FrameTable,
                              _hand_row, _parse_hand_lines)
 from hge.synth import ABLATIONS, GestureScript, PhaseKind, PhaseSpec
@@ -380,6 +380,51 @@ class TestCsv:
             mask = ~np.isnan(a)
             assert np.array_equal(np.isnan(a), np.isnan(b))
             assert np.max(np.abs(a[mask] - b[mask])) <= 1e-6
+
+
+class TestJsonPass:
+    _FREE_COLUMNS = [*range(0, 3), *range(6, 9), *range(_TIPS, 25)]     # palm position, velocity and fingertips
+
+    def test_the_pass_reads_what_float_reads(self, monkeypatch):
+        rng = np.random.default_rng(20211)
+        bits = rng.integers(0, 2**64, 12_000, dtype=np.uint64).view(np.float64)
+        bits = bits[np.abs(bits) < 1e16]
+        assert len(bits) >= 5_000
+        edges = [0.0, -0.0, 5e-324, -5e-324, 9999999999999998.0, -9999999999999998.0,
+                 *np.nextafter(1e-4, [0.0, 1.0]), 1e-4, *(10.0**k for k in range(16)),
+                 *rng.integers(-10**15, 10**15, 500)]
+        values = np.concatenate([np.array(edges, float), bits])
+        values = np.append(values, np.ones(-len(values) % len(self._FREE_COLUMNS)))
+        cells = [repr(v) for v in values.tolist()]
+        cells = [cells[k:k + len(self._FREE_COLUMNS)] for k in range(0, len(cells), len(self._FREE_COLUMNS))]
+        rows = []
+        for k, free in enumerate(cells):
+            row = [str(10 * k)] + [""] * 25
+            for column, cell in zip(self._FREE_COLUMNS, free):
+                row[column + 1] = cell
+            row[4:7], row[_GRAB + 1] = ["0.0", "1.0", "0.0"], "0.5"     # a unit normal and a grab in [0, 1]
+            rows.append(",".join(row))
+
+        def refuse(lines, handedness):
+            raise AssertionError("the file went to the line reader")
+        monkeypatch.setattr(frame_model, "_parse_hand_lines", refuse)
+        records = parse_hand_csv("\n".join([CSV_HEADER] + rows) + "\n", Handedness.LEFT)
+        expected = np.array([float(cell) for row in cells for cell in row])
+        assert records.block[:, self._FREE_COLUMNS].reshape(-1).tobytes() == expected.tobytes()
+        assert records.timestamps.tolist() == list(range(0, 10 * len(rows), 10))
+
+    def test_parsing_holds_one_block_not_the_file(self):
+        row = write_csv_stream(_noisy_canonical())[0].splitlines()[1]
+        rest = row[row.index(","):]
+        text = CSV_HEADER + "\n" + "".join(f"{10 * k}{rest}\n" for k in range(12_000))
+        tracemalloc.start()
+        try:
+            records = parse_hand_csv(text, Handedness.LEFT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 12_000
+        assert peak - records.timestamps.nbytes - records.block.nbytes < 2**20
 
 
 def _merged(stream):

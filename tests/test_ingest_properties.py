@@ -77,8 +77,10 @@ def test_round_trip_returns_every_scalar(seed, noise_sigma, rub_frequency_hz, pi
             assert _within_ulps(a.palm_normal, b.palm_normal, 4)
 
 
+# the last ten are JSON tokens: the JSON pass must decline them or read them as `float` does
 _CELLS = st.sampled_from(["", " ", "0", "10", "-3", "0.5", "1.0", "2.0", "1e400", "nan", "inf",
-                          "-inf", "abc", "1_0", " 7 ", "0x1"])
+                          "-inf", "abc", "1_0", " 7 ", "0x1", "-0", "true", "false", "null", "[1]", '"1"', "{}",
+                          "1e-400", "12345678901234567890", "18446744073709551616"])
 
 
 @st.composite
@@ -221,6 +223,12 @@ def _odd_csv(draw):
 @example(text=_with_cell(2, 0, lambda cell: "\U000e2bc8"))      # numpy's int parser can crash on it
 @example(text=_with_cell(41, 0, lambda cell: "\u01fe"))          # and read this as 462 (glibc, x86-64)
 @example(text=_with_cell(41, 0, lambda cell: str(2**63)))
+@example(text=_with_cell(5, 1, lambda cell: "-0"))                # JSON reads 0, `float` -0.0
+@example(text=_with_cell(5, 25, lambda cell: "-0"))               # and at the end of a line
+@example(text=_with_cell(41, 25, lambda cell: "-0"))              # and of the text
+@example(text=_with_cell(3, 0, lambda cell: "10.0"))              # JSON reads a float timestamp, `int` refuses it
+@example(text=_with_cell(3, 0, lambda cell: "1e1"))
+@example(text=_with_cell(5, 20, lambda cell: "null"))             # numpy reads null as NaN
 @given(text=_odd_csv())
 def test_parse_gives_what_the_line_by_line_reader_gives(text):
     assert _outcome(_read, text) == _outcome(_read_line_by_line, text)
